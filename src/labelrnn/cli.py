@@ -75,11 +75,12 @@ def cmd_pretrain(args) -> int:
     if args.target == "words":
         sequences = [[vocab.word_id(w) for w in s.words] for s in sentences]
         size, pad, id_to_token = vocab.n_words, WORD_BOS_ID, vocab.id_to_word
-        epochs = args.epochs if args.epochs is not None else 30
+        default_epochs = TrainConfig.epochs_nnlm_word
     else:
         sequences = [[vocab.label_id(l) for l in s.labels] for s in sentences]
         size, pad, id_to_token = vocab.n_labels, LABEL_BOL_ID, vocab.id_to_label
-        epochs = args.epochs if args.epochs is not None else 20
+        default_epochs = TrainConfig.epochs_nnlm_label
+    epochs = args.epochs if args.epochs is not None else default_epochs
     table, losses = train_nnlm(
         sequences, size, pad, context=args.context, embed_size=args.embed_size,
         hidden_size=args.hidden_size, epochs=epochs, lr0=args.lr0,
@@ -265,9 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="train an NNLM and export its embeddings")
     p.add_argument("--train", required=True)
     p.add_argument("--target", choices=("words", "labels"), required=True)
-    p.add_argument("--epochs", type=int, default=None, help="default 30 for words, 20 for labels")
+    p.add_argument("--epochs", type=int, default=None,
+                   help=f"default {TrainConfig.epochs_nnlm_word} for words, "
+                        f"{TrainConfig.epochs_nnlm_label} for labels")
     p.add_argument("--out", required=True)
-    p.add_argument("--context", type=int, default=4)
+    p.add_argument("--context", type=int, default=TrainConfig.nnlm_context)
     p.add_argument("--embed-size", type=int, default=200)
     p.add_argument("--hidden-size", type=int, default=200)
     p.add_argument("--lr0", type=float, default=0.5)

@@ -23,3 +23,7 @@ class ParseError(DataError):
 
 class ModelIOError(LabelRnnError):
     """Corrupt, truncated or incompatible model file."""
+
+
+class TrainingDivergedError(LabelRnnError):
+    """An epoch's training loss is not finite."""

@@ -53,10 +53,10 @@ def tanh_grad_from_output(t):
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax: subtract the max before exponentiating."""
-    shifted = v - np.max(v)
+    """Stable softmax over the last axis: subtract the max before exponentiating."""
+    shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -196,10 +196,12 @@ class Grads:
         self.rows = {}
 
     def add(self, name, g):
+        """Add g to the gradient of name; the first g is kept, not copied, so
+        callers pass arrays they no longer use."""
         if name in self.dense:
             self.dense[name] += g
         else:
-            self.dense[name] = g.copy()
+            self.dense[name] = g
 
     def add_rows(self, table, pairs):
         bucket = self.rows.setdefault(table, {})
@@ -230,7 +232,7 @@ class Grads:
         return out
 
 
-# -- per-position forward/backward ------------------------------------------
+# -- forward/backward at one position or at all positions -------------------
 
 def _masked(vec, mask):
     return vec if mask is None else vec * mask
@@ -241,6 +243,10 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
 
     masks is None at inference, or a dict of inverted-dropout masks with keys
     'w', 'c', 'l' (embedding concatenations) and 'h' (hidden activation).
+
+    t may also be np.arange(n), all n positions of seq at once: then row t
+    of y, of every cached array and of every mask belongs to position t, and
+    the GRU runs the rows as consecutive steps from h_prev.
     """
     p = model.params
     masks = masks or {}
@@ -253,21 +259,21 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
         cidx = window_indices(seq.classes, t, model.d_w, CLASS_BOS_ID, CLASS_EOS_ID)
         cache["cidx"] = cidx
         cache["x_c"] = _masked(embed_concat(p["E_c"], cidx), masks.get("c"))
-    if model.ablate_label_context:
-        lidx = [LABEL_BOL_ID] * model.d_l
-    else:
-        lidx = label_context_indices(history, t, model.d_l, LABEL_BOL_ID)
+    # An ablated label context is the all-BOL context of the first position.
+    lt = 0 * t if model.ablate_label_context else t
+    lidx = label_context_indices(history, lt, model.d_l, LABEL_BOL_ID)
     cache["lidx"] = lidx
     cache["x_l"] = _masked(embed_concat(p["E_l"], lidx), masks.get("l"))
     if model.use_chars:
+        chars = seq.chars if isinstance(t, np.ndarray) else seq.chars[t]
         x_ch, ch_cache = char_conv_forward(
-            seq.chars[t], p["E_ch"], p["W_conv"], p["b_conv"], model.d_c, CHAR_PAD_ID
+            chars, p["E_ch"], p["W_conv"], p["b_conv"], model.d_c, CHAR_PAD_ID
         )
         cache["x_ch"] = x_ch
         cache["ch_cache"] = ch_cache
 
     pieces = [cache[f"x_{name}"] for name, _ in model.input_pieces()]
-    x = np.concatenate(pieces)
+    x = np.concatenate(pieces, axis=-1)
     cache["x"] = x
 
     if model.variant == VARIANT_IRNN:
@@ -285,7 +291,7 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
             cache[f"f_{name}"] = f
             cache[f"fpre_{name}"] = pre
             feats.append(f)
-        hcat = np.concatenate(feats)
+        hcat = np.concatenate(feats, axis=-1)
         cache["hcat"] = hcat
         h, pre2 = relu_hidden_forward(p["H2"], p["b_2"], hcat)
         cache["pre2"] = pre2
@@ -304,7 +310,7 @@ def _scatter_input_grad(model, cache, dx, grads):
     masks = cache["masks"]
     offset = 0
     for name, dim in model.input_pieces():
-        piece = dx[offset : offset + dim]
+        piece = dx[..., offset : offset + dim]
         offset += dim
         if name == "ch":
             dW, db, rows = char_conv_backward(cache["ch_cache"], model.params["W_conv"], piece)
@@ -320,9 +326,15 @@ def _scatter_input_grad(model, cache, dx, grads):
         grads.add_rows(table, embed_concat_backward(piece, idxs, model.embed_size))
 
 
-def position_backward(model, cache, delta, grads, dh_next=None):
+def position_backward(model, cache, delta, grads, dh_next=None, bptt=False):
     """Backward at one position given delta = (y - c) at the pre-softmax
-    layer; returns the gradient w.r.t. the previous hidden state (GRU only)."""
+    layer; returns the gradient w.r.t. the previous hidden state (GRU only).
+
+    After a forward over all positions, delta holds one row per position
+    and every weight gradient is one GEMM over the rows. The GRU then treats
+    each position's h_{t-1} as a constant, unless bptt chains the gradient
+    back through the hidden states.
+    """
     p = model.params
     dO, db_o, dh = output_backward(p["O"], cache["h_drop"], delta)
     grads.add("O", dO)
@@ -340,7 +352,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
     if model.variant == VARIANT_GRU:
         if dh_next is not None:
             dh = dh + dh_next
-        ggrads, dx, dh_prev = gru_backward(model.gru_params(), cache["gcache"], dh)
+        ggrads, dx, dh_prev = gru_backward(model.gru_params(), cache["gcache"], dh, bptt)
         for name, g in ggrads.items():
             grads.add(name, g)
         _scatter_input_grad(model, cache, dx, grads)
@@ -352,7 +364,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
     offset = 0
     dx_pieces = []
     for name, dim in model.input_pieces():
-        df = dhcat[offset : offset + model.first_level_size]
+        df = dhcat[..., offset : offset + model.first_level_size]
         offset += model.first_level_size
         dF, dFb, dxp = relu_hidden_backward(
             p[f"F_{name}"], cache[f"x_{name}"], cache[f"fpre_{name}"], df
@@ -360,7 +372,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
         grads.add(f"F_{name}", dF)
         grads.add(f"Fb_{name}", dFb)
         dx_pieces.append(dxp)
-    _scatter_input_grad(model, cache, np.concatenate(dx_pieces), grads)
+    _scatter_input_grad(model, cache, np.concatenate(dx_pieces, axis=-1), grads)
     return None
 
 
@@ -376,10 +388,6 @@ def orient(seq: EncodedSequence, direction: str) -> EncodedSequence:
         chars=list(reversed(seq.chars)),
         labels=None if seq.labels is None else seq.labels[::-1].copy(),
     )
-
-
-def _unorient_list(items, direction):
-    return items if direction == DIR_FWD else list(reversed(items))
 
 
 def predict_label(y: np.ndarray) -> int:
@@ -404,14 +412,13 @@ def make_position_masks(model, p_embed, p_hidden, rng):
     return masks
 
 
-def forward_pass_with_cache(model, oriented_seq, teacher_labels=None,
-                            dropout=None, rng=None):
-    """Full pass over an oriented sequence, caching every intermediate.
+def forward_pass_with_cache(model, oriented_seq, teacher_labels=None):
+    """Position-by-position pass over an oriented sequence (dropout off),
+    caching every intermediate.
 
     With teacher_labels the label context is built from those (gold) labels;
     otherwise the model's own greedy predictions feed the context, which
-    makes the pass identical to greedy tagging. dropout is an optional
-    (p_embed, p_hidden) pair; it requires rng.
+    makes the pass identical to greedy tagging.
     """
     n = len(oriented_seq)
     caches = []
@@ -420,10 +427,7 @@ def forward_pass_with_cache(model, oriented_seq, teacher_labels=None,
     history = teacher_labels if teacher_labels is not None else predicted
     h_prev = None
     for t in range(n):
-        masks = None
-        if dropout is not None:
-            masks = make_position_masks(model, dropout[0], dropout[1], rng)
-        y, cache = position_forward(model, oriented_seq, t, history, masks=masks, h_prev=h_prev)
+        y, cache = position_forward(model, oriented_seq, t, history, h_prev=h_prev)
         caches.append(cache)
         dists.append(y)
         predicted.append(predict_label(y))
@@ -456,21 +460,46 @@ def l2_term(model, lam):
     return 0.5 * lam * sum(float(np.sum(model.params[n] ** 2)) for n in model.weight_matrix_names())
 
 
+def _stack_masks(masks):
+    """Per-position mask dicts (make_position_masks) as one dict of rows."""
+    if masks is None:
+        return None
+    return {key: np.stack([m[key] for m in masks]) for key in masks[0]}
+
+
+def _cross_entropy(y, gold, rows):
+    return float(-np.log(np.maximum(y[rows, gold], 1e-300)).sum())
+
+
+def sentence_pass(model, oseq, history, grads, masks=None, bptt=False, scale=1.0) -> float:
+    """Forward, loss and backward of one oriented sentence in one batched pass.
+
+    Row t of every array is position t, and the label context comes from
+    history (the gold labels under teacher forcing). masks is None or one
+    make_position_masks dict per position. Adds scale times the gradient of
+    the summed cross-entropy to grads, and returns that sum. bptt is the GRU
+    mode of position_backward.
+    """
+    rows = np.arange(len(oseq))
+    y, cache = position_forward(model, oseq, rows, history, masks=_stack_masks(masks))
+    loss = _cross_entropy(y, oseq.labels, rows)
+    delta = y * scale
+    delta[rows, oseq.labels] -= scale
+    position_backward(model, cache, delta, grads, bptt=bptt)
+    return loss
+
+
 def sequence_grads(model, seq, lam=0.0) -> dict:
     """Exact dense gradient of sequence_loss w.r.t. every parameter tensor.
 
-    For the GRU variant the gradient is chained through the hidden state
-    across all steps; for the feed-forward variants positions are
-    independent under teacher forcing.
+    It comes from the batched pass that training runs. For the GRU variant
+    the gradient is chained through the hidden state across all steps; for
+    the feed-forward variants positions are independent under teacher
+    forcing.
     """
     oriented = orient(seq, model.direction)
-    caches, _, dists = forward_pass_with_cache(model, oriented, teacher_labels=oriented.labels)
     grads = Grads()
-    dh_next = None
-    for t in reversed(range(len(oriented))):
-        delta = dists[t].copy()
-        delta[oriented.labels[t]] -= 1.0
-        dh_next = position_backward(model, caches[t], delta, grads, dh_next=dh_next)
+    sentence_pass(model, oriented, oriented.labels, grads, bptt=True)
     dense = grads.to_dense(model)
     if lam > 0.0:
         for name in model.weight_matrix_names():
@@ -489,10 +518,41 @@ def combine_bidirectional(yf: np.ndarray, yb: np.ndarray) -> np.ndarray:
     if yf.shape != yb.shape:
         raise ShapeError(f"cannot combine distributions of shapes {yf.shape} and {yb.shape}")
     unnorm = np.sqrt(yf * yb)
-    total = unnorm.sum()
-    if total == 0.0:
-        return unnorm
-    return unnorm / total
+    total = unnorm.sum(axis=-1, keepdims=True)
+    return np.divide(unnorm, total, out=unnorm, where=total != 0.0)
+
+
+def bidirectional_pass(fwd, bwd, seq, grads_f, grads_b, masks=(None, None), scale=1.0) -> float:
+    """Joint batched pass of a forward and a backward model over one sentence.
+
+    The cross-entropy of the combined (renormalized) distribution has
+    gradient (combined - onehot)/2 at each branch's pre-softmax layer. Adds
+    scale times it to each model's grads, chained through time for the GRU,
+    and returns the summed loss. masks holds each model's per-position mask
+    dicts, or None.
+    """
+    rows = np.arange(len(seq))
+    rev = orient(seq, DIR_BWD)
+    yf, cache_f = position_forward(fwd, seq, rows, seq.labels, masks=_stack_masks(masks[0]))
+    yb, cache_b = position_forward(bwd, rev, rows, rev.labels, masks=_stack_masks(masks[1]))
+    combined = combine_bidirectional(yf, yb[::-1])
+    loss = _cross_entropy(combined, seq.labels, rows)
+    delta = combined * (0.5 * scale)
+    delta[rows, seq.labels] -= 0.5 * scale
+    position_backward(fwd, cache_f, delta, grads_f, bptt=True)
+    position_backward(bwd, cache_b, delta[::-1], grads_b, bptt=True)
+    return loss
+
+
+def bidirectional_loss(fwd, bwd, seq) -> float:
+    """Teacher-forced total cross-entropy of the combined distribution
+    (dropout off), from the position-by-position forward."""
+    rev = orient(seq, DIR_BWD)
+    _, _, df = forward_pass_with_cache(fwd, seq, teacher_labels=seq.labels)
+    _, _, db = forward_pass_with_cache(bwd, rev, teacher_labels=rev.labels)
+    n = len(seq)
+    return float(-sum(np.log(combine_bidirectional(df[t], db[n - 1 - t])[seq.labels[t]])
+                      for t in range(n)))
 
 
 def tag_bidirectional(fwd: TaggerModel, bwd: TaggerModel, seq) -> TaggerOutput:

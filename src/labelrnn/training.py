@@ -2,33 +2,38 @@
 dropout + L2 regularization, dev-based model selection, bidirectional
 fine-tuning, and a finite-difference gradient-check harness.
 
-Taggers train with per-position stochastic updates over shuffled sentences;
-the label context is teacher-forced (gold previous labels) unless a scheduled
-probability of feeding back predictions is configured.
+Taggers train with one stochastic update per sentence over shuffled
+sentences. Each sentence goes through one batched forward/backward pass,
+one row per position (models.sentence_pass): the label context is
+teacher-forced (gold previous labels), so every layer is one GEMM per
+sentence. With a scheduled probability of feeding back predictions, the
+label history is first built by the position-by-position forward, and the
+batched pass then runs on that history.
 """
 
 import copy
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .corpus import decode_labels
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .mathcore import new_rng
 from .metrics import f1_chunks, token_accuracy
 from .models import (
     DIR_FWD,
     Grads,
     VARIANT_GRU,
+    bidirectional_loss,
+    bidirectional_pass,
     build_model,
-    forward_pass_with_cache,
-    combine_bidirectional,
     l2_term,
     make_position_masks,
     orient,
-    position_backward,
     position_forward,
     predict_label,
+    sentence_pass,
     sequence_grads,
     sequence_loss,
     tag_bidirectional,
@@ -175,7 +180,12 @@ class SgdMomentum:
 
     Embedding tables are updated plainly on touched rows only; a decaying
     velocity over a mostly-untouched table is ill-defined, so embeddings get
-    no momentum (and no L2 unless l2_include_all).
+    no momentum (and no L2 unless l2_include_all). With max_grad_norm > 0 a
+    weight gradient is clipped to that norm per tensor, an embedding
+    gradient per row.
+
+    The step runs in place and makes no temporary the size of a tensor: it
+    consumes grads, whose dense arrays serve as its scratch buffers.
     """
 
     def __init__(self, model, momentum: float, lam: float, l2_include_all: bool = False,
@@ -195,35 +205,33 @@ class SgdMomentum:
             if not name.startswith("E_")
         }
 
-    def _clip(self, g):
-        if self.max_grad_norm <= 0.0:
-            return g
-        norm = float(np.linalg.norm(g))
-        if norm > self.max_grad_norm:
-            return g * (self.max_grad_norm / norm)
-        return g
+    def _clip_scale(self, norm):
+        """Factor that brings a gradient norm down to max_grad_norm, or 1."""
+        return self.max_grad_norm / np.maximum(norm, self.max_grad_norm)
 
     def step(self, grads: Grads, lr: float):
         for name, g in grads.dense.items():
-            if g.shape != self.model.params[name].shape:
-                raise ShapeError(f"gradient shape {g.shape} does not match {name}")
             w = self.model.params[name]
-            total = self._clip(g)
-            if self.lam > 0.0 and name in self.l2_names:
-                total = total + self.lam * w
+            if g.shape != w.shape:
+                raise ShapeError(f"gradient shape {g.shape} does not match {name}")
             v = self.velocity[name]
             v *= self.momentum
-            v -= lr * total
+            scale = self._clip_scale(np.linalg.norm(g)) if self.max_grad_norm > 0.0 else 1.0
+            v -= np.multiply(g, lr * scale, out=g)
+            if self.lam > 0.0 and name in self.l2_names:
+                v -= np.multiply(w, lr * self.lam, out=g)
             w += v
         if self.freeze_embeddings:
             return
         for table, bucket in grads.rows.items():
             w = self.model.params[table]
-            for row, vec in bucket.items():
-                g = self._clip(vec)
-                if self.l2_include_all and self.lam > 0.0:
-                    g = g + self.lam * w[row]
-                w[row] -= lr * g
+            rows = np.fromiter(bucket, dtype=np.intp, count=len(bucket))
+            g = np.array(list(bucket.values()))
+            if self.max_grad_norm > 0.0:
+                g *= self._clip_scale(np.linalg.norm(g, axis=1))[:, None]
+            if self.l2_include_all and self.lam > 0.0:
+                g += self.lam * w[rows]
+            w[rows] -= lr * g
 
 
 def _dev_scores(tag_fn, dev_seqs, vocab, chunk_mode):
@@ -241,42 +249,52 @@ def _selection_score(entry: TrainLogEntry, metric: str) -> float:
     return entry.dev_acc if metric == "accuracy" else entry.dev_f1
 
 
+def _position_masks(model, config, rng):
+    """make_position_masks for the config's dropout; empty when it is off."""
+    return make_position_masks(model, config.dropout_embed, config.dropout_hidden, rng)
+
+
+def _sampled_history(model, oseq, config, rng):
+    """Scheduled sampling: the position-by-position forward, where each
+    position's label enters the history as the model's prediction with
+    probability predicted_label_prob, else as the gold label. Returns
+    (history, masks)."""
+    history, masks, h_prev = [], [], None
+    for t in range(len(oseq)):
+        masks.append(_position_masks(model, config, rng))
+        y, cache = position_forward(model, oseq, t, history, masks=masks[-1], h_prev=h_prev)
+        if model.variant == VARIANT_GRU:
+            h_prev = cache["h"]
+        sampled = rng.random() < config.predicted_label_prob
+        history.append(predict_label(y) if sampled else int(oseq.labels[t]))
+    return history, masks
+
+
 def _train_sentence(model, opt, seq, lr, config, rng) -> float:
     """One stochastic update from one sentence; returns the summed data loss.
 
-    Per-position gradients (teacher-forced label context, wide word window)
-    are averaged over the sentence and applied once. The hidden state
+    The whole sentence is one batched pass (models.sentence_pass), one row
+    per position, with a teacher-forced label context and a wide word
+    window. The output error is divided by the sentence length, so the step
+    applies the gradient averaged over positions, once. The hidden state
     h_{t-1} (GRU) is treated as a constant in each position's backward pass:
     wide-context backprop, no unrolling through time at training.
     """
     oseq = orient(seq, model.direction)
-    dropout = None
-    if config.dropout_embed > 0.0 or config.dropout_hidden > 0.0:
-        dropout = (config.dropout_embed, config.dropout_hidden)
-    history = []
-    h_prev = None
-    total = 0.0
-    grads = Grads()
     n = len(oseq)
-    for t in range(n):
-        masks = None
-        if dropout is not None:
-            masks = make_position_masks(model, dropout[0], dropout[1], rng)
-        y, cache = position_forward(model, oseq, t, history, masks=masks, h_prev=h_prev)
-        gold = int(oseq.labels[t])
-        total += -float(np.log(max(y[gold], 1e-300)))
-        delta = y.copy()
-        delta[gold] -= 1.0
-        position_backward(model, cache, delta, grads)
-        if model.variant == VARIANT_GRU:
-            h_prev = cache["h"]
-        if config.predicted_label_prob > 0.0 and rng.random() < config.predicted_label_prob:
-            history.append(predict_label(y))
-        else:
-            history.append(gold)
-    grads.scale(1.0 / n)
+    if config.predicted_label_prob > 0.0:
+        history, masks = _sampled_history(model, oseq, config, rng)
+    else:
+        history, masks = oseq.labels, [_position_masks(model, config, rng) for _ in range(n)]
+    grads = Grads()
+    total = sentence_pass(model, oseq, history, grads, masks=masks, scale=1.0 / n)
     opt.step(grads, lr)
     return total
+
+
+def _check_finite(total, epoch):
+    if not math.isfinite(total):
+        raise TrainingDivergedError(f"training loss is {total} in epoch {epoch}; training diverged")
 
 
 def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
@@ -317,6 +335,7 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
         total = 0.0
         for si in rng.permutation(len(train_seqs)):
             total += _train_sentence(model, opt, train_seqs[si], lr, config, rng)
+        _check_finite(total, epoch)
         dev_acc, dev_f1 = _dev_scores(lambda s: tag_greedy(model, s), dev_seqs, vocab, config.chunk_mode)
         entry = TrainLogEntry(epoch, lr, total / n_positions, dev_acc, dev_f1)
         log.append(entry)
@@ -353,9 +372,6 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
                          max_grad_norm=config.max_grad_norm,
                          freeze_embeddings=config.freeze_embeddings_bidir),
     }
-    dropout = None
-    if config.dropout_embed > 0.0 or config.dropout_hidden > 0.0:
-        dropout = (config.dropout_embed, config.dropout_hidden)
     log = []
     # Seed selection with the untouched pair: the pure combination is already
     # a valid candidate, so fine-tuning can only improve the dev score.
@@ -371,30 +387,13 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
         for si in rng.permutation(len(train_seqs)):
             seq = train_seqs[si]
             n = len(seq)
-            of = orient(seq, fwd.direction)
-            ob = orient(seq, bwd.direction)
-            cf, _, df = forward_pass_with_cache(fwd, of, teacher_labels=of.labels,
-                                                dropout=dropout, rng=rng)
-            cb, _, db = forward_pass_with_cache(bwd, ob, teacher_labels=ob.labels,
-                                                dropout=dropout, rng=rng)
+            masks = ([_position_masks(fwd, config, rng) for _ in range(n)],
+                     [_position_masks(bwd, config, rng) for _ in range(n)])
             gf, gb = Grads(), Grads()
-            deltas_b = [None] * n
-            dh_next = None
-            for t in reversed(range(n)):
-                combined = combine_bidirectional(df[t], db[n - 1 - t])
-                gold = int(of.labels[t])
-                total += -float(np.log(max(combined[gold], 1e-300)))
-                delta = 0.5 * combined
-                delta[gold] -= 0.5
-                dh_next = position_backward(fwd, cf[t], delta, gf, dh_next=dh_next)
-                deltas_b[n - 1 - t] = delta
-            dh_next = None
-            for t in reversed(range(n)):
-                dh_next = position_backward(bwd, cb[t], deltas_b[t], gb, dh_next=dh_next)
-            gf.scale(1.0 / n)
-            gb.scale(1.0 / n)
+            total += bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
             opts["f"].step(gf, lr)
             opts["b"].step(gb, lr)
+        _check_finite(total, epoch)
         dev_acc, dev_f1 = _dev_scores(
             lambda s: tag_bidirectional(fwd, bwd, s), dev_seqs, vocab, config.chunk_mode
         )
@@ -407,6 +406,33 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     return best[0], best[1], log
 
 
+def _finite_difference_report(params, analytic, loss, epsilon, rng, samples_per_tensor):
+    """Max relative error per tensor of analytic vs central-difference
+    gradients of loss(), sampling coordinates per tensor."""
+    report = {}
+    for name, w in params.items():
+        flat = w.reshape(-1)
+        n = flat.size
+        count = min(samples_per_tensor, n)
+        coords = rng.choice(n, size=count, replace=False)
+        worst = 0.0
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + epsilon
+            plus = loss()
+            flat[c] = orig - epsilon
+            minus = loss()
+            flat[c] = orig
+            fd = (plus - minus) / (2.0 * epsilon)
+            a = analytic[name].reshape(-1)[c]
+            denom = max(abs(a), abs(fd), 1e-8)
+            if abs(a) < 1e-10 and abs(fd) < 1e-10:
+                continue
+            worst = max(worst, abs(a - fd) / denom)
+        report[name] = worst
+    return report
+
+
 def gradient_check(model, seq, epsilon: float = 1e-5, rng=None,
                    samples_per_tensor: int = 50) -> dict:
     """Max relative error of analytic vs central-difference gradients.
@@ -417,25 +443,25 @@ def gradient_check(model, seq, epsilon: float = 1e-5, rng=None,
     if rng is None:
         rng = new_rng(0)
     analytic = sequence_grads(model, seq)
-    report = {}
-    for name, w in model.params.items():
-        flat = w.reshape(-1)
-        n = flat.size
-        count = min(samples_per_tensor, n)
-        coords = rng.choice(n, size=count, replace=False)
-        worst = 0.0
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + epsilon
-            plus = sequence_loss(model, seq)
-            flat[c] = orig - epsilon
-            minus = sequence_loss(model, seq)
-            flat[c] = orig
-            fd = (plus - minus) / (2.0 * epsilon)
-            a = analytic[name].reshape(-1)[c]
-            denom = max(abs(a), abs(fd), 1e-8)
-            if abs(a) < 1e-10 and abs(fd) < 1e-10:
-                continue
-            worst = max(worst, abs(a - fd) / denom)
-        report[name] = worst
-    return report
+    return _finite_difference_report(model.params, analytic, lambda: sequence_loss(model, seq),
+                                     epsilon, rng, samples_per_tensor)
+
+
+def bidirectional_gradient_check(fwd, bwd, seq, epsilon: float = 1e-5, rng=None,
+                                 samples_per_tensor: int = 50) -> dict:
+    """gradient_check for the joint loss of a forward/backward pair: the
+    cross-entropy of the combined distribution, whose gradient is the one
+    bidirectional fine-tuning applies. Report keys are "fwd.<name>" and
+    "bwd.<name>"."""
+    if rng is None:
+        rng = new_rng(0)
+    grads_f, grads_b = Grads(), Grads()
+    bidirectional_pass(fwd, bwd, seq, grads_f, grads_b)
+    params, analytic = {}, {}
+    for prefix, model, grads in (("fwd", fwd, grads_f), ("bwd", bwd, grads_b)):
+        dense = grads.to_dense(model)
+        for name, w in model.params.items():
+            params[f"{prefix}.{name}"] = w
+            analytic[f"{prefix}.{name}"] = dense[name]
+    return _finite_difference_report(params, analytic, lambda: bidirectional_loss(fwd, bwd, seq),
+                                     epsilon, rng, samples_per_tensor)

@@ -26,7 +26,13 @@ from labelrnn.models import (
     tag_greedy,
 )
 from labelrnn.synthetic import generate_corpus
-from labelrnn.training import TrainConfig, gradient_check, train_bidirectional, train_tagger
+from labelrnn.training import (
+    TrainConfig,
+    bidirectional_gradient_check,
+    gradient_check,
+    train_bidirectional,
+    train_tagger,
+)
 
 
 # -- shared desk-scale task ----------------------------------------------------
@@ -101,6 +107,26 @@ def test_gradient_fidelity_all_variants(tiny_vocab, tiny_seqs):
     elapsed = time.monotonic() - start
     assert elapsed < 120
     print(f"PASS gradient fidelity: worst rel errors {worst} in {elapsed:.1f}s")
+
+
+def test_bidirectional_gradient_fidelity_all_variants(tiny_vocab, tiny_seqs):
+    """The joint fine-tuning objective, (combined - onehot)/2 into each branch."""
+    start = time.monotonic()
+    worst = {}
+    for variant in ("irnn", "irnn-gru", "irnn-deep"):
+        fwd, bwd = (build_model(variant, direction, tiny_vocab, new_rng(seed),
+                                d_w=2, d_l=3, d_c=1, embed_size=6, hidden_size=8,
+                                first_level_size=6, char_embed_size=4, conv_size=5,
+                                use_classes=True, use_chars=True)
+                    for direction, seed in (("fwd", 17), ("bwd", 19)))
+        report = bidirectional_gradient_check(fwd, bwd, tiny_seqs[1], epsilon=1e-5,
+                                              rng=new_rng(23), samples_per_tensor=30)
+        worst[variant] = max(report.values())
+        assert all(err < 1e-5 for err in report.values()), (variant, report)
+        assert "fwd.W_conv" in report and "bwd.E_ch" in report
+    elapsed = time.monotonic() - start
+    assert elapsed < 120
+    print(f"PASS bidirectional gradient fidelity: worst rel errors {worst} in {elapsed:.1f}s")
 
 
 # -- 2. metric oracle equivalence ----------------------------------------------------

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from labelrnn.cli import main
+from labelrnn.cli import build_parser, main
 from labelrnn.corpus import load_column_file
 from labelrnn.pretrain import load_external_embeddings
 from labelrnn.models import load_model
+from labelrnn.training import TrainConfig
 import numpy as np
 
 SMALL_TRAIN_OVERRIDES = [
@@ -132,6 +133,27 @@ def test_train_bad_set_syntax(corpus_dir, tmp_path, capsys):
                "--set", "oops", "--out", str(tmp_path / "m.bin")])
     assert rc == 1
     assert "key=value" in capsys.readouterr().err
+
+
+def test_train_non_finite_loss_fails_cleanly(corpus_dir, tmp_path, capsys):
+    train_file = corpus_dir / "train.txt"
+    word = load_column_file(train_file)[0].words[0].lower()
+    emb = tmp_path / "nan.emb"
+    emb.write_text(word + " nan" * 8 + "\n")
+    rc = main(["train", "--variant", "irnn", "--train", str(train_file),
+               "--word-emb", str(emb), "--seed", "1", "--out", str(tmp_path / "m.bin")]
+              + SMALL_TRAIN_OVERRIDES)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: training loss is nan in epoch 0; training diverged"]
+    assert "Traceback" not in err
+
+
+def test_pretrain_defaults_come_from_train_config():
+    args = build_parser().parse_args(["pretrain", "--train", "t", "--target", "words",
+                                      "--out", "o"])
+    assert args.context == TrainConfig().nnlm_context
 
 
 def test_bidir_requires_component_models(corpus_dir, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import labelrnn.training as training
 from labelrnn.corpus import build_vocabulary, decode_labels, encode
-from labelrnn.errors import ConfigError, ShapeError
+from labelrnn.errors import ConfigError, LabelRnnError, ShapeError, TrainingDivergedError
 from labelrnn.mathcore import new_rng
 from labelrnn.metrics import token_accuracy
 from labelrnn.models import Grads, combine_bidirectional, tag_bidirectional, tag_greedy
@@ -223,6 +223,26 @@ def test_loss_non_increasing_over_five_epoch_windows():
     losses = [e.train_loss for e in log]
     windows = [np.mean(losses[i : i + 5]) for i in range(len(losses) - 4)]
     assert all(b <= a for a, b in zip(windows, windows[1:]))
+
+
+def test_non_finite_loss_stops_training_and_names_the_epoch(tiny_vocab, tiny_seqs):
+    config = small_config()
+    word_emb = np.zeros((tiny_vocab.n_words, config.embed_size))
+    word_emb[tiny_vocab.words["flights"]] = np.nan
+    with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, "irnn", "fwd",
+                     init_word_emb=word_emb)
+    assert issubclass(TrainingDivergedError, LabelRnnError)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_stops_bidirectional_fine_tuning(tiny_vocab, tiny_seqs):
+    config = small_config(epochs_fwd_bwd=1)
+    fwd, _ = train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, "irnn", "fwd")
+    bwd, _ = train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, "irnn", "bwd")
+    bwd.params["H"][0, 0] = np.inf
+    with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train_bidirectional(fwd, bwd, tiny_seqs, tiny_seqs, tiny_vocab, config)
 
 
 # -- bidirectional fine-tuning ------------------------------------------------------
