@@ -22,19 +22,21 @@ from .corpus import (
     decode_labels,
     encode,
     load_column_file,
+    read_lines,
     write_column_file,
 )
 from .errors import ConfigError, LabelRnnError
 from .mathcore import new_rng, xavier_init
 from .metrics import evaluate
 from .models import (
+    DECODE_GROUP,
     DIR_BWD,
     DIR_FWD,
     VARIANTS,
     load_model,
     save_model,
-    tag_bidirectional,
-    tag_greedy,
+    tag_bidirectional_batch,
+    tag_greedy_batch,
 )
 from .pretrain import load_external_embeddings, save_embeddings, train_nnlm
 from .synthetic import Grammar, generate_corpus_files
@@ -101,13 +103,11 @@ def _resolve_config(args) -> TrainConfig:
         config = TrainConfig.atis_like()
     path = args.config or os.environ.get(CONFIG_PATH_ENV)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            file_config = TrainConfig.from_kv(fh.read())
-        config = file_config
+        config = TrainConfig.from_kv("".join(read_lines(path)), base=config)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        config = TrainConfig.from_kv(config.to_kv() + item + "\n")
+        config = TrainConfig.from_kv(item, base=config)
     if args.seed is not None:
         config.seed = args.seed
     if args.use_classes:
@@ -211,24 +211,27 @@ def cmd_tag(args) -> int:
         vocab = Vocabulary.load(args.vocab or args.model + ".vocab")
         if model.vocab_hash != vocab.hash():
             raise ConfigError("vocabulary hash mismatch between model and vocabulary file")
-        tagger = lambda seq: tag_greedy(model, seq)
+        tagger = lambda seqs: tag_greedy_batch(model, seqs)
     elif args.fwd_model and args.bwd_model:
         fwd = load_model(args.fwd_model)
         bwd = load_model(args.bwd_model)
         vocab = Vocabulary.load(args.vocab or args.fwd_model + ".vocab")
         if fwd.vocab_hash != vocab.hash() or bwd.vocab_hash != vocab.hash():
             raise ConfigError("vocabulary hash mismatch between models and vocabulary file")
-        tagger = lambda seq: tag_bidirectional(fwd, bwd, seq)
+        tagger = lambda seqs: tag_bidirectional_batch(fwd, bwd, seqs)
     else:
         raise ConfigError("tag requires --model, or --fwd-model plus --bwd-model")
 
     sentences = load_column_file(args.input)
     tagged = []
-    for sent in sentences:
-        seq = encode(sent, vocab, with_labels=False)
-        out = tagger(seq)
-        predicted = decode_labels(out.labels, vocab)
-        tagged.append(Sentence(words=sent.words, classes=sent.classes, labels=predicted))
+    # One decoding group at a time, so that the encoded sentences and the
+    # output distributions of only one group are held at once.
+    for start in range(0, len(sentences), DECODE_GROUP):
+        chunk = sentences[start : start + DECODE_GROUP]
+        outs = tagger([encode(sent, vocab, with_labels=False) for sent in chunk])
+        tagged += [Sentence(words=sent.words, classes=sent.classes,
+                            labels=decode_labels(out.labels, vocab))
+                   for sent, out in zip(chunk, outs)]
     write_column_file(tagged, args.output)
     _info(f"tagged {len(tagged)} sentences into {args.output}")
     return 0

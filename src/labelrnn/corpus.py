@@ -25,6 +25,7 @@ CHAR_PAD = "<cpad>"
 NO_CLASS = "-"
 
 VOCAB_FORMAT_HEADER = "labelrnn-vocab v1"
+VOCAB_SECTIONS = ("words", "labels", "classes", "chars")  # in file order
 
 # Reserved indices are fixed by Vocabulary construction and stable across
 # save/load; window padding and label context rely on them directly.
@@ -131,12 +132,8 @@ class Vocabulary:
     # -- serialization -------------------------------------------------
     def serialize(self) -> str:
         lines = [VOCAB_FORMAT_HEADER, f"lowercase\t{int(self.lowercase)}"]
-        for name, mapping in (
-            ("words", self.words),
-            ("labels", self.labels),
-            ("classes", self.classes),
-            ("chars", self.chars),
-        ):
+        for name in VOCAB_SECTIONS:
+            mapping = getattr(self, name)
             lines.append(f"section\t{name}\t{len(mapping)}")
             for token, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
                 lines.append(f"{idx}\t{token}")
@@ -151,39 +148,51 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        return cls.deserialize(text)
+        text = "".join(read_lines(path))
+        try:
+            return cls.deserialize(text)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     @classmethod
     def deserialize(cls, text: str) -> "Vocabulary":
+        """Inverse of serialize. Each section must list its entries by index
+        0..count-1, starting with the reserved entries; anything else raises
+        ParseError."""
         lines = text.splitlines()
         if not lines or lines[0] != VOCAB_FORMAT_HEADER:
             raise ParseError("not a vocabulary file (bad header)")
         vocab = cls()
-        key, value = lines[1].split("\t")
-        if key != "lowercase":
+        if len(lines) < 2 or lines[1] not in ("lowercase\t0", "lowercase\t1"):
             raise ParseError("vocabulary file missing lowercase flag")
-        vocab.lowercase = bool(int(value))
+        vocab.lowercase = lines[1] == "lowercase\t1"
         i = 2
         sections = {}
         while i < len(lines):
-            tag, name, count = lines[i].split("\t")
-            if tag != "section":
-                raise ParseError(f"expected section header at line {i + 1}")
-            count = int(count)
+            header = lines[i].split("\t")
+            if len(header) != 3 or header[0] != "section" or not header[2].isdigit():
+                raise ParseError(f"line {i + 1}: expected a section header")
+            name, count = header[1], int(header[2])
+            if name not in VOCAB_SECTIONS or name in sections:
+                raise ParseError(f"line {i + 1}: unexpected section {name!r}")
+            rows = lines[i + 1 : i + 1 + count]
+            if len(rows) != count:
+                raise ParseError(f"section {name}: expected {count} entries, found {len(rows)}")
             mapping = {}
-            for row in lines[i + 1 : i + 1 + count]:
-                idx, token = row.split("\t", 1)
-                mapping[token] = int(idx)
-            if len(mapping) != count:
-                raise ParseError(f"section {name}: expected {count} entries")
+            for k, row in enumerate(rows):
+                idx, tab, token = row.partition("\t")
+                if not tab or idx != str(k) or token in mapping:
+                    raise ParseError(f"line {i + 2 + k}: malformed {name} entry {row!r}")
+                mapping[token] = k
+            reserved = list(getattr(vocab, name))
+            if list(mapping)[: len(reserved)] != reserved:
+                raise ParseError(f"section {name} does not start with {reserved}")
             sections[name] = mapping
             i += 1 + count
-        vocab.words = sections["words"]
-        vocab.labels = sections["labels"]
-        vocab.classes = sections["classes"]
-        vocab.chars = sections["chars"]
+        for name in VOCAB_SECTIONS:
+            if name not in sections:
+                raise ParseError(f"vocabulary file has no {name} section")
+            setattr(vocab, name, sections[name])
         vocab._rebuild_inverse()
         return vocab
 
@@ -197,27 +206,44 @@ def load_column_file(path) -> list:
     sentences = []
     rows = []
     n_fields = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if rows:
-                    sentences.append(_sentence_from_rows(rows))
-                    rows = []
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise ParseError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
-            if n_fields is None:
-                n_fields = len(fields)
-            elif len(fields) != n_fields:
-                raise ParseError(
-                    f"{path}:{lineno}: inconsistent field count {len(fields)} (file uses {n_fields})"
-                )
-            rows.append(fields)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            if rows:
+                sentences.append(_sentence_from_rows(rows))
+                rows = []
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (2, 3):
+            raise ParseError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
+        if n_fields is None:
+            n_fields = len(fields)
+        elif len(fields) != n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: inconsistent field count {len(fields)} (file uses {n_fields})"
+            )
+        rows.append(fields)
     if rows:
         sentences.append(_sentence_from_rows(rows))
     return sentences
+
+
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file. A byte that is not UTF-8
+    raises ParseError naming its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+            where = ""
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            where = f":{line}: byte 0x{data[exc.start]:02x} is"
+        raise ParseError(f"{path}{where} not UTF-8 text") from None
 
 
 def _sentence_from_rows(rows):

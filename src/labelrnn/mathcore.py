@@ -67,14 +67,18 @@ def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def dropout_mask(n: int, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+def dropout_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: entries are 0 or 1/keep_prob, so the masked
-    activation keeps its expectation and inference needs no rescaling."""
-    if keep_prob <= 0.0 or keep_prob > 1.0:
+    activation keeps its expectation and inference needs no rescaling.
+
+    keep_prob is one probability, or one per column (the last axis), so
+    masks of different rates can come from one draw."""
+    keep = np.asarray(keep_prob, dtype=np.float64)
+    if np.any(keep <= 0.0) or np.any(keep > 1.0):
         raise ConfigError(f"dropout keep probability must be in (0, 1], got {keep_prob}")
-    if keep_prob == 1.0:
-        return np.ones(n)
-    return (rng.random(n) < keep_prob) / keep_prob
+    if np.all(keep == 1.0):
+        return np.ones(shape)
+    return (rng.random(shape) < keep) / keep
 
 
 def fnv1a64(data: bytes) -> int:

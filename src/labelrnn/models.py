@@ -41,7 +41,7 @@ from .layers import (
     relu_hidden_forward,
     window_indices,
 )
-from .mathcore import dropout_mask, xavier_init
+from .mathcore import dropout_mask, relu, sigmoid, softmax, tanh, xavier_init
 
 VARIANT_IRNN = "irnn"
 VARIANT_GRU = "irnn-gru"
@@ -58,10 +58,11 @@ MODEL_VERSION = 1
 
 @dataclass
 class TaggerOutput:
-    """Greedy predictions plus the per-position output distributions."""
+    """Greedy predictions plus the output distributions, one row per
+    position."""
 
     labels: np.ndarray
-    dists: list
+    dists: np.ndarray
 
 
 @dataclass
@@ -390,25 +391,44 @@ def orient(seq: EncodedSequence, direction: str) -> EncodedSequence:
     )
 
 
-def predict_label(y: np.ndarray) -> int:
-    """Argmax over real labels; the reserved BOL context label (index 0) is
-    never predicted since it never appears as a training target."""
-    if len(y) == 1:
-        return 0
-    return int(np.argmax(y[1:])) + 1
+def predict_label(y: np.ndarray):
+    """Argmax over real labels, of one distribution (an int) or of each row
+    (an array); the reserved BOL context label (index 0) is never predicted
+    since it never appears as a training target."""
+    if y.shape[-1] == 1:
+        best = np.zeros(y.shape[:-1], dtype=np.int64)
+    else:
+        best = np.argmax(y[..., 1:], axis=-1) + 1
+    return int(best) if y.ndim == 1 else best
 
 
-def make_position_masks(model, p_embed, p_hidden, rng):
-    """Fresh inverted-dropout masks for one position (training mode)."""
-    masks = {}
-    if p_embed > 0.0:
-        keep = 1.0 - p_embed
-        masks["w"] = dropout_mask(model.word_input_dim, keep, rng)
+def make_position_masks(model, p_embed, p_hidden, rng, n=None):
+    """Fresh inverted-dropout masks (training mode) for one position, or for
+    n positions with row t for position t.
+
+    All masks come from one draw: per position the masks w, c, l and h, then
+    the next position. PCG64 hands out consecutive doubles, so this is the
+    stream of one draw per mask per position. A mask whose keep probability
+    rounds to 1 is left out, as multiplying by it would change nothing.
+    """
+    pieces = []
+    keep = 1.0 - p_embed
+    if keep < 1.0:
+        pieces.append(("w", model.word_input_dim, keep))
         if model.use_classes:
-            masks["c"] = dropout_mask(model.word_input_dim, keep, rng)
-        masks["l"] = dropout_mask(model.label_input_dim, keep, rng)
-    if p_hidden > 0.0:
-        masks["h"] = dropout_mask(model.hidden_size, 1.0 - p_hidden, rng)
+            pieces.append(("c", model.word_input_dim, keep))
+        pieces.append(("l", model.label_input_dim, keep))
+    keep = 1.0 - p_hidden
+    if keep < 1.0:
+        pieces.append(("h", model.hidden_size, keep))
+    if not pieces:
+        return {}
+    keeps = np.concatenate([np.full(dim, k) for _, dim, k in pieces])
+    drawn = dropout_mask(len(keeps) if n is None else (n, len(keeps)), keeps, rng)
+    masks, start = {}, 0
+    for key, dim, _ in pieces:
+        masks[key] = drawn[..., start : start + dim]
+        start += dim
     return masks
 
 
@@ -418,7 +438,7 @@ def forward_pass_with_cache(model, oriented_seq, teacher_labels=None):
 
     With teacher_labels the label context is built from those (gold) labels;
     otherwise the model's own greedy predictions feed the context, which
-    makes the pass identical to greedy tagging.
+    makes the pass the reference for greedy tagging.
     """
     n = len(oriented_seq)
     caches = []
@@ -436,14 +456,158 @@ def forward_pass_with_cache(model, oriented_seq, teacher_labels=None):
     return caches, np.array(predicted, dtype=np.int64), dists
 
 
+# -- greedy decoding ---------------------------------------------------------
+# The label context enters one layer (H, F_l, or the GRU's U matrices) as a
+# sum over the d_l slots of W_slot @ E_l[y]. Decoding therefore precomputes
+# one (n_labels x width) table per slot, computes every input term that does
+# not depend on labels for all positions at once, and steps the sentences of a
+# group together: a table lookup, the layers above it and an argmax per step.
+
+# Sentences decoded in lockstep at most; bounds the transient arrays of a call.
+DECODE_GROUP = 32
+
+
+def _label_table(model, W):
+    """Row k * n_labels + y is E_l[y] @ W_k.T, where W_k holds the columns of
+    W that see label slot k and W's label columns come first."""
+    rows, e = W.shape[0], model.embed_size
+    W_l = W[:, : model.d_l * e].reshape(rows, model.d_l, e).transpose(1, 2, 0)
+    return (model.params["E_l"] @ W_l).reshape(-1, rows)
+
+
+def _split_input_layer(model, x, W, b):
+    """(label-free term, label table) of W @ input + b over the concatenated
+    input: the term has one row per row of the pieces in x, and the table is
+    None without a label piece."""
+    term, table, start = b, None, 0
+    for name, dim in model.input_pieces():
+        if name == "l":
+            table = _label_table(model, W[:, start:])
+        else:
+            term = term + x[name] @ W[:, start : start + dim].T
+        start += dim
+    return term, table
+
+
+# Word and class windows: (sequence field, left pad, right pad, table).
+_WINDOWS = {"w": ("words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
+            "c": ("classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")}
+
+
+def _unlabeled_inputs(model, oseqs, order):
+    """The input pieces other than the label context at every position of
+    oseqs, one row per position in the given order of the concatenated
+    positions."""
+    p = model.params
+    x = {}
+    for name, _ in model.input_pieces():
+        if name in _WINDOWS:
+            tokens, bos, eos, table = _WINDOWS[name]
+            idx = np.concatenate([
+                window_indices(getattr(s, tokens), np.arange(len(s)), model.d_w, bos, eos)
+                for s in oseqs
+            ])
+            x[name] = embed_concat(p[table], idx[order])
+        elif name == "ch":
+            chars = [c for s in oseqs for c in s.chars]
+            x[name], _ = char_conv_forward([chars[i] for i in order], p["E_ch"], p["W_conv"],
+                                           p["b_conv"], model.d_c, CHAR_PAD_ID)
+    return x
+
+
+def _decode_group(model, oseqs):
+    """Greedy decode of oriented sentences, longest first, in lockstep.
+
+    Positions are laid out step-major, so the rows of step t are one slice
+    and its active sentences a prefix. Returns (labels, dists) per sentence
+    in processing order.
+    """
+    p = model.params
+    lens = np.array([len(s) for s in oseqs])
+    starts = np.cumsum(lens) - lens
+    order = np.argsort(np.arange(lens.sum()) - np.repeat(starts, lens), kind="stable")
+    active = (lens > np.arange(lens[0])[:, None]).sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(active)))
+    x = _unlabeled_inputs(model, oseqs, order)
+
+    # Each variant: the label-free input term of the layer that sees labels
+    # (biases included) and that layer's label table.
+    if model.variant == VARIANT_IRNN:
+        term, table = _split_input_layer(model, x, p["H"], p["b_h"])
+    elif model.variant == VARIANT_GRU:
+        gates = [_split_input_layer(model, x, p[U], p[b])
+                 for U, b in (("U_z", "b_z"), ("U_r", "b_r"), ("U_h", "b_c"))]
+        term = np.concatenate([g[0] for g in gates], axis=1)
+        table = None if model.gru_words_only else np.concatenate([g[1] for g in gates], axis=1)
+        zr = 2 * model.hidden_size
+        W_zr, W_h = np.concatenate([p["W_z"], p["W_r"]]).T, p["W_h"].T
+        h = np.zeros((len(oseqs), model.hidden_size))
+    else:
+        f = model.first_level_size
+        blocks = {n: slice(k * f, (k + 1) * f) for k, (n, _) in enumerate(model.input_pieces())}
+        term = p["b_2"] + sum(
+            relu_hidden_forward(p[f"F_{n}"], p[f"Fb_{n}"], x[n])[0] @ p["H2"][:, blocks[n]].T
+            for n in x
+        )
+        table = _label_table(model, p["F_l"])
+        Fb_l, H2_l = p["Fb_l"], p["H2"][:, blocks["l"]].T
+
+    d_l = model.d_l
+    slots = np.arange(d_l) * model.n_labels
+    O, b_o = p["O"].T, p["b_o"]
+    history = np.full((len(oseqs), d_l + lens[0]), LABEL_BOL_ID, dtype=np.intp)
+    dists = np.empty((bounds[-1], model.n_labels))
+    for t, a in enumerate(active):
+        rows = slice(bounds[t], bounds[t + 1])
+        pre = term[rows]
+        if table is not None:
+            # An ablated label context is the all-BOL context of position 0.
+            s = 0 if model.ablate_label_context else t
+            labels = table[history[:a, s : s + d_l] + slots].sum(axis=1)
+            if model.variant == VARIANT_DEEP:
+                labels = relu(labels + Fb_l) @ H2_l
+            pre = pre + labels
+        if model.variant == VARIANT_GRU:
+            hp = h[:a]
+            gate = sigmoid(hp @ W_zr + pre[:, :zr])
+            z, r = np.split(gate, 2, axis=1)
+            hc = tanh((r * hp) @ W_h + pre[:, zr:])
+            h[:a] = hid = (1.0 - z) * hp + z * hc
+        else:
+            hid = relu(pre)
+        y = dists[rows] = softmax(hid @ O + b_o)
+        history[:a, d_l + t] = predict_label(y)
+    in_order = np.empty_like(dists)
+    in_order[order] = dists
+    return [(history[i, d_l : d_l + n].astype(np.int64), in_order[starts[i] : starts[i] + n])
+            for i, n in enumerate(lens)]
+
+
+def tag_greedy_batch(model: TaggerModel, seqs) -> list:
+    """Greedy decode of each sequence; the label context holds the model's
+    own predictions. Sentences are sorted by length and decoded in lockstep
+    groups of at most DECODE_GROUP. Distributions agree with the
+    position-by-position pass (forward_pass_with_cache) up to rounding,
+    which can depend on the group a sentence falls in, so labels equal its
+    labels unless two labels tie within rounding."""
+    outs = [None] * len(seqs)
+    by_length = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
+    for g in range(0, len(by_length), DECODE_GROUP):
+        members = [i for i in by_length[g : g + DECODE_GROUP] if len(seqs[i])]
+        if not members:
+            break
+        decoded = _decode_group(model, [orient(seqs[i], model.direction) for i in members])
+        for i, (labels, dists) in zip(members, decoded):
+            if model.direction == DIR_BWD:
+                labels, dists = labels[::-1].copy(), dists[::-1]
+            outs[i] = TaggerOutput(labels=labels, dists=dists)
+    return [out or TaggerOutput(np.zeros(0, dtype=np.int64), np.zeros((0, model.n_labels)))
+            for out in outs]
+
+
 def tag_greedy(model: TaggerModel, seq: EncodedSequence) -> TaggerOutput:
-    """Greedy decode; the label context holds the model's own predictions."""
-    oriented = orient(seq, model.direction)
-    _, predicted, dists = forward_pass_with_cache(model, oriented)
-    if model.direction == DIR_BWD:
-        predicted = predicted[::-1].copy()
-        dists = list(reversed(dists))
-    return TaggerOutput(labels=predicted, dists=dists)
+    """Greedy decode of one sequence: tag_greedy_batch of one."""
+    return tag_greedy_batch(model, [seq])[0]
 
 
 def sequence_loss(model, seq, lam=0.0) -> float:
@@ -460,13 +624,6 @@ def l2_term(model, lam):
     return 0.5 * lam * sum(float(np.sum(model.params[n] ** 2)) for n in model.weight_matrix_names())
 
 
-def _stack_masks(masks):
-    """Per-position mask dicts (make_position_masks) as one dict of rows."""
-    if masks is None:
-        return None
-    return {key: np.stack([m[key] for m in masks]) for key in masks[0]}
-
-
 def _cross_entropy(y, gold, rows):
     return float(-np.log(np.maximum(y[rows, gold], 1e-300)).sum())
 
@@ -475,13 +632,13 @@ def sentence_pass(model, oseq, history, grads, masks=None, bptt=False, scale=1.0
     """Forward, loss and backward of one oriented sentence in one batched pass.
 
     Row t of every array is position t, and the label context comes from
-    history (the gold labels under teacher forcing). masks is None or one
-    make_position_masks dict per position. Adds scale times the gradient of
+    history (the gold labels under teacher forcing). masks is None or a
+    make_position_masks dict with one row per position. Adds scale times the gradient of
     the summed cross-entropy to grads, and returns that sum. bptt is the GRU
     mode of position_backward.
     """
     rows = np.arange(len(oseq))
-    y, cache = position_forward(model, oseq, rows, history, masks=_stack_masks(masks))
+    y, cache = position_forward(model, oseq, rows, history, masks=masks)
     loss = _cross_entropy(y, oseq.labels, rows)
     delta = y * scale
     delta[rows, oseq.labels] -= scale
@@ -528,13 +685,13 @@ def bidirectional_pass(fwd, bwd, seq, grads_f, grads_b, masks=(None, None), scal
     The cross-entropy of the combined (renormalized) distribution has
     gradient (combined - onehot)/2 at each branch's pre-softmax layer. Adds
     scale times it to each model's grads, chained through time for the GRU,
-    and returns the summed loss. masks holds each model's per-position mask
-    dicts, or None.
+    and returns the summed loss. masks holds each model's make_position_masks
+    dict with one row per position, or None.
     """
     rows = np.arange(len(seq))
     rev = orient(seq, DIR_BWD)
-    yf, cache_f = position_forward(fwd, seq, rows, seq.labels, masks=_stack_masks(masks[0]))
-    yb, cache_b = position_forward(bwd, rev, rows, rev.labels, masks=_stack_masks(masks[1]))
+    yf, cache_f = position_forward(fwd, seq, rows, seq.labels, masks=masks[0])
+    yb, cache_b = position_forward(bwd, rev, rows, rev.labels, masks=masks[1])
     combined = combine_bidirectional(yf, yb[::-1])
     loss = _cross_entropy(combined, seq.labels, rows)
     delta = combined * (0.5 * scale)
@@ -555,16 +712,23 @@ def bidirectional_loss(fwd, bwd, seq) -> float:
                       for t in range(n)))
 
 
-def tag_bidirectional(fwd: TaggerModel, bwd: TaggerModel, seq) -> TaggerOutput:
+def tag_bidirectional_batch(fwd: TaggerModel, bwd: TaggerModel, seqs) -> list:
+    """Bidirectional decode of each sequence: the greedy outputs of both
+    models combined per position, then the argmax of the combination."""
     if fwd.direction != DIR_FWD or bwd.direction != DIR_BWD:
         raise ConfigError("tag_bidirectional requires a forward and a backward model")
     if fwd.vocab_hash != bwd.vocab_hash:
         raise ConfigError("forward and backward models use different vocabularies")
-    of = tag_greedy(fwd, seq)
-    ob = tag_greedy(bwd, seq)
-    dists = [combine_bidirectional(f, b) for f, b in zip(of.dists, ob.dists)]
-    labels = np.array([predict_label(d) for d in dists], dtype=np.int64)
-    return TaggerOutput(labels=labels, dists=dists)
+    outs = []
+    for of, ob in zip(tag_greedy_batch(fwd, seqs), tag_greedy_batch(bwd, seqs)):
+        dists = combine_bidirectional(of.dists, ob.dists)
+        outs.append(TaggerOutput(labels=predict_label(dists), dists=dists))
+    return outs
+
+
+def tag_bidirectional(fwd: TaggerModel, bwd: TaggerModel, seq) -> TaggerOutput:
+    """Bidirectional decode of one sequence: tag_bidirectional_batch of one."""
+    return tag_bidirectional_batch(fwd, bwd, [seq])[0]
 
 
 # -- model file format --------------------------------------------------------

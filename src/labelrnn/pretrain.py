@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .corpus import read_lines
+from .errors import ConfigError, ParseError
 from .layers import embed_concat, embed_concat_backward, relu_hidden_backward, relu_hidden_forward
 from .mathcore import new_rng, softmax, xavier_init
 
@@ -149,24 +150,30 @@ def load_external_embeddings(path, token_to_id: dict, table: np.ndarray) -> int:
     """Overwrite table rows for tokens listed in a 'token v1 ... vD' file.
 
     Tokens absent from the vocabulary are skipped; rows not covered keep
-    their current (random) values. Returns the number of rows loaded.
+    their current (random) values. Returns the number of rows loaded. A
+    value that is not a finite number, on any line, raises ParseError.
     """
     dim = table.shape[1]
     loaded = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ConfigError(
-                    f"{path}:{lineno}: embedding has {len(values)} dims, table expects {dim}"
-                )
-            idx = token_to_id.get(token)
-            if idx is not None:
-                table[idx] = np.array([float(v) for v in values])
-                loaded += 1
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise ConfigError(
+                f"{path}:{lineno}: embedding has {len(values)} dims, table expects {dim}"
+            )
+        try:
+            row = np.array([float(v) for v in values])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: embedding value is not a number") from None
+        if not np.isfinite(row).all():
+            raise ParseError(f"{path}:{lineno}: embedding value is not finite")
+        idx = token_to_id.get(token)
+        if idx is not None:
+            table[idx] = row
+            loaded += 1
     return loaded
 
 

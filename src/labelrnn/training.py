@@ -8,12 +8,13 @@ one row per position (models.sentence_pass): the label context is
 teacher-forced (gold previous labels), so every layer is one GEMM per
 sentence. With a scheduled probability of feeding back predictions, the
 label history is first built by the position-by-position forward, and the
-batched pass then runs on that history.
+batched pass then runs on that history. Each epoch ends with a dev pass
+through the lockstep greedy decoder (models.tag_greedy_batch).
 """
 
 import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,8 +37,8 @@ from .models import (
     sentence_pass,
     sequence_grads,
     sequence_loss,
-    tag_bidirectional,
-    tag_greedy,
+    tag_bidirectional_batch,
+    tag_greedy_batch,
 )
 
 
@@ -115,7 +116,9 @@ class TrainConfig:
         return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
     @classmethod
-    def from_kv(cls, text: str) -> "TrainConfig":
+    def from_kv(cls, text: str, base=None) -> "TrainConfig":
+        """Parse key=value lines; keys they do not set keep base's values, or
+        the defaults without a base."""
         known = {f.name: f.type for f in fields(cls)}
         values = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -130,15 +133,18 @@ class TrainConfig:
             if key not in known:
                 raise ConfigError(f"config line {lineno}: unknown key {key!r}")
             default = getattr(cls(), key)
-            if isinstance(default, bool):
-                values[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                values[key] = int(raw)
-            elif isinstance(default, float):
-                values[key] = float(raw)
-            else:
-                values[key] = raw
-        return cls(**values)
+            try:
+                if isinstance(default, bool):
+                    values[key] = raw.lower() in ("1", "true", "yes")
+                elif isinstance(default, int):
+                    values[key] = int(raw)
+                elif isinstance(default, float):
+                    values[key] = float(raw)
+                else:
+                    values[key] = raw
+            except ValueError:
+                raise ConfigError(f"config line {lineno}: bad value for {key}: {raw!r}") from None
+        return cls(**values) if base is None else replace(base, **values)
 
 
 @dataclass
@@ -234,12 +240,9 @@ class SgdMomentum:
             w[rows] -= lr * g
 
 
-def _dev_scores(tag_fn, dev_seqs, vocab, chunk_mode):
-    golds, preds = [], []
-    for seq in dev_seqs:
-        out = tag_fn(seq)
-        golds.append(decode_labels(seq.labels, vocab))
-        preds.append(decode_labels(out.labels, vocab))
+def _dev_scores(outputs, dev_seqs, vocab, chunk_mode):
+    golds = [decode_labels(seq.labels, vocab) for seq in dev_seqs]
+    preds = [decode_labels(out.labels, vocab) for out in outputs]
     acc = token_accuracy(golds, preds)
     f1 = f1_chunks(golds, preds, chunk_mode).f1
     return acc, f1
@@ -249,16 +252,17 @@ def _selection_score(entry: TrainLogEntry, metric: str) -> float:
     return entry.dev_acc if metric == "accuracy" else entry.dev_f1
 
 
-def _position_masks(model, config, rng):
+def _position_masks(model, config, rng, n=None):
     """make_position_masks for the config's dropout; empty when it is off."""
-    return make_position_masks(model, config.dropout_embed, config.dropout_hidden, rng)
+    return make_position_masks(model, config.dropout_embed, config.dropout_hidden, rng, n)
 
 
 def _sampled_history(model, oseq, config, rng):
     """Scheduled sampling: the position-by-position forward, where each
     position's label enters the history as the model's prediction with
-    probability predicted_label_prob, else as the gold label. Returns
-    (history, masks)."""
+    probability predicted_label_prob, else as the gold label. Each position
+    draws its own masks, as the draws interleave with the sampling. Returns
+    (history, masks), masks with one row per position."""
     history, masks, h_prev = [], [], None
     for t in range(len(oseq)):
         masks.append(_position_masks(model, config, rng))
@@ -267,7 +271,7 @@ def _sampled_history(model, oseq, config, rng):
             h_prev = cache["h"]
         sampled = rng.random() < config.predicted_label_prob
         history.append(predict_label(y) if sampled else int(oseq.labels[t]))
-    return history, masks
+    return history, {key: np.stack([m[key] for m in masks]) for key in masks[0]}
 
 
 def _train_sentence(model, opt, seq, lr, config, rng) -> float:
@@ -285,7 +289,7 @@ def _train_sentence(model, opt, seq, lr, config, rng) -> float:
     if config.predicted_label_prob > 0.0:
         history, masks = _sampled_history(model, oseq, config, rng)
     else:
-        history, masks = oseq.labels, [_position_masks(model, config, rng) for _ in range(n)]
+        history, masks = oseq.labels, _position_masks(model, config, rng, n)
     grads = Grads()
     total = sentence_pass(model, oseq, history, grads, masks=masks, scale=1.0 / n)
     opt.step(grads, lr)
@@ -336,7 +340,8 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
         for si in rng.permutation(len(train_seqs)):
             total += _train_sentence(model, opt, train_seqs[si], lr, config, rng)
         _check_finite(total, epoch)
-        dev_acc, dev_f1 = _dev_scores(lambda s: tag_greedy(model, s), dev_seqs, vocab, config.chunk_mode)
+        dev_acc, dev_f1 = _dev_scores(tag_greedy_batch(model, dev_seqs), dev_seqs, vocab,
+                                      config.chunk_mode)
         entry = TrainLogEntry(epoch, lr, total / n_positions, dev_acc, dev_f1)
         log.append(entry)
         score = _selection_score(entry, config.dev_metric)
@@ -375,9 +380,8 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     log = []
     # Seed selection with the untouched pair: the pure combination is already
     # a valid candidate, so fine-tuning can only improve the dev score.
-    acc0, f10 = _dev_scores(
-        lambda s: tag_bidirectional(fwd, bwd, s), dev_seqs, vocab, config.chunk_mode
-    )
+    acc0, f10 = _dev_scores(tag_bidirectional_batch(fwd, bwd, dev_seqs), dev_seqs, vocab,
+                            config.chunk_mode)
     best = (copy.deepcopy(fwd), copy.deepcopy(bwd))
     best_score = _selection_score(TrainLogEntry(-1, 0.0, 0.0, acc0, f10), config.dev_metric)
     n_positions = sum(len(s) for s in train_seqs)
@@ -387,16 +391,14 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
         for si in rng.permutation(len(train_seqs)):
             seq = train_seqs[si]
             n = len(seq)
-            masks = ([_position_masks(fwd, config, rng) for _ in range(n)],
-                     [_position_masks(bwd, config, rng) for _ in range(n)])
+            masks = (_position_masks(fwd, config, rng, n), _position_masks(bwd, config, rng, n))
             gf, gb = Grads(), Grads()
             total += bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
             opts["f"].step(gf, lr)
             opts["b"].step(gb, lr)
         _check_finite(total, epoch)
-        dev_acc, dev_f1 = _dev_scores(
-            lambda s: tag_bidirectional(fwd, bwd, s), dev_seqs, vocab, config.chunk_mode
-        )
+        dev_acc, dev_f1 = _dev_scores(tag_bidirectional_batch(fwd, bwd, dev_seqs), dev_seqs,
+                                      vocab, config.chunk_mode)
         entry = TrainLogEntry(epoch, lr, total / n_positions, dev_acc, dev_f1)
         log.append(entry)
         score = _selection_score(entry, config.dev_metric)

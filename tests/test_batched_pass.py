@@ -26,16 +26,15 @@ RTOL, ATOL = 1e-10, 1e-12  # float64: only the summation order differs
 
 
 def _masks(model, n, seed):
-    rng = new_rng(seed)
-    return [make_position_masks(model, 0.3, 0.4, rng) for _ in range(n)]
+    return make_position_masks(model, 0.3, 0.4, new_rng(seed), n)
 
 
 def _reference_forward(model, oseq, history, masks):
     """Position-by-position forward: (per-position dists, caches)."""
     ys, caches, h_prev = [], [], None
     for t in range(len(oseq)):
-        y, cache = position_forward(model, oseq, t, history,
-                                    masks=None if masks is None else masks[t], h_prev=h_prev)
+        row = None if masks is None else {key: rows[t] for key, rows in masks.items()}
+        y, cache = position_forward(model, oseq, t, history, masks=row, h_prev=h_prev)
         if model.variant == VARIANT_GRU:
             h_prev = cache["h"]
         ys.append(y)

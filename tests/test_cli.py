@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from labelrnn.cli import build_parser, main
-from labelrnn.corpus import load_column_file
+from labelrnn.cli import _resolve_config, build_parser, main
+from labelrnn.corpus import Vocabulary, decode_labels, encode, load_column_file
 from labelrnn.pretrain import load_external_embeddings
-from labelrnn.models import load_model
+from labelrnn.models import load_model, tag_greedy
 from labelrnn.training import TrainConfig
 import numpy as np
 
@@ -138,8 +138,8 @@ def test_train_bad_set_syntax(corpus_dir, tmp_path, capsys):
 def test_train_non_finite_loss_fails_cleanly(corpus_dir, tmp_path, capsys):
     train_file = corpus_dir / "train.txt"
     word = load_column_file(train_file)[0].words[0].lower()
-    emb = tmp_path / "nan.emb"
-    emb.write_text(word + " nan" * 8 + "\n")
+    emb = tmp_path / "huge.emb"  # finite, so it loads, but overflows in the first epoch
+    emb.write_text(word + " 1e308" * 8 + "\n")
     rc = main(["train", "--variant", "irnn", "--train", str(train_file),
                "--word-emb", str(emb), "--seed", "1", "--out", str(tmp_path / "m.bin")]
               + SMALL_TRAIN_OVERRIDES)
@@ -148,6 +148,36 @@ def test_train_non_finite_loss_fails_cleanly(corpus_dir, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: training loss is nan in epoch 0; training diverged"]
     assert "Traceback" not in err
+
+
+def _error_lines(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("value,problem", [("nan", "not finite"), ("-inf", "not finite"),
+                                           ("abc", "not a number")])
+def test_train_rejects_bad_embedding_values(corpus_dir, tmp_path, capsys, value, problem):
+    train_file = corpus_dir / "train.txt"
+    word = load_column_file(train_file)[0].words[0].lower()
+    emb = tmp_path / "bad.emb"
+    emb.write_text("unseen" + " 0.5" * 8 + "\n" + word + " 0.5" * 7 + f" {value}\n")
+    rc = main(["train", "--variant", "irnn", "--train", str(train_file),
+               "--word-emb", str(emb), "--out", str(tmp_path / "m.bin")] + SMALL_TRAIN_OVERRIDES)
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {emb}:2: embedding value is {problem}"]
+
+
+def test_config_file_layers_over_the_preset(tmp_path):
+    config_path = tmp_path / "f.cfg"
+    config_path.write_text("embed_size=8\n")
+    args = build_parser().parse_args(["train", "--train", "t", "--out", "o",
+                                      "--preset", "media-like", "--config", str(config_path),
+                                      "--set", "hidden_size=9", "--seed", "4"])
+    config = _resolve_config(args)
+    assert (config.d_w, config.conv_size, config.dropout_embed) == (3, 80, 0.15)
+    assert (config.embed_size, config.hidden_size, config.seed) == (8, 9, 4)
 
 
 def test_pretrain_defaults_come_from_train_config():
@@ -217,6 +247,39 @@ def test_tag_vocab_hash_mismatch(trained_model, corpus_dir, tmp_path, capsys):
                "--output", str(tmp_path / "t.txt")])
     assert rc == 1
     assert "hash" in capsys.readouterr().err
+
+
+def test_tag_labels_equal_library_tag_greedy(trained_model, corpus_dir, tmp_path):
+    tagged = tmp_path / "tagged.txt"
+    rc = main(["tag", "--model", str(trained_model),
+               "--input", str(corpus_dir / "test.txt"), "--output", str(tagged)])
+    assert rc == 0
+    model = load_model(trained_model)
+    vocab = Vocabulary.load(str(trained_model) + ".vocab")
+    for sent, out in zip(load_column_file(corpus_dir / "test.txt"), load_column_file(tagged)):
+        seq = encode(sent, vocab, with_labels=False)
+        assert decode_labels(tag_greedy(model, seq).labels, vocab) == out.labels
+
+
+def test_tag_rejects_truncated_vocab(trained_model, corpus_dir, tmp_path, capsys):
+    vocab = tmp_path / "cut.vocab"
+    text = (trained_model.parent / (trained_model.name + ".vocab")).read_text()
+    vocab.write_text(text[: len(text) // 2])
+    rc = main(["tag", "--model", str(trained_model), "--vocab", str(vocab),
+               "--input", str(corpus_dir / "test.txt"), "--output", str(tmp_path / "t.txt")])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and str(vocab) in lines[0]
+
+
+def test_tag_rejects_non_utf8_input(trained_model, tmp_path, capsys):
+    column_file = tmp_path / "latin1.txt"
+    column_file.write_bytes("show\tO\nz\u00fcrich\tO\n".encode("latin-1"))
+    rc = main(["tag", "--model", str(trained_model),
+               "--input", str(column_file), "--output", str(tmp_path / "t.txt")])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {column_file}:2: byte 0xfc is not UTF-8 text"]
 
 
 def test_eval_gold_as_prediction(corpus_dir, tmp_path, capsys):

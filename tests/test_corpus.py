@@ -142,6 +142,41 @@ def test_vocabulary_bad_header(tmp_path):
         Vocabulary.load(path)
 
 
+def test_vocabulary_truncated_anywhere_is_a_parse_error_or_loads(tiny_vocab):
+    text = tiny_vocab.serialize()
+    for cut in range(len(text)):
+        try:
+            Vocabulary.deserialize(text[:cut])
+        except ParseError:
+            pass
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("section\tclasses", "section\tklasses"),    # unknown section
+    lambda t: t[: t.index("section\tchars")],                        # missing section
+    lambda t: t.replace("\n1\t</s>\n", "\n1</s>\n", 1),           # no tab
+    lambda t: t.replace("\n1\t</s>\n", "\nx\t</s>\n", 1),        # bad index
+    lambda t: t.replace("section\twords\t", "section\twords\t9"),   # wrong count
+    lambda t: t.replace("lowercase\t1", "lowercase\tyes"),
+    lambda t: t.replace("\n0\t<s>\n", "\n0\t<x>\n", 1),          # reserved entry lost
+])
+def test_vocabulary_malformed_sections_rejected(tiny_vocab, edit):
+    text = edit(tiny_vocab.serialize())
+    assert text != tiny_vocab.serialize()
+    with pytest.raises(ParseError):
+        Vocabulary.deserialize(text)
+
+
+def test_non_utf8_files_name_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"a\tO\n\nb\tO\n\xff\tO\n")
+    with pytest.raises(ParseError, match=r"bad.txt:4: byte 0xff is not UTF-8"):
+        load_column_file(path)
+    path.write_bytes(b"labelrnn-vocab v1\n\xe9\n")
+    with pytest.raises(ParseError, match=r"bad.txt:2: byte 0xe9 is not UTF-8"):
+        Vocabulary.load(path)
+
+
 # -- BIO chunking -----------------------------------------------------------
 
 def test_chunks_suffix_example():

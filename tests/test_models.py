@@ -8,7 +8,6 @@ from labelrnn.models import (
     VARIANTS,
     build_model,
     combine_bidirectional,
-    forward_pass_with_cache,
     load_model,
     orient,
     predict_label,
@@ -122,16 +121,6 @@ def test_label_context_is_live(small_model_factory, tiny_seqs):
     model.params["E_l"][first] += 0.5
     after = tag_greedy(model, seq)
     assert np.max(np.abs(after.dists[1] - before.dists[1])) > 1e-8
-
-
-def test_teacher_forced_cache_pass_matches_greedy_without_teacher(small_model_factory, tiny_seqs):
-    model = small_model_factory("irnn-gru", seed=4)
-    seq = tiny_seqs[0]
-    _, predicted, dists = forward_pass_with_cache(model, seq)
-    out = tag_greedy(model, seq)
-    assert np.array_equal(predicted, out.labels)
-    for a, b in zip(dists, out.dists):
-        assert np.array_equal(a, b)
 
 
 def test_deep_structural_equivalence(tiny_vocab, tiny_seqs):

@@ -6,9 +6,15 @@ import pytest
 import labelrnn.training as training
 from labelrnn.corpus import build_vocabulary, decode_labels, encode
 from labelrnn.errors import ConfigError, LabelRnnError, ShapeError, TrainingDivergedError
-from labelrnn.mathcore import new_rng
+from labelrnn.mathcore import dropout_mask, new_rng
 from labelrnn.metrics import token_accuracy
-from labelrnn.models import Grads, combine_bidirectional, tag_bidirectional, tag_greedy
+from labelrnn.models import (
+    Grads,
+    combine_bidirectional,
+    make_position_masks,
+    tag_bidirectional,
+    tag_greedy,
+)
 from labelrnn.synthetic import generate_corpus
 from labelrnn.training import (
     SgdMomentum,
@@ -19,6 +25,7 @@ from labelrnn.training import (
     position_loss,
     train_bidirectional,
     train_tagger,
+    write_log,
 )
 
 
@@ -55,6 +62,11 @@ def test_config_kv_round_trip():
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError):
         TrainConfig.from_kv("no_such_field=1\n")
+
+
+def test_config_bad_value_rejected():
+    with pytest.raises(ConfigError, match="config line 2: bad value for d_w"):
+        TrainConfig.from_kv("d_l=3\nd_w=abc\n")
 
 
 def test_resolved_hidden_size():
@@ -211,6 +223,58 @@ def test_scheduled_sampling_smoke(tiny_vocab, tiny_seqs):
     config = small_config(epochs_fwd_bwd=2, predicted_label_prob=0.5)
     model, log = train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, "irnn", "fwd")
     assert len(log) == 2
+
+
+def _per_position_masks(model, config, rng, n=None):
+    """Reference: one dropout_mask draw per mask per position, stacked."""
+    rows = []
+    for _ in range(1 if n is None else n):
+        masks = {}
+        if config.dropout_embed > 0.0:
+            keep = 1.0 - config.dropout_embed
+            masks["w"] = dropout_mask(model.word_input_dim, keep, rng)
+            if model.use_classes:
+                masks["c"] = dropout_mask(model.word_input_dim, keep, rng)
+            masks["l"] = dropout_mask(model.label_input_dim, keep, rng)
+        if config.dropout_hidden > 0.0:
+            masks["h"] = dropout_mask(model.hidden_size, 1.0 - config.dropout_hidden, rng)
+        rows.append(masks)
+    if n is None:
+        return rows[0]
+    return {key: np.stack([m[key] for m in rows]) for key in rows[0]}
+
+
+@pytest.mark.parametrize("p_embed,p_hidden", [(0.3, 0.4), (0.0, 0.4), (0.3, 0.0), (0.0, 0.0)])
+def test_sentence_masks_are_the_per_position_draws(small_model_factory, p_embed, p_hidden):
+    model = small_model_factory("irnn", use_classes=True)
+    config = small_config(dropout_embed=p_embed, dropout_hidden=p_hidden)
+    rng_a, rng_b = new_rng(31), new_rng(31)
+    got = make_position_masks(model, p_embed, p_hidden, rng_a, 5)
+    expected = _per_position_masks(model, config, rng_b, 5)
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert np.array_equal(got[key], expected[key])
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("variant", ["irnn", "irnn-deep"])
+def test_sentence_mask_draws_keep_the_training_log(tiny_vocab, tiny_seqs, tmp_path, monkeypatch,
+                                                   variant):
+    config = small_config(epochs_fwd_bwd=2, epochs_bidir=2, use_classes=True)
+
+    def run(name):
+        fwd, log = train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, variant, "fwd")
+        bwd, _ = train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, variant, "bwd")
+        fwd2, _, bilog = train_bidirectional(fwd, bwd, tiny_seqs, tiny_seqs, tiny_vocab, config)
+        write_log(log + bilog, tmp_path / name)
+        return (tmp_path / name).read_bytes(), fwd2.params
+
+    log, params = run("sentence.log")
+    monkeypatch.setattr(training, "_position_masks", _per_position_masks)
+    reference_log, reference_params = run("position.log")
+    assert log == reference_log
+    for name, value in reference_params.items():
+        assert np.array_equal(params[name], value)
 
 
 def test_loss_non_increasing_over_five_epoch_windows():
