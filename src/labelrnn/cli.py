@@ -274,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{TrainConfig.epochs_nnlm_label} for labels")
     p.add_argument("--out", required=True)
     p.add_argument("--context", type=int, default=TrainConfig.nnlm_context)
-    p.add_argument("--embed-size", type=int, default=200)
-    p.add_argument("--hidden-size", type=int, default=200)
-    p.add_argument("--lr0", type=float, default=0.5)
+    p.add_argument("--embed-size", type=int, default=TrainConfig.embed_size)
+    p.add_argument("--hidden-size", type=int, default=TrainConfig.hidden_size)
+    p.add_argument("--lr0", type=float, default=TrainConfig.lr0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-lowercase", action="store_true")
     p.set_defaults(func=cmd_pretrain)

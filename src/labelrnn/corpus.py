@@ -159,8 +159,8 @@ class Vocabulary:
         """Inverse of serialize. Each section must list its entries by index
         0..count-1, starting with the reserved entries; anything else raises
         ParseError."""
-        lines = text.splitlines()
-        if not lines or lines[0] != VOCAB_FORMAT_HEADER:
+        lines = text.rstrip("\n").split("\n")  # tokens may hold other line breaks
+        if lines[0] != VOCAB_FORMAT_HEADER:
             raise ParseError("not a vocabulary file (bad header)")
         vocab = cls()
         if len(lines) < 2 or lines[1] not in ("lowercase\t0", "lowercase\t1"):
@@ -170,7 +170,7 @@ class Vocabulary:
         sections = {}
         while i < len(lines):
             header = lines[i].split("\t")
-            if len(header) != 3 or header[0] != "section" or not header[2].isdigit():
+            if len(header) != 3 or header[0] != "section" or not header[2].isdecimal():
                 raise ParseError(f"line {i + 1}: expected a section header")
             name, count = header[1], int(header[2])
             if name not in VOCAB_SECTIONS or name in sections:

@@ -32,19 +32,8 @@ def window_indices(tokens: np.ndarray, t, half: int, pad_left: int, pad_right: i
     t is one position (a list is returned) or an array of positions (one
     row of indices per position).
     """
-    if isinstance(t, np.ndarray):
-        padded = np.concatenate(([pad_left] * half, tokens, [pad_right] * half))
-        return padded.astype(np.intp)[t[:, None] + np.arange(2 * half + 1)]
-    n = len(tokens)
-    out = []
-    for j in range(t - half, t + half + 1):
-        if j < 0:
-            out.append(pad_left)
-        elif j >= n:
-            out.append(pad_right)
-        else:
-            out.append(int(tokens[j]))
-    return out
+    padded = np.concatenate(([pad_left] * half, tokens, [pad_right] * half)).astype(np.intp)
+    return _rows(padded, t, 2 * half + 1)
 
 
 def label_context_indices(history, t, d_l: int, bol: int):
@@ -54,13 +43,14 @@ def label_context_indices(history, t, d_l: int, bol: int):
     rightmost slot holds the most recent label y_{t-1}. t is one position
     (a list is returned) or an array of positions (one row per position).
     """
-    if isinstance(t, np.ndarray):
-        padded = np.concatenate(([bol] * d_l, history)).astype(np.intp)
-        return padded[t[:, None] + np.arange(d_l)]
-    out = []
-    for j in range(t - d_l, t):
-        out.append(int(history[j]) if j >= 0 else bol)
-    return out
+    return _rows(np.concatenate(([bol] * d_l, history)).astype(np.intp), t, d_l)
+
+
+def _rows(padded, t, width):
+    """padded[t : t + width] for one position (as a list) or for each of an
+    array of positions (as rows of an array)."""
+    rows = padded[np.add.outer(t, np.arange(width))]
+    return rows if isinstance(t, np.ndarray) else rows.tolist()
 
 
 def embed_concat(table: np.ndarray, indices) -> np.ndarray:

@@ -12,6 +12,7 @@ window, label-context window, optional character-convolution feature):
 A backward-direction model is the same machinery run on reversed sequences.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -121,9 +122,6 @@ class TaggerModel:
             if not name.startswith("E_") and not _is_bias(name)
         ]
 
-    def embedding_names(self):
-        return [name for name in self.params if name.startswith("E_")]
-
     def gru_params(self):
         keys = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_c")
         return {k: self.params[k] for k in keys}
@@ -154,37 +152,34 @@ def build_model(variant, direction, vocab, rng, *, d_w=5, d_l=5, d_c=0,
         n_classes=vocab.n_classes, n_chars=vocab.n_chars,
         vocab_hash=vocab.hash(),
     )
-    p = model.params
-    p["E_w"] = xavier_init(model.n_words, embed_size, rng)
-    p["E_l"] = xavier_init(model.n_labels, embed_size, rng)
-    if use_classes:
-        p["E_c"] = xavier_init(model.n_classes, embed_size, rng)
-    if use_chars:
-        p["E_ch"] = xavier_init(model.n_chars, char_embed_size, rng)
-        p["W_conv"] = xavier_init(conv_size, (2 * d_c + 1) * char_embed_size, rng)
-        p["b_conv"] = np.zeros(conv_size)
+    for name, shape in _param_shapes(model):
+        model.params[name] = np.zeros(shape) if len(shape) == 1 else xavier_init(*shape, rng)
+    return model
 
+
+def _param_shapes(model) -> list:
+    """(name, shape) of every parameter, in build_model's initialization
+    order, from the structural fields alone; 1-D parameters are biases."""
+    e, hid, f = model.embed_size, model.hidden_size, model.first_level_size
+    shapes = [("E_w", (model.n_words, e)), ("E_l", (model.n_labels, e))]
+    if model.use_classes:
+        shapes.append(("E_c", (model.n_classes, e)))
+    if model.use_chars:
+        shapes += [("E_ch", (model.n_chars, model.char_embed_size)),
+                   ("W_conv", (model.conv_size, (2 * model.d_c + 1) * model.char_embed_size)),
+                   ("b_conv", (model.conv_size,))]
     xdim = model.input_dim
-    if variant == VARIANT_IRNN:
-        p["H"] = xavier_init(hidden_size, xdim, rng)
-        p["b_h"] = np.zeros(hidden_size)
-    elif variant == VARIANT_GRU:
+    if model.variant == VARIANT_IRNN:
+        shapes += [("H", (hid, xdim)), ("b_h", (hid,))]
+    elif model.variant == VARIANT_GRU:
         for gate in ("z", "r", "h"):
-            p[f"W_{gate}"] = xavier_init(hidden_size, hidden_size, rng)
-            p[f"U_{gate}"] = xavier_init(hidden_size, xdim, rng)
-        p["b_z"] = np.zeros(hidden_size)
-        p["b_r"] = np.zeros(hidden_size)
-        p["b_c"] = np.zeros(hidden_size)
+            shapes += [(f"W_{gate}", (hid, hid)), (f"U_{gate}", (hid, xdim))]
+        shapes += [("b_z", (hid,)), ("b_r", (hid,)), ("b_c", (hid,))]
     else:  # deep: one first-level layer per input piece, then a global layer
         for name, dim in model.input_pieces():
-            p[f"F_{name}"] = xavier_init(first_level_size, dim, rng)
-            p[f"Fb_{name}"] = np.zeros(first_level_size)
-        cat = first_level_size * len(model.input_pieces())
-        p["H2"] = xavier_init(hidden_size, cat, rng)
-        p["b_2"] = np.zeros(hidden_size)
-    p["O"] = xavier_init(model.n_labels, hidden_size, rng)
-    p["b_o"] = np.zeros(model.n_labels)
-    return model
+            shapes += [(f"F_{name}", (f, dim)), (f"Fb_{name}", (f,))]
+        shapes += [("H2", (hid, f * len(model.input_pieces()))), ("b_2", (hid,))]
+    return shapes + [("O", (model.n_labels, hid)), ("b_o", (model.n_labels,))]
 
 
 # -- gradient accumulation -------------------------------------------------
@@ -740,28 +735,20 @@ _INT_FIELDS = (
     "char_embed_size", "conv_size", "n_words", "n_labels", "n_classes", "n_chars",
 )
 _FLAG_FIELDS = ("use_classes", "use_chars", "ablate_label_context", "gru_words_only")
+_HEADER = "BBBQ12I"  # variant, direction, flags, vocab hash, the _INT_FIELDS
 
 
 def save_model(model: TaggerModel, path):
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<I", MODEL_VERSION)
-    out += struct.pack("<BB", VARIANTS.index(model.variant), DIRECTIONS.index(model.direction))
-    flags = 0
-    for i, name in enumerate(_FLAG_FIELDS):
-        if getattr(model, name):
-            flags |= 1 << i
-    out += struct.pack("<B", flags)
-    out += struct.pack("<Q", model.vocab_hash)
-    out += struct.pack("<12I", *(getattr(model, name) for name in _INT_FIELDS))
+    flags = sum(1 << i for i, name in enumerate(_FLAG_FIELDS) if getattr(model, name))
+    out = bytearray(MODEL_MAGIC + struct.pack(
+        "<I" + _HEADER, MODEL_VERSION, VARIANTS.index(model.variant),
+        DIRECTIONS.index(model.direction), flags, model.vocab_hash,
+        *(getattr(model, name) for name in _INT_FIELDS)))
     names = sorted(model.params)
     out += struct.pack("<I", len(names))
     for name in names:
-        encoded = name.encode("utf-8")
-        arr = model.params[name]
-        out += struct.pack("<H", len(encoded)) + encoded
-        out += struct.pack("<I", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        encoded, shape = name.encode("utf-8"), model.params[name].shape
+        out += struct.pack(f"<H{len(encoded)}sI{len(shape)}I", len(encoded), encoded, len(shape), *shape)
     for name in names:
         out += np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
     with open(path, "wb") as fh:
@@ -773,6 +760,8 @@ def load_model(path) -> TaggerModel:
         data = fh.read()
     try:
         return _parse_model(data)
+    except ModelIOError as exc:
+        raise ModelIOError(f"{path}: {exc}") from None
     except (struct.error, IndexError, ValueError) as exc:
         raise ModelIOError(f"corrupt or truncated model file {path}: {exc}") from None
 
@@ -783,13 +772,10 @@ def _parse_model(data: bytes) -> TaggerModel:
     (version,) = struct.unpack_from("<I", data, 4)
     if version != MODEL_VERSION:
         raise ModelIOError(f"unsupported model format version {version}")
-    variant_b, direction_b, flags = struct.unpack_from("<BBB", data, 8)
-    (vocab_hash,) = struct.unpack_from("<Q", data, 11)
-    ints = struct.unpack_from("<12I", data, 19)
-    offset = 19 + 48
+    variant_b, direction_b, flags, vocab_hash, *ints = struct.unpack_from("<" + _HEADER, data, 8)
+    offset = 8 + struct.calcsize("<" + _HEADER)
     kwargs = dict(zip(_INT_FIELDS, ints))
-    for i, name in enumerate(_FLAG_FIELDS):
-        kwargs[name] = bool(flags & (1 << i))
+    kwargs.update((name, bool(flags >> i & 1)) for i, name in enumerate(_FLAG_FIELDS))
     model = TaggerModel(
         variant=VARIANTS[variant_b], direction=DIRECTIONS[direction_b],
         vocab_hash=vocab_hash, **kwargs,
@@ -799,19 +785,23 @@ def _parse_model(data: bytes) -> TaggerModel:
     shapes = []
     for _ in range(n_tensors):
         (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
+        name = data[offset + 2 : offset + 2 + name_len].decode("utf-8")
+        offset += 2 + name_len
         (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        shapes.append((name, shape))
-    expected = offset + sum(8 * int(np.prod(s)) for _, s in shapes)
+        shapes.append((name, struct.unpack_from(f"<{ndim}I", data, offset + 4)))
+        offset += 4 + 4 * ndim
+    got, implied = dict(shapes), dict(_param_shapes(model))
+    if len(got) != len(shapes):
+        raise ModelIOError("a tensor name is repeated")
+    for name in sorted(got.keys() | implied.keys()):
+        if got.get(name) != implied.get(name):
+            raise ModelIOError(f"tensor {name} is {got.get(name, 'missing')}, "
+                               f"the header implies {implied.get(name, 'no such tensor')}")
+    expected = offset + sum(8 * math.prod(s) for _, s in shapes)
     if len(data) != expected:
         raise ModelIOError(f"payload size mismatch: expected {expected} bytes, file has {len(data)}")
     for name, shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
         model.params[name] = arr.astype(np.float64)
         offset += 8 * count

@@ -4,6 +4,10 @@ One NNLM is trained per vocabulary section (words, or labels over reference
 label sequences): predict token t from the n previous tokens through an
 embedding concatenation, a relu hidden layer and a softmax. Only the learned
 embedding table is kept.
+
+It is built from the taggers' layers, its n previous tokens forming a
+label-context window. Each sequence is one batched pass (nnlm_sequence_pass,
+as models.sentence_pass), stepped by the taggers' SgdMomentum without L2.
 """
 
 from dataclasses import dataclass
@@ -12,138 +16,125 @@ import numpy as np
 
 from .corpus import read_lines
 from .errors import ConfigError, ParseError
-from .layers import embed_concat, embed_concat_backward, relu_hidden_backward, relu_hidden_forward
-from .mathcore import new_rng, softmax, xavier_init
+from .layers import (embed_concat, embed_concat_backward, label_context_indices, output_backward,
+                     output_forward, relu_hidden_backward, relu_hidden_forward)
+from .mathcore import new_rng, xavier_init
+from .models import Grads, _cross_entropy
+from .training import SgdMomentum, TrainConfig, _check_finite, lr_at
 
 
 @dataclass
 class NnlmParams:
-    E: np.ndarray   # embedding table, shared with the downstream model
-    W1: np.ndarray  # hidden weights over the context concatenation
-    b1: np.ndarray
-    W2: np.ndarray  # output weights, one row per vocabulary entry
-    b2: np.ndarray
+    """params, named as a tagger's: E_tok (the embedding table that is kept),
+    H and b_h (relu layer over the context), O and b_o (softmax output)."""
+
+    params: dict
     context: int
     pad_id: int
 
+    def weight_matrix_names(self):
+        return ["H", "O"]
 
-def build_nnlm(vocab_size: int, pad_id: int, context: int = 4,
-               embed_size: int = 200, hidden_size: int = 200, rng=None) -> NnlmParams:
+
+def build_nnlm(vocab_size: int, pad_id: int, context: int = TrainConfig.nnlm_context,
+               embed_size: int = TrainConfig.embed_size,
+               hidden_size: int = TrainConfig.hidden_size, rng=None) -> NnlmParams:
     if context < 1:
         raise ConfigError(f"NNLM context length must be >= 1, got {context}")
     if rng is None:
         rng = new_rng(0)
-    return NnlmParams(
-        E=xavier_init(vocab_size, embed_size, rng),
-        W1=xavier_init(hidden_size, context * embed_size, rng),
-        b1=np.zeros(hidden_size),
-        W2=xavier_init(vocab_size, hidden_size, rng),
-        b2=np.zeros(vocab_size),
-        context=context,
-        pad_id=pad_id,
-    )
-
-
-def _context_indices(tokens, t, context, pad_id):
-    return [int(tokens[j]) if j >= 0 else pad_id for j in range(t - context, t)]
+    params = {"E_tok": xavier_init(vocab_size, embed_size, rng),
+              "H": xavier_init(hidden_size, context * embed_size, rng), "b_h": np.zeros(hidden_size),
+              "O": xavier_init(vocab_size, hidden_size, rng), "b_o": np.zeros(vocab_size)}
+    return NnlmParams(params=params, context=context, pad_id=pad_id)
 
 
 def nnlm_forward(p: NnlmParams, tokens, t):
-    idxs = _context_indices(tokens, t, p.context, p.pad_id)
-    x = embed_concat(p.E, idxs)
-    h, pre = relu_hidden_forward(p.W1, p.b1, x)
-    y = softmax(p.W2 @ h + p.b2)
-    return y, {"idxs": idxs, "x": x, "h": h, "pre": pre}
+    """Distribution of the token at t given the previous p.context tokens; t
+    may be np.arange(n), giving row t of y and of every cached array."""
+    w = p.params
+    idxs = label_context_indices(tokens, t, p.context, p.pad_id)
+    x = embed_concat(w["E_tok"], idxs)
+    h, pre = relu_hidden_forward(w["H"], w["b_h"], x)
+    return output_forward(w["O"], w["b_o"], h), {"idxs": idxs, "x": x, "h": h, "pre": pre}
 
 
-def nnlm_backward(p: NnlmParams, cache, delta):
-    """delta = y - onehot(target); returns (dW1, db1, dW2, db2, embedding rows)."""
-    dW2 = np.outer(delta, cache["h"])
-    dh = p.W2.T @ delta
-    dW1, db1, dx = relu_hidden_backward(p.W1, cache["x"], cache["pre"], dh)
-    rows = embed_concat_backward(dx, cache["idxs"], p.E.shape[1])
-    return dW1, db1, dW2, delta.copy(), rows
+def nnlm_backward(p: NnlmParams, cache, delta, grads: Grads):
+    """Adds the gradient to grads, given delta = y - onehot(target) at the
+    pre-softmax layer (one row per position after a batched forward)."""
+    w = p.params
+    dO, db_o, dh = output_backward(w["O"], cache["h"], delta)
+    dH, db_h, dx = relu_hidden_backward(w["H"], cache["x"], cache["pre"], dh)
+    for name, g in (("O", dO), ("b_o", db_o), ("H", dH), ("b_h", db_h)):
+        grads.add(name, g)
+    grads.add_rows("E_tok", embed_concat_backward(dx, cache["idxs"], w["E_tok"].shape[1]))
+
+
+def nnlm_sequence_pass(p: NnlmParams, tokens, grads: Grads, scale: float = 1.0) -> float:
+    """Forward, loss and backward of one non-empty sequence in one batched
+    pass. Adds scale times the gradient of the summed cross-entropy to
+    grads, and returns that sum."""
+    rows = np.arange(len(tokens))
+    gold = np.asarray(tokens, dtype=np.intp)
+    y, cache = nnlm_forward(p, tokens, rows)
+    loss = _cross_entropy(y, gold, rows)
+    delta = y * scale
+    delta[rows, gold] -= scale
+    nnlm_backward(p, cache, delta, grads)
+    return loss
 
 
 def nnlm_corpus_loss(p: NnlmParams, sequences) -> float:
-    total = 0.0
-    for tokens in sequences:
-        for t in range(len(tokens)):
-            y, _ = nnlm_forward(p, tokens, t)
-            total += -float(np.log(y[int(tokens[t])]))
-    return total
+    """Summed cross-entropy, position by position: the reference for the
+    gradient check."""
+    return sum(-float(np.log(nnlm_forward(p, tokens, t)[0][tokens[t]]))
+               for tokens in sequences for t in range(len(tokens)))
 
 
 def nnlm_corpus_grads(p: NnlmParams, sequences) -> dict:
-    """Dense gradients of nnlm_corpus_loss, for the gradient-check harness."""
-    grads = {name: np.zeros_like(getattr(p, name)) for name in ("E", "W1", "b1", "W2", "b2")}
+    """Dense gradients of nnlm_corpus_loss, from the pass training runs."""
+    grads = Grads()
     for tokens in sequences:
-        for t in range(len(tokens)):
-            y, cache = nnlm_forward(p, tokens, t)
-            delta = y.copy()
-            delta[int(tokens[t])] -= 1.0
-            dW1, db1, dW2, db2, rows = nnlm_backward(p, cache, delta)
-            grads["W1"] += dW1
-            grads["b1"] += db1
-            grads["W2"] += dW2
-            grads["b2"] += db2
-            for row, vec in rows:
-                grads["E"][row] += vec
-    return grads
+        if len(tokens):
+            nnlm_sequence_pass(p, tokens, grads)
+    return grads.to_dense(p)
 
 
-def train_nnlm(sequences, vocab_size: int, pad_id: int, *, context: int = 4,
-               embed_size: int = 200, hidden_size: int = 200, epochs: int = 30,
-               lr0: float = 0.5, momentum: float = 0.5, rng=None):
+def train_nnlm(sequences, vocab_size: int, pad_id: int, *,
+               context: int = TrainConfig.nnlm_context, embed_size: int = TrainConfig.embed_size,
+               hidden_size: int = TrainConfig.hidden_size,
+               epochs: int = TrainConfig.epochs_nnlm_word, lr0: float = TrainConfig.lr0,
+               momentum: float = TrainConfig.momentum, rng=None):
     """SGD-with-momentum training; returns (embedding table, per-epoch losses).
 
     sequences are index lists over one vocabulary section. As for the taggers,
     per-position gradients are averaged over each sequence and applied in one
-    step (per-position steps diverge at the default learning rate), and the
-    learning rate decays linearly.
+    step (per-position steps diverge at the default learning rate), the
+    learning rate decays linearly, and a non-finite epoch loss raises
+    TrainingDivergedError naming the epoch.
     """
     if not sequences:
         raise ConfigError("NNLM training requires a non-empty corpus")
+    if epochs < 1:
+        raise ConfigError(f"NNLM training needs at least one epoch, got {epochs}")
     if rng is None:
         rng = new_rng(0)
     p = build_nnlm(vocab_size, pad_id, context, embed_size, hidden_size, rng)
-    velocity = {name: np.zeros_like(getattr(p, name)) for name in ("W1", "b1", "W2", "b2")}
+    opt = SgdMomentum(p, momentum, lam=0.0)
     n_positions = sum(len(s) for s in sequences)
     losses = []
     for epoch in range(epochs):
-        lr = lr0 * (1.0 - epoch / epochs)
+        lr = lr_at(epoch, epochs, lr0)
         total = 0.0
         for si in rng.permutation(len(sequences)):
             tokens = sequences[si]
-            n = len(tokens)
-            if n == 0:
-                continue
-            grads = {name: np.zeros_like(getattr(p, name))
-                     for name in ("W1", "b1", "W2", "b2")}
-            row_grads = {}
-            for t in range(n):
-                y, cache = nnlm_forward(p, tokens, t)
-                target = int(tokens[t])
-                total += -float(np.log(max(y[target], 1e-300)))
-                delta = y.copy()
-                delta[target] -= 1.0
-                dW1, db1, dW2, db2, rows = nnlm_backward(p, cache, delta)
-                for name, g in (("W1", dW1), ("b1", db1), ("W2", dW2), ("b2", db2)):
-                    grads[name] += g
-                for row, vec in rows:
-                    if row in row_grads:
-                        row_grads[row] = row_grads[row] + vec
-                    else:
-                        row_grads[row] = vec.copy()
-            for name in grads:
-                v = velocity[name]
-                v *= momentum
-                v -= lr * (grads[name] / n)
-                getattr(p, name).__iadd__(v)
-            for row, vec in row_grads.items():
-                p.E[row] -= lr * (vec / n)
+            if len(tokens):
+                grads = Grads()
+                total += nnlm_sequence_pass(p, tokens, grads, scale=1.0 / len(tokens))
+                opt.step(grads, lr)
+        _check_finite(total, epoch)
         losses.append(total / n_positions)
-    return p.E, losses
+    return p.params["E_tok"], losses
 
 
 def load_external_embeddings(path, token_to_id: dict, table: np.ndarray) -> int:

@@ -9,11 +9,11 @@ can only be labeled consistently through the label context.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .corpus import NO_CLASS, Sentence, write_column_file
-from .errors import ConfigError
+from .corpus import NO_CLASS, Sentence, read_lines, write_column_file
+from .errors import ConfigError, ParseError
 from .mathcore import new_rng
 
 
@@ -43,10 +43,44 @@ class Grammar:
 
     @classmethod
     def from_json(cls, path) -> "Grammar":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        slots = {name: SlotSpec(**spec) for name, spec in raw["slots"].items()}
-        return cls(slots=slots, templates=raw["templates"])
+        """Read {"slots": {name: spec}, "templates": [template, ...]}, where a
+        spec holds SlotSpec fields with non-blank phrases or a pool of
+        one-token strings. Anything else raises ParseError naming the file."""
+        try:
+            raw = json.loads("".join(read_lines(path)))
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+            raise ParseError(f"{path}: not JSON: {exc}") from None
+        slots = raw.get("slots") if isinstance(raw, dict) else None
+        keys = {f.name for f in fields(SlotSpec)}
+        if not (isinstance(slots, dict) and set(raw) == {"slots", "templates"} and all(
+                isinstance(spec, dict) and set(spec) <= keys for spec in slots.values())):
+            raise ParseError(f'{path}: a grammar is {{"slots": {{name: spec}}, "templates": '
+                             f"[...]}} with spec keys from {sorted(keys)}")
+        grammar = cls({name: SlotSpec(**spec) for name, spec in slots.items()}, raw["templates"])
+        for name, spec in grammar.slots.items():
+            lengths = (spec.min_len, spec.max_len)
+            if not (_is_token(spec.class_name) and (spec.phrases is None) != (spec.pool is None)
+                    and _all_strings(spec.phrases or spec.pool,
+                                     str.split if spec.pool is None else _is_token)
+                    and all(type(n) is int for n in lengths) and 1 <= lengths[0] <= lengths[1]):
+                raise ParseError(f"{path}: slot {name} needs a one-token class_name, non-blank "
+                                 "phrases or a pool of one-token strings, and 1 <= min_len <= max_len")
+        refs = {item[1:-1] for t in grammar.templates if isinstance(t, str) for item in t.split()
+                if item.startswith("{") and item.endswith("}")}
+        if not _all_strings(grammar.templates, str.split) or not refs <= set(grammar.slots):
+            raise ParseError(f"{path}: templates must be non-blank strings whose {{slot}} "
+                             "references name slots")
+        return grammar
+
+
+def _is_token(value) -> bool:
+    return isinstance(value, str) and value.split() == [value]
+
+
+def _all_strings(value, check) -> bool:
+    """value is a non-empty list of strings that each pass check."""
+    return isinstance(value, list) and value != [] and all(
+        isinstance(v, str) and check(v) for v in value)
 
 
 CITY_PHRASES = [

@@ -29,7 +29,6 @@ from .models import (
     bidirectional_loss,
     bidirectional_pass,
     build_model,
-    l2_term,
     make_position_masks,
     orient,
     position_forward,
@@ -93,6 +92,8 @@ class TrainConfig:
             raise ConfigError("L2 coefficients must be non-negative")
         if self.d_w < 0 or self.d_c < 0 or self.d_l < 1:
             raise ConfigError("window sizes must satisfy d_w >= 0, d_c >= 0, d_l >= 1")
+        if self.epochs_fwd_bwd < 1 or self.epochs_bidir < 0:
+            raise ConfigError("epochs_fwd_bwd must be >= 1 and epochs_bidir >= 0")
         if self.dev_metric not in ("accuracy", "f1"):
             raise ConfigError(f"unknown dev metric {self.dev_metric!r}")
 
@@ -171,14 +172,6 @@ def lr_at(epoch: int, total_epochs: int, lr0: float) -> float:
     if not 0 <= epoch < total_epochs:
         raise ConfigError(f"epoch {epoch} out of range [0, {total_epochs})")
     return lr0 * (1.0 - epoch / total_epochs)
-
-
-def position_loss(y: np.ndarray, gold: int, model=None, lam: float = 0.0) -> float:
-    """Cross-entropy -log y[gold] plus the (lam/2)*sum(W^2) penalty."""
-    ce = -float(np.log(y[gold]))
-    if model is None or lam == 0.0:
-        return ce
-    return ce + l2_term(model, lam)
 
 
 class SgdMomentum:
@@ -369,14 +362,10 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     fwd = copy.deepcopy(fwd)
     bwd = copy.deepcopy(bwd)
     lam = config.lambda_l2_bidir
-    opts = {
-        "f": SgdMomentum(fwd, config.momentum, lam, l2_include_all=config.l2_include_all,
-                         max_grad_norm=config.max_grad_norm,
-                         freeze_embeddings=config.freeze_embeddings_bidir),
-        "b": SgdMomentum(bwd, config.momentum, lam, l2_include_all=config.l2_include_all,
-                         max_grad_norm=config.max_grad_norm,
-                         freeze_embeddings=config.freeze_embeddings_bidir),
-    }
+    opt_f, opt_b = (SgdMomentum(m, config.momentum, lam, l2_include_all=config.l2_include_all,
+                                max_grad_norm=config.max_grad_norm,
+                                freeze_embeddings=config.freeze_embeddings_bidir)
+                    for m in (fwd, bwd))
     log = []
     # Seed selection with the untouched pair: the pure combination is already
     # a valid candidate, so fine-tuning can only improve the dev score.
@@ -394,8 +383,8 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
             masks = (_position_masks(fwd, config, rng, n), _position_masks(bwd, config, rng, n))
             gf, gb = Grads(), Grads()
             total += bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
-            opts["f"].step(gf, lr)
-            opts["b"].step(gb, lr)
+            opt_f.step(gf, lr)
+            opt_b.step(gb, lr)
         _check_finite(total, epoch)
         dev_acc, dev_f1 = _dev_scores(tag_bidirectional_batch(fwd, bwd, dev_seqs), dev_seqs,
                                       vocab, config.chunk_mode)

@@ -5,7 +5,7 @@ import pytest
 from labelrnn.cli import _resolve_config, build_parser, main
 from labelrnn.corpus import Vocabulary, decode_labels, encode, load_column_file
 from labelrnn.pretrain import load_external_embeddings
-from labelrnn.models import load_model, tag_greedy
+from labelrnn.models import load_model, save_model, tag_greedy
 from labelrnn.training import TrainConfig
 import numpy as np
 
@@ -52,6 +52,47 @@ def test_generate_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("content,problem", [
+    (b"\xff{}", ":1: byte 0xff is not UTF-8 text"),
+    (b'{"slots": {', ": not JSON: "),
+    (b"[" * 100000, ": not JSON: "),
+    (b'{"slots": 5, "templates": ["hi"]}', ': a grammar is {"slots": '),
+    (b'{"slots": {}}', ': a grammar is {"slots": '),
+    (b'{"slots": {"x": {"pool": ["a"], "colour": "red"}}, "templates": ["{x}"]}',
+     ': a grammar is {"slots": '),
+    (b'{"slots": {"x": {"pool": "abc"}}, "templates": ["{x}"]}', ": slot x needs "),
+    (b'{"slots": {"x": {"pool": ["a b"]}}, "templates": ["{x}"]}', ": slot x needs "),
+    (b'{"slots": {"x": {"class_name": "a\\tb", "pool": ["a"]}}, "templates": ["{x}"]}',
+     ": slot x needs "),
+    (b'{"slots": {"x": {"phrases": ["a"], "min_len": 2}}, "templates": ["{x}"]}',
+     ": slot x needs "),
+    (b'{"slots": {"x": {"phrases": ["a"]}}, "templates": [3]}', ": templates must be "),
+    (b'{"slots": {"x": {"phrases": ["a"]}}, "templates": ["{y}"]}', ": templates must be "),
+], ids=["non-utf8", "bad-json", "deep-json", "slots-not-object", "no-templates", "unknown-key",
+        "pool-not-list", "pool-not-token", "class-not-token", "bad-lengths", "template-not-string", "unknown-slot"])
+def test_generate_rejects_bad_grammar(tmp_path, capsys, content, problem):
+    grammar = tmp_path / "g.json"
+    grammar.write_bytes(content)
+    rc = main(["generate", "--out-dir", str(tmp_path / "out"), "--size", "3",
+               "--grammar", str(grammar)])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and lines[0].startswith(f"error: {grammar}{problem}")
+
+
+def test_generate_with_a_grammar_file(tmp_path):
+    grammar = tmp_path / "g.json"
+    grammar.write_text(json.dumps({
+        "slots": {"city": {"class_name": "city", "phrases": ["new york", "boston"]},
+                  "code": {"pool": ["alpha", "bravo"], "min_len": 2, "max_len": 3}},
+        "templates": ["fly to {city} now", "code {code}"]}))
+    assert main(["generate", "--out-dir", str(tmp_path / "out"), "--size", "20",
+                 "--grammar", str(grammar)]) == 0
+    labels = {l for s in load_column_file(tmp_path / "out" / "train.txt") for l in s.labels}
+    assert labels <= {"O", "city-B", "city-I", "code-B", "code-I"}
+    assert {"city-B", "code-B", "code-I"} <= labels
+
+
 def test_generated_files_parse(corpus_dir):
     for name in ("train.txt", "dev.txt", "test.txt"):
         assert len(load_column_file(corpus_dir / name)) > 0
@@ -80,6 +121,24 @@ def test_pretrain_labels_default_epochs(corpus_dir, tmp_path, capsys):
     tokens = [line.split()[0] for line in out.read_text().splitlines()]
     assert "O" in tokens  # label column, not words
     assert "flight" not in tokens
+
+
+def test_pretrain_divergence_fails_cleanly(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "w.emb"
+    rc = main(["pretrain", "--train", str(corpus_dir / "train.txt"), "--target", "words",
+               "--out", str(out), "--embed-size", "8", "--hidden-size", "8", "--lr0", "1e6"])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: training loss is nan in epoch 0; training diverged"]
+    assert not out.exists()
+
+
+def test_pretrain_zero_epochs_fails_cleanly(corpus_dir, tmp_path, capsys):
+    rc = main(["pretrain", "--train", str(corpus_dir / "train.txt"), "--target", "words",
+               "--out", str(tmp_path / "w.emb"), "--epochs", "0"])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: NNLM training needs at least one epoch, got 0"]
 
 
 def test_pretrain_missing_file_fails(tmp_path, capsys):
@@ -183,7 +242,9 @@ def test_config_file_layers_over_the_preset(tmp_path):
 def test_pretrain_defaults_come_from_train_config():
     args = build_parser().parse_args(["pretrain", "--train", "t", "--target", "words",
                                       "--out", "o"])
-    assert args.context == TrainConfig().nnlm_context
+    config = TrainConfig()
+    assert (args.context, args.embed_size, args.hidden_size, args.lr0) == (
+        config.nnlm_context, config.embed_size, config.hidden_size, config.lr0)
 
 
 def test_bidir_requires_component_models(corpus_dir, tmp_path, capsys):
@@ -280,6 +341,23 @@ def test_tag_rejects_non_utf8_input(trained_model, tmp_path, capsys):
     assert rc == 1
     assert _error_lines(capsys.readouterr().err) == [
         f"error: {column_file}:2: byte 0xfc is not UTF-8 text"]
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda p: p.pop("b_h"), "tensor b_h is missing, the header implies (12,)"),
+    (lambda p: p.update(extra=np.zeros(3)), "tensor extra is (3,), the header implies no such tensor"),
+    (lambda p: p.update(H=p["H"][:, :-1]), "tensor H is (12, 39), the header implies (12, 40)"),
+], ids=["dropped", "extra", "wrong-shape"])
+def test_tag_rejects_model_with_wrong_tensors(trained_model, corpus_dir, tmp_path, capsys,
+                                              edit, problem):
+    model = load_model(trained_model)
+    edit(model.params)
+    bad = tmp_path / "bad.bin"
+    save_model(model, bad)
+    rc = main(["tag", "--model", str(bad), "--vocab", str(trained_model) + ".vocab",
+               "--input", str(corpus_dir / "test.txt"), "--output", str(tmp_path / "t.txt")])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [f"error: {bad}: {problem}"]
 
 
 def test_eval_gold_as_prediction(corpus_dir, tmp_path, capsys):

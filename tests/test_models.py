@@ -242,3 +242,13 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ModelIOError):
         load_model(path)
+
+
+def test_repeated_tensor_name_rejected(small_model_factory, tmp_path):
+    model = small_model_factory("irnn")
+    model.params["E_x"] = model.params["E_w"].copy()
+    path = tmp_path / "m.bin"
+    save_model(model, path)  # the table is sorted: E_l, E_w, E_x, ...; E_x becomes a second E_w
+    path.write_bytes(path.read_bytes().replace(b"E_x", b"E_w", 1))
+    with pytest.raises(ModelIOError, match="a tensor name is repeated"):
+        load_model(path)

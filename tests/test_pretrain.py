@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from labelrnn.errors import ConfigError
+from labelrnn.errors import ConfigError, TrainingDivergedError
 from labelrnn.mathcore import new_rng
+from labelrnn.models import Grads
 from labelrnn.pretrain import (
     build_nnlm,
     load_external_embeddings,
+    nnlm_backward,
     nnlm_corpus_grads,
     nnlm_corpus_loss,
+    nnlm_forward,
+    nnlm_sequence_pass,
     save_embeddings,
     train_nnlm,
 )
@@ -25,6 +29,11 @@ def test_empty_corpus_rejected():
         train_nnlm([], 5, 0)
 
 
+def test_zero_epochs_rejected():
+    with pytest.raises(ConfigError, match="at least one epoch"):
+        train_nnlm([[1, 2]], 3, 0, epochs=0)
+
+
 def test_initial_loss_near_log_vocab_size():
     vocab_size = 7
     p = build_nnlm(vocab_size, 0, context=2, embed_size=8, hidden_size=8, rng=new_rng(0))
@@ -38,8 +47,8 @@ def test_gradient_check_on_toy_vocab():
     seqs = [[1, 2, 3, 4, 1, 2]]
     analytic = nnlm_corpus_grads(p, seqs)
     eps = 1e-5
-    for name in ("E", "W1", "b1", "W2", "b2"):
-        tensor = getattr(p, name)
+    for name in ("E_tok", "H", "b_h", "O", "b_o"):
+        tensor = p.params[name]
         flat = tensor.reshape(-1)
         flat_g = analytic[name].reshape(-1)
         coords = new_rng(3).choice(flat.size, size=min(40, flat.size), replace=False)
@@ -55,6 +64,63 @@ def test_gradient_check_on_toy_vocab():
             if abs(a) < 1e-10 and abs(fd) < 1e-10:
                 continue
             assert abs(a - fd) / max(abs(a), abs(fd), 1e-8) < 1e-5, name
+
+
+@pytest.mark.parametrize("length", [1, 3, 4, 9])  # context 4: shorter, equal, longer
+def test_sequence_pass_matches_per_position_reference(length):
+    p = build_nnlm(6, 0, context=4, embed_size=5, hidden_size=7, rng=new_rng(5))
+    p.params["b_h"] += new_rng(6).normal(scale=0.1, size=7)  # non-zero biases
+    p.params["b_o"] += new_rng(7).normal(scale=0.1, size=6)
+    tokens = [int(x) for x in new_rng(8).integers(1, 6, size=length)]
+    tokens[-1] = tokens[0]  # a repeated token: its embedding rows are summed
+    ref = Grads()
+    for t in range(length):
+        y, cache = nnlm_forward(p, tokens, t)
+        delta = y.copy()
+        delta[tokens[t]] -= 1.0
+        nnlm_backward(p, cache, delta, ref)
+    ref = ref.to_dense(p)
+    for scale in (1.0, 1.0 / length):
+        grads = Grads()
+        loss = nnlm_sequence_pass(p, tokens, grads, scale=scale)
+        assert loss == pytest.approx(nnlm_corpus_loss(p, [tokens]), rel=1e-10)
+        dense = grads.to_dense(p)
+        assert set(dense) == set(ref)
+        for name in ref:
+            np.testing.assert_allclose(dense[name], scale * ref[name], rtol=1e-10, atol=1e-14,
+                                       err_msg=name)
+    corpus = nnlm_corpus_grads(p, [tokens, []])  # an empty sequence is skipped
+    for name in ref:
+        np.testing.assert_allclose(corpus[name], ref[name], rtol=1e-10, atol=1e-14)
+
+
+def test_training_equals_textbook_momentum_updates():
+    # Weights and biases: v <- mu*v - lr*g/n, w <- w + v; embedding rows: plain
+    # steps. lr decays linearly; rng draws: init, then one permutation per epoch.
+    seqs = [[1, 2, 3, 1, 2, 4], [], [3, 3], [2, 4, 1]]
+    E, _ = train_nnlm(seqs, 5, 0, context=2, embed_size=3, hidden_size=4, epochs=3,
+                      lr0=0.4, momentum=0.6, rng=new_rng(9))
+    rng = new_rng(9)
+    p = build_nnlm(5, 0, context=2, embed_size=3, hidden_size=4, rng=rng)
+    velocity = {name: np.zeros_like(w) for name, w in p.params.items() if name != "E_tok"}
+    for epoch in range(3):
+        lr = 0.4 * (1 - epoch / 3)
+        for si in rng.permutation(len(seqs)):
+            if not seqs[si]:
+                continue
+            g = nnlm_corpus_grads(p, [seqs[si]])
+            for name, v in velocity.items():
+                v[:] = 0.6 * v - lr * g[name] / len(seqs[si])
+                p.params[name] += v
+            p.params["E_tok"] -= lr * g["E_tok"] / len(seqs[si])
+    np.testing.assert_allclose(E, p.params["E_tok"], rtol=1e-10, atol=1e-14)
+
+
+def test_divergence_raises_naming_the_epoch():
+    seqs = [[1, 2, 3, 1, 2] for _ in range(4)]
+    with pytest.raises(TrainingDivergedError, match="loss is nan in epoch 1;"):
+        train_nnlm(seqs, 4, 0, context=2, embed_size=4, hidden_size=4, epochs=2,
+                   lr0=1e6, rng=new_rng(1))
 
 
 def test_alternating_corpus_learned_to_high_confidence():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from labelrnn.metrics import token_accuracy
 from labelrnn.models import (
     Grads,
     combine_bidirectional,
+    l2_term,
     make_position_masks,
     tag_bidirectional,
     tag_greedy,
@@ -20,9 +19,7 @@ from labelrnn.training import (
     SgdMomentum,
     TrainConfig,
     gradient_check,
-    l2_term,
     lr_at,
-    position_loss,
     train_bidirectional,
     train_tagger,
     write_log,
@@ -51,6 +48,14 @@ def test_config_validation_errors():
         TrainConfig(d_l=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(dev_metric="bleu").validate()
+
+
+def test_config_rejects_zero_tagger_epochs():
+    with pytest.raises(ConfigError, match="epochs_fwd_bwd"):
+        TrainConfig(epochs_fwd_bwd=0).validate()
+    with pytest.raises(ConfigError, match="epochs_bidir"):
+        TrainConfig(epochs_bidir=-1).validate()
+    TrainConfig(epochs_bidir=0).validate()
 
 
 def test_config_kv_round_trip():
@@ -87,13 +92,6 @@ def test_lr_schedule():
 
 
 # -- loss --------------------------------------------------------------------
-
-def test_position_loss_values(small_model_factory):
-    y = np.array([0.0, 1.0, 0.0])
-    assert position_loss(y, 1) == 0.0
-    m = 5
-    assert abs(position_loss(np.full(m, 1.0 / m), 2) - math.log(m)) < 1e-12
-
 
 def test_l2_term_zero_weights(small_model_factory):
     model = small_model_factory("irnn")
