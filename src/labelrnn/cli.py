@@ -8,7 +8,6 @@ config, seed, input digests) is written before training starts.
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -41,8 +40,6 @@ from .models import (
 from .pretrain import load_external_embeddings, save_embeddings, train_nnlm
 from .synthetic import Grammar, generate_corpus_files
 from .training import TrainConfig, train_bidirectional, train_tagger, write_log
-
-CONFIG_PATH_ENV = "LABELRNN_CONFIG"
 
 
 def _sha256(path) -> str:
@@ -101,9 +98,8 @@ def _resolve_config(args) -> TrainConfig:
         config = TrainConfig.media_like()
     else:
         config = TrainConfig.atis_like()
-    path = args.config or os.environ.get(CONFIG_PATH_ENV)
-    if path:
-        config = TrainConfig.from_kv("".join(read_lines(path)), base=config)
+    if args.config:
+        config = TrainConfig.from_kv("".join(read_lines(args.config)), base=config)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")

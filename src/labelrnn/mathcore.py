@@ -31,13 +31,9 @@ def relu_grad(pre):
 
 
 def sigmoid(x):
-    # split on sign to avoid overflow in exp for large |x|
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| only, which cannot overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_grad_from_output(s):

@@ -35,6 +35,7 @@ from .layers import (
     embed_concat_backward,
     gru_backward,
     gru_forward,
+    gru_step,
     label_context_indices,
     output_backward,
     output_forward,
@@ -42,7 +43,7 @@ from .layers import (
     relu_hidden_forward,
     window_indices,
 )
-from .mathcore import dropout_mask, relu, sigmoid, softmax, tanh, xavier_init
+from .mathcore import dropout_mask, relu, softmax, xavier_init
 
 VARIANT_IRNN = "irnn"
 VARIANT_GRU = "irnn-gru"
@@ -228,21 +229,21 @@ class Grads:
         return out
 
 
-# -- forward/backward at one position or at all positions -------------------
+# -- forward/backward over a stack of positions -------------------------------
 
 def _masked(vec, mask):
     return vec if mask is None else vec * mask
 
 
 def position_forward(model, seq, t, history, masks=None, h_prev=None):
-    """Forward at one position; history holds previous label ids.
+    """Forward at the positions in the index array t; history holds previous
+    label ids.
 
-    masks is None at inference, or a dict of inverted-dropout masks with keys
-    'w', 'c', 'l' (embedding concatenations) and 'h' (hidden activation).
-
-    t may also be np.arange(n), all n positions of seq at once: then row t
-    of y, of every cached array and of every mask belongs to position t, and
-    the GRU runs the rows as consecutive steps from h_prev.
+    Row k of y, of every cached array and of every mask belongs to position
+    t[k]. masks is None at inference, or a dict of inverted-dropout masks
+    with keys 'w', 'c', 'l' (embedding concatenations) and 'h' (hidden
+    activation). The GRU runs the rows as consecutive steps from h_prev, so
+    its positions are consecutive: np.arange(n), or one position.
     """
     p = model.params
     masks = masks or {}
@@ -261,9 +262,8 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     cache["lidx"] = lidx
     cache["x_l"] = _masked(embed_concat(p["E_l"], lidx), masks.get("l"))
     if model.use_chars:
-        chars = seq.chars if isinstance(t, np.ndarray) else seq.chars[t]
         x_ch, ch_cache = char_conv_forward(
-            chars, p["E_ch"], p["W_conv"], p["b_conv"], model.d_c, CHAR_PAD_ID
+            [seq.chars[i] for i in t], p["E_ch"], p["W_conv"], p["b_conv"], model.d_c, CHAR_PAD_ID
         )
         cache["x_ch"] = x_ch
         cache["ch_cache"] = ch_cache
@@ -322,14 +322,12 @@ def _scatter_input_grad(model, cache, dx, grads):
         grads.add_rows(table, embed_concat_backward(piece, idxs, model.embed_size))
 
 
-def position_backward(model, cache, delta, grads, dh_next=None, bptt=False):
-    """Backward at one position given delta = (y - c) at the pre-softmax
-    layer; returns the gradient w.r.t. the previous hidden state (GRU only).
-
-    After a forward over all positions, delta holds one row per position
-    and every weight gradient is one GEMM over the rows. The GRU then treats
-    each position's h_{t-1} as a constant, unless bptt chains the gradient
-    back through the hidden states.
+def position_backward(model, cache, delta, grads, dh_next=None):
+    """Backward of position_forward given delta = (y - c) at the pre-softmax
+    layer, one row per position; every weight gradient is one GEMM over the
+    rows. The GRU backpropagates through time, with dh_next added to the
+    gradient on the last step's h; returns the gradient w.r.t. the initial
+    hidden state (GRU only).
     """
     p = model.params
     dO, db_o, dh = output_backward(p["O"], cache["h_drop"], delta)
@@ -347,8 +345,8 @@ def position_backward(model, cache, delta, grads, dh_next=None, bptt=False):
         return None
     if model.variant == VARIANT_GRU:
         if dh_next is not None:
-            dh = dh + dh_next
-        ggrads, dx, dh_prev = gru_backward(model.gru_params(), cache["gcache"], dh, bptt)
+            dh[-1] += dh_next
+        ggrads, dx, dh_prev = gru_backward(model.gru_params(), cache["gcache"], dh)
         for name, g in ggrads.items():
             grads.add(name, g)
         _scatter_input_grad(model, cache, dx, grads)
@@ -386,20 +384,18 @@ def orient(seq: EncodedSequence, direction: str) -> EncodedSequence:
     )
 
 
-def predict_label(y: np.ndarray):
-    """Argmax over real labels, of one distribution (an int) or of each row
-    (an array); the reserved BOL context label (index 0) is never predicted
-    since it never appears as a training target."""
-    if y.shape[-1] == 1:
-        best = np.zeros(y.shape[:-1], dtype=np.int64)
-    else:
-        best = np.argmax(y[..., 1:], axis=-1) + 1
-    return int(best) if y.ndim == 1 else best
+def predict_label(y: np.ndarray) -> np.ndarray:
+    """Argmax over real labels of each row of y; the reserved BOL context
+    label (index 0) is never predicted since it never appears as a training
+    target."""
+    if y.shape[1] == 1:
+        return np.zeros(len(y), dtype=np.int64)
+    return np.argmax(y[:, 1:], axis=1) + 1
 
 
-def make_position_masks(model, p_embed, p_hidden, rng, n=None):
-    """Fresh inverted-dropout masks (training mode) for one position, or for
-    n positions with row t for position t.
+def make_position_masks(model, p_embed, p_hidden, rng, n):
+    """Fresh inverted-dropout masks (training mode) for n positions, row t
+    for position t.
 
     All masks come from one draw: per position the masks w, c, l and h, then
     the next position. PCG64 hands out consecutive doubles, so this is the
@@ -419,17 +415,17 @@ def make_position_masks(model, p_embed, p_hidden, rng, n=None):
     if not pieces:
         return {}
     keeps = np.concatenate([np.full(dim, k) for _, dim, k in pieces])
-    drawn = dropout_mask(len(keeps) if n is None else (n, len(keeps)), keeps, rng)
+    drawn = dropout_mask((n, len(keeps)), keeps, rng)
     masks, start = {}, 0
     for key, dim, _ in pieces:
-        masks[key] = drawn[..., start : start + dim]
+        masks[key] = drawn[:, start : start + dim]
         start += dim
     return masks
 
 
 def forward_pass_with_cache(model, oriented_seq, teacher_labels=None):
     """Position-by-position pass over an oriented sequence (dropout off),
-    caching every intermediate.
+    one one-row stack per position, caching every intermediate.
 
     With teacher_labels the label context is built from those (gold) labels;
     otherwise the model's own greedy predictions feed the context, which
@@ -442,12 +438,12 @@ def forward_pass_with_cache(model, oriented_seq, teacher_labels=None):
     history = teacher_labels if teacher_labels is not None else predicted
     h_prev = None
     for t in range(n):
-        y, cache = position_forward(model, oriented_seq, t, history, h_prev=h_prev)
+        y, cache = position_forward(model, oriented_seq, np.array([t]), history, h_prev=h_prev)
         caches.append(cache)
-        dists.append(y)
-        predicted.append(predict_label(y))
+        dists.append(y[0])
+        predicted.append(predict_label(y)[0])
         if model.variant == VARIANT_GRU:
-            h_prev = cache["h"]
+            h_prev = cache["h"][0]
     return caches, np.array(predicted, dtype=np.int64), dists
 
 
@@ -563,11 +559,7 @@ def _decode_group(model, oseqs):
                 labels = relu(labels + Fb_l) @ H2_l
             pre = pre + labels
         if model.variant == VARIANT_GRU:
-            hp = h[:a]
-            gate = sigmoid(hp @ W_zr + pre[:, :zr])
-            z, r = np.split(gate, 2, axis=1)
-            hc = tanh((r * hp) @ W_h + pre[:, zr:])
-            h[:a] = hid = (1.0 - z) * hp + z * hc
+            h[:a] = hid = gru_step(W_zr, W_h, h[:a], pre[:, :zr], pre[:, zr:])[0]
         else:
             hid = relu(pre)
         y = dists[rows] = softmax(hid @ O + b_o)
@@ -623,21 +615,21 @@ def _cross_entropy(y, gold, rows):
     return float(-np.log(np.maximum(y[rows, gold], 1e-300)).sum())
 
 
-def sentence_pass(model, oseq, history, grads, masks=None, bptt=False, scale=1.0) -> float:
+def sentence_pass(model, oseq, history, grads, masks=None, scale=1.0) -> float:
     """Forward, loss and backward of one oriented sentence in one batched pass.
 
     Row t of every array is position t, and the label context comes from
     history (the gold labels under teacher forcing). masks is None or a
     make_position_masks dict with one row per position. Adds scale times the gradient of
-    the summed cross-entropy to grads, and returns that sum. bptt is the GRU
-    mode of position_backward.
+    the summed cross-entropy to grads, chained through time for the GRU, and
+    returns that sum.
     """
     rows = np.arange(len(oseq))
     y, cache = position_forward(model, oseq, rows, history, masks=masks)
     loss = _cross_entropy(y, oseq.labels, rows)
     delta = y * scale
     delta[rows, oseq.labels] -= scale
-    position_backward(model, cache, delta, grads, bptt=bptt)
+    position_backward(model, cache, delta, grads)
     return loss
 
 
@@ -651,7 +643,7 @@ def sequence_grads(model, seq, lam=0.0) -> dict:
     """
     oriented = orient(seq, model.direction)
     grads = Grads()
-    sentence_pass(model, oriented, oriented.labels, grads, bptt=True)
+    sentence_pass(model, oriented, oriented.labels, grads)
     dense = grads.to_dense(model)
     if lam > 0.0:
         for name in model.weight_matrix_names():
@@ -691,8 +683,8 @@ def bidirectional_pass(fwd, bwd, seq, grads_f, grads_b, masks=(None, None), scal
     loss = _cross_entropy(combined, seq.labels, rows)
     delta = combined * (0.5 * scale)
     delta[rows, seq.labels] -= 0.5 * scale
-    position_backward(fwd, cache_f, delta, grads_f, bptt=True)
-    position_backward(bwd, cache_b, delta[::-1], grads_b, bptt=True)
+    position_backward(fwd, cache_f, delta, grads_f)
+    position_backward(bwd, cache_b, delta[::-1], grads_b)
     return loss
 
 

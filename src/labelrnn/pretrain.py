@@ -20,7 +20,7 @@ from .layers import (embed_concat, embed_concat_backward, label_context_indices,
                      output_forward, relu_hidden_backward, relu_hidden_forward)
 from .mathcore import new_rng, xavier_init
 from .models import Grads, _cross_entropy
-from .training import SgdMomentum, TrainConfig, _check_finite, lr_at
+from .training import SgdMomentum, TrainConfig, _check_finite, _diverging_quietly, lr_at
 
 
 @dataclass
@@ -49,9 +49,10 @@ def build_nnlm(vocab_size: int, pad_id: int, context: int = TrainConfig.nnlm_con
     return NnlmParams(params=params, context=context, pad_id=pad_id)
 
 
-def nnlm_forward(p: NnlmParams, tokens, t):
-    """Distribution of the token at t given the previous p.context tokens; t
-    may be np.arange(n), giving row t of y and of every cached array."""
+def nnlm_forward(p: NnlmParams, tokens, t: np.ndarray):
+    """Distribution of the token at each position in the index array t given
+    the previous p.context tokens; row k of y and of every cached array
+    belongs to position t[k]."""
     w = p.params
     idxs = label_context_indices(tokens, t, p.context, p.pad_id)
     x = embed_concat(w["E_tok"], idxs)
@@ -87,7 +88,7 @@ def nnlm_sequence_pass(p: NnlmParams, tokens, grads: Grads, scale: float = 1.0) 
 def nnlm_corpus_loss(p: NnlmParams, sequences) -> float:
     """Summed cross-entropy, position by position: the reference for the
     gradient check."""
-    return sum(-float(np.log(nnlm_forward(p, tokens, t)[0][tokens[t]]))
+    return sum(-float(np.log(nnlm_forward(p, tokens, np.array([t]))[0][0, tokens[t]]))
                for tokens in sequences for t in range(len(tokens)))
 
 
@@ -126,12 +127,13 @@ def train_nnlm(sequences, vocab_size: int, pad_id: int, *,
     for epoch in range(epochs):
         lr = lr_at(epoch, epochs, lr0)
         total = 0.0
-        for si in rng.permutation(len(sequences)):
-            tokens = sequences[si]
-            if len(tokens):
-                grads = Grads()
-                total += nnlm_sequence_pass(p, tokens, grads, scale=1.0 / len(tokens))
-                opt.step(grads, lr)
+        with _diverging_quietly():
+            for si in rng.permutation(len(sequences)):
+                tokens = sequences[si]
+                if len(tokens):
+                    grads = Grads()
+                    total += nnlm_sequence_pass(p, tokens, grads, scale=1.0 / len(tokens))
+                    opt.step(grads, lr)
         _check_finite(total, epoch)
         losses.append(total / n_positions)
     return p.params["E_tok"], losses

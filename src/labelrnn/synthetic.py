@@ -16,6 +16,9 @@ from .corpus import NO_CLASS, Sentence, read_lines, write_column_file
 from .errors import ConfigError, ParseError
 from .mathcore import new_rng
 
+# Longest pool filler a grammar file may ask for, in tokens.
+MAX_SLOT_LEN = 100
+
 
 @dataclass
 class SlotSpec:
@@ -62,11 +65,13 @@ class Grammar:
             if not (_is_token(spec.class_name) and (spec.phrases is None) != (spec.pool is None)
                     and _all_strings(spec.phrases or spec.pool,
                                      str.split if spec.pool is None else _is_token)
-                    and all(type(n) is int for n in lengths) and 1 <= lengths[0] <= lengths[1]):
+                    and all(type(n) is int for n in lengths)
+                    and 1 <= lengths[0] <= lengths[1] <= MAX_SLOT_LEN):
                 raise ParseError(f"{path}: slot {name} needs a one-token class_name, non-blank "
-                                 "phrases or a pool of one-token strings, and 1 <= min_len <= max_len")
-        refs = {item[1:-1] for t in grammar.templates if isinstance(t, str) for item in t.split()
-                if item.startswith("{") and item.endswith("}")}
+                                 "phrases or a pool of one-token strings, and "
+                                 f"1 <= min_len <= max_len <= {MAX_SLOT_LEN}")
+        refs = {item[1:-1] for entry in grammar.templates if isinstance(entry, str)
+                for item in entry.split() if item.startswith("{") and item.endswith("}")}
         if not _all_strings(grammar.templates, str.split) or not refs <= set(grammar.slots):
             raise ParseError(f"{path}: templates must be non-blank strings whose {{slot}} "
                              "references name slots")

@@ -245,26 +245,28 @@ def _selection_score(entry: TrainLogEntry, metric: str) -> float:
     return entry.dev_acc if metric == "accuracy" else entry.dev_f1
 
 
-def _position_masks(model, config, rng, n=None):
+def _position_masks(model, config, rng, n):
     """make_position_masks for the config's dropout; empty when it is off."""
     return make_position_masks(model, config.dropout_embed, config.dropout_hidden, rng, n)
 
 
 def _sampled_history(model, oseq, config, rng):
-    """Scheduled sampling: the position-by-position forward, where each
-    position's label enters the history as the model's prediction with
-    probability predicted_label_prob, else as the gold label. Each position
-    draws its own masks, as the draws interleave with the sampling. Returns
-    (history, masks), masks with one row per position."""
+    """Scheduled sampling: the position-by-position forward, one one-row
+    stack per position, where each position's label enters the history as
+    the model's prediction with probability predicted_label_prob, else as
+    the gold label. Each position draws its own masks, as the draws
+    interleave with the sampling. Returns (history, masks), masks with one
+    row per position."""
     history, masks, h_prev = [], [], None
     for t in range(len(oseq)):
-        masks.append(_position_masks(model, config, rng))
-        y, cache = position_forward(model, oseq, t, history, masks=masks[-1], h_prev=h_prev)
+        masks.append(_position_masks(model, config, rng, 1))
+        y, cache = position_forward(model, oseq, np.array([t]), history, masks=masks[-1],
+                                    h_prev=h_prev)
         if model.variant == VARIANT_GRU:
-            h_prev = cache["h"]
+            h_prev = cache["h"][0]
         sampled = rng.random() < config.predicted_label_prob
-        history.append(predict_label(y) if sampled else int(oseq.labels[t]))
-    return history, {key: np.stack([m[key] for m in masks]) for key in masks[0]}
+        history.append(predict_label(y)[0] if sampled else int(oseq.labels[t]))
+    return history, {key: np.concatenate([m[key] for m in masks]) for key in masks[0]}
 
 
 def _train_sentence(model, opt, seq, lr, config, rng) -> float:
@@ -273,9 +275,8 @@ def _train_sentence(model, opt, seq, lr, config, rng) -> float:
     The whole sentence is one batched pass (models.sentence_pass), one row
     per position, with a teacher-forced label context and a wide word
     window. The output error is divided by the sentence length, so the step
-    applies the gradient averaged over positions, once. The hidden state
-    h_{t-1} (GRU) is treated as a constant in each position's backward pass:
-    wide-context backprop, no unrolling through time at training.
+    applies the gradient averaged over positions, once: the GRU's gradient
+    is backpropagated through time, the gradient that gradient_check checks.
     """
     oseq = orient(seq, model.direction)
     n = len(oseq)
@@ -287,6 +288,12 @@ def _train_sentence(model, opt, seq, lr, config, rng) -> float:
     total = sentence_pass(model, oseq, history, grads, masks=masks, scale=1.0 / n)
     opt.step(grads, lr)
     return total
+
+
+def _diverging_quietly():
+    """Context for a training epoch: overflow and invalid values raise no
+    numpy warnings, as a diverging epoch is reported by _check_finite."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _check_finite(total, epoch):
@@ -330,8 +337,9 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
     for epoch in range(config.epochs_fwd_bwd):
         lr = lr_at(epoch, config.epochs_fwd_bwd, config.lr0)
         total = 0.0
-        for si in rng.permutation(len(train_seqs)):
-            total += _train_sentence(model, opt, train_seqs[si], lr, config, rng)
+        with _diverging_quietly():
+            for si in rng.permutation(len(train_seqs)):
+                total += _train_sentence(model, opt, train_seqs[si], lr, config, rng)
         _check_finite(total, epoch)
         dev_acc, dev_f1 = _dev_scores(tag_greedy_batch(model, dev_seqs), dev_seqs, vocab,
                                       config.chunk_mode)
@@ -377,14 +385,15 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     for epoch in range(config.epochs_bidir):
         lr = lr_at(epoch, config.epochs_bidir, config.lr0)
         total = 0.0
-        for si in rng.permutation(len(train_seqs)):
-            seq = train_seqs[si]
-            n = len(seq)
-            masks = (_position_masks(fwd, config, rng, n), _position_masks(bwd, config, rng, n))
-            gf, gb = Grads(), Grads()
-            total += bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
-            opt_f.step(gf, lr)
-            opt_b.step(gb, lr)
+        with _diverging_quietly():
+            for si in rng.permutation(len(train_seqs)):
+                seq = train_seqs[si]
+                n = len(seq)
+                masks = (_position_masks(fwd, config, rng, n), _position_masks(bwd, config, rng, n))
+                gf, gb = Grads(), Grads()
+                total += bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
+                opt_f.step(gf, lr)
+                opt_b.step(gb, lr)
         _check_finite(total, epoch)
         dev_acc, dev_f1 = _dev_scores(tag_bidirectional_batch(fwd, bwd, dev_seqs), dev_seqs,
                                       vocab, config.chunk_mode)

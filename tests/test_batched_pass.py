@@ -30,26 +30,29 @@ def _masks(model, n, seed):
 
 
 def _reference_forward(model, oseq, history, masks):
-    """Position-by-position forward: (per-position dists, caches)."""
+    """Position-by-position forward, one one-row stack per position:
+    (per-position dists, caches)."""
     ys, caches, h_prev = [], [], None
     for t in range(len(oseq)):
-        row = None if masks is None else {key: rows[t] for key, rows in masks.items()}
-        y, cache = position_forward(model, oseq, t, history, masks=row, h_prev=h_prev)
+        row = None if masks is None else {key: rows[t : t + 1] for key, rows in masks.items()}
+        y, cache = position_forward(model, oseq, np.array([t]), history, masks=row, h_prev=h_prev)
         if model.variant == VARIANT_GRU:
-            h_prev = cache["h"]
-        ys.append(y)
+            h_prev = cache["h"][0]
+        ys.append(y[0])
         caches.append(cache)
     return ys, caches
 
 
-def _reference_backward(model, caches, deltas, grads, bptt):
+def _reference_backward(model, caches, deltas, grads, chain):
+    """Position-by-position backward, last position first; with chain the
+    gradient on each hidden state is passed to the position before it."""
     dh_next = None
     for t in reversed(range(len(caches))):
-        dh_prev = position_backward(model, caches[t], deltas[t], grads, dh_next=dh_next)
-        dh_next = dh_prev if bptt else None
+        dh_prev = position_backward(model, caches[t], deltas[t][None], grads, dh_next=dh_next)
+        dh_next = dh_prev if chain else None
 
 
-def _reference_sentence(model, oseq, history, masks, bptt):
+def _reference_sentence(model, oseq, history, masks, chain):
     ys, caches = _reference_forward(model, oseq, history, masks)
     gold = oseq.labels
     loss = -sum(np.log(y[g]) for y, g in zip(ys, gold))
@@ -57,7 +60,7 @@ def _reference_sentence(model, oseq, history, masks, bptt):
     for delta, g in zip(deltas, gold):
         delta[g] -= 1.0
     grads = Grads()
-    _reference_backward(model, caches, deltas, grads, bptt)
+    _reference_backward(model, caches, deltas, grads, chain)
     return loss, grads.to_dense(model)
 
 
@@ -68,14 +71,14 @@ def _assert_same(dense, reference):
                                    err_msg=name)
 
 
-CASES = [(v, d, bptt) for v, d in itertools.product(VARIANTS, DIRECTIONS)
-         for bptt in ((False, True) if v == VARIANT_GRU else (False,))]
+# recurrent: the reference chains the hidden-state gradient through time
+CASES = [(v, d, v == VARIANT_GRU) for v, d in itertools.product(VARIANTS, DIRECTIONS)]
 
 
-@pytest.mark.parametrize("variant,direction,bptt", CASES)
+@pytest.mark.parametrize("variant,direction,recurrent", CASES)
 @pytest.mark.parametrize("dropout", [False, True])
 def test_sentence_pass_matches_position_reference(small_model_factory, tiny_seqs,
-                                                  variant, direction, bptt, dropout):
+                                                  variant, direction, recurrent, dropout):
     model = small_model_factory(variant, direction, seed=11, d_c=1,
                                 use_classes=True, use_chars=True)
     for i, seq in enumerate(tiny_seqs):
@@ -83,12 +86,16 @@ def test_sentence_pass_matches_position_reference(small_model_factory, tiny_seqs
         masks = _masks(model, len(oseq), seed=i) if dropout else None
         # a history that is not the gold labels, as under scheduled sampling
         for history in (oseq.labels, (oseq.labels * 3 + 1) % model.n_labels):
-            ref_loss, reference = _reference_sentence(model, oseq, history, masks, bptt)
+            ref_loss, reference = _reference_sentence(model, oseq, history, masks, recurrent)
             # the reference's loss is against the gold labels whatever the history
             grads = Grads()
-            loss = sentence_pass(model, oseq, history, grads, masks=masks, bptt=bptt)
+            loss = sentence_pass(model, oseq, history, grads, masks=masks)
             assert abs(loss - ref_loss) <= RTOL * abs(ref_loss) + ATOL
-            _assert_same(grads.to_dense(model), reference)
+            dense = grads.to_dense(model)
+            _assert_same(dense, reference)
+            if recurrent:  # the pass is not the one-step truncation of the chain
+                _, truncated = _reference_sentence(model, oseq, history, masks, False)
+                assert not np.allclose(dense["W_z"], truncated["W_z"], rtol=1e-3)
 
 
 def test_sentence_pass_scale_is_the_sentence_average(small_model_factory, tiny_seqs):
@@ -123,8 +130,8 @@ def test_bidirectional_pass_matches_position_reference(small_model_factory, tiny
             delta[seq.labels[t]] -= 0.5
             deltas_f.append(delta)
         ref_f, ref_b = Grads(), Grads()
-        _reference_backward(fwd, cf, deltas_f, ref_f, bptt=True)
-        _reference_backward(bwd, cb, deltas_f[::-1], ref_b, bptt=True)
+        _reference_backward(fwd, cf, deltas_f, ref_f, chain=True)
+        _reference_backward(bwd, cb, deltas_f[::-1], ref_b, chain=True)
 
         gf, gb = Grads(), Grads()
         got = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -66,10 +67,13 @@ def test_generate_is_deterministic(tmp_path):
      ": slot x needs "),
     (b'{"slots": {"x": {"phrases": ["a"], "min_len": 2}}, "templates": ["{x}"]}',
      ": slot x needs "),
+    (b'{"slots": {"x": {"pool": ["a"], "max_len": 100000000000000000000}}, "templates": ["{x}"]}',
+     ": slot x needs "),
     (b'{"slots": {"x": {"phrases": ["a"]}}, "templates": [3]}', ": templates must be "),
     (b'{"slots": {"x": {"phrases": ["a"]}}, "templates": ["{y}"]}', ": templates must be "),
 ], ids=["non-utf8", "bad-json", "deep-json", "slots-not-object", "no-templates", "unknown-key",
-        "pool-not-list", "pool-not-token", "class-not-token", "bad-lengths", "template-not-string", "unknown-slot"])
+        "pool-not-list", "pool-not-token", "class-not-token", "bad-lengths", "huge-max-len",
+        "template-not-string", "unknown-slot"])
 def test_generate_rejects_bad_grammar(tmp_path, capsys, content, problem):
     grammar = tmp_path / "g.json"
     grammar.write_bytes(content)
@@ -123,12 +127,23 @@ def test_pretrain_labels_default_epochs(corpus_dir, tmp_path, capsys):
     assert "flight" not in tokens
 
 
+def _main_without_warnings(argv):
+    """main(argv), checking that it issued no warning: outside pytest, which
+    collects them, each would be one more stderr line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return rc
+
+
 def test_pretrain_divergence_fails_cleanly(corpus_dir, tmp_path, capsys):
     out = tmp_path / "w.emb"
-    rc = main(["pretrain", "--train", str(corpus_dir / "train.txt"), "--target", "words",
-               "--out", str(out), "--embed-size", "8", "--hidden-size", "8", "--lr0", "1e6"])
+    rc = _main_without_warnings(["pretrain", "--train", str(corpus_dir / "train.txt"),
+                                 "--target", "words", "--out", str(out), "--embed-size", "8",
+                                 "--hidden-size", "8", "--lr0", "1e6"])
     assert rc == 1
-    assert _error_lines(capsys.readouterr().err) == [
+    assert capsys.readouterr().err.splitlines() == [
         "error: training loss is nan in epoch 0; training diverged"]
     assert not out.exists()
 
@@ -199,9 +214,9 @@ def test_train_non_finite_loss_fails_cleanly(corpus_dir, tmp_path, capsys):
     word = load_column_file(train_file)[0].words[0].lower()
     emb = tmp_path / "huge.emb"  # finite, so it loads, but overflows in the first epoch
     emb.write_text(word + " 1e308" * 8 + "\n")
-    rc = main(["train", "--variant", "irnn", "--train", str(train_file),
-               "--word-emb", str(emb), "--seed", "1", "--out", str(tmp_path / "m.bin")]
-              + SMALL_TRAIN_OVERRIDES)
+    rc = _main_without_warnings(["train", "--variant", "irnn", "--train", str(train_file),
+                                 "--word-emb", str(emb), "--seed", "1",
+                                 "--out", str(tmp_path / "m.bin")] + SMALL_TRAIN_OVERRIDES)
     err = capsys.readouterr().err
     assert rc == 1
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
@@ -237,6 +252,20 @@ def test_config_file_layers_over_the_preset(tmp_path):
     config = _resolve_config(args)
     assert (config.d_w, config.conv_size, config.dropout_embed) == (3, 80, 0.15)
     assert (config.embed_size, config.hidden_size, config.seed) == (8, 9, 4)
+
+
+def test_config_comes_only_from_flags(corpus_dir, tmp_path, monkeypatch):
+    # LABELRNN_CONFIG was once read as a second --config; it must change nothing.
+    env_config = tmp_path / "env.cfg"
+    env_config.write_text("min_count=2\nlr0=0.3\n")
+    monkeypatch.setenv("LABELRNN_CONFIG", str(env_config))
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--variant", "irnn", "--train", str(corpus_dir / "train.txt"),
+               "--seed", "7", "--out", str(out)] + SMALL_TRAIN_OVERRIDES
+              + ["--set", "epochs_fwd_bwd=1"])
+    assert rc == 0
+    config = json.loads((tmp_path / "m.bin.manifest.json").read_text())["config"]
+    assert (config["min_count"], config["lr0"]) == ("1", "0.1")
 
 
 def test_pretrain_defaults_come_from_train_config():

@@ -25,84 +25,90 @@ BOS, EOS, BOL, CPAD = 90, 91, 92, 0
 
 # -- windows ----------------------------------------------------------------
 
+def _at(t):
+    return np.array([t])
+
+
 def test_word_window_padding_one_word_sentence():
     tokens = np.array([7])
-    assert window_indices(tokens, 0, 2, BOS, EOS) == [BOS, BOS, 7, EOS, EOS]
+    assert window_indices(tokens, _at(0), 2, BOS, EOS).tolist() == [[BOS, BOS, 7, EOS, EOS]]
 
 
 def test_word_window_degenerate():
     tokens = np.array([3, 4, 5])
-    assert window_indices(tokens, 1, 0, BOS, EOS) == [4]
+    assert window_indices(tokens, _at(1), 0, BOS, EOS).tolist() == [[4]]
 
 
 def test_word_window_left_to_right_order():
     tokens = np.array([3, 4, 5, 6, 7])
-    assert window_indices(tokens, 2, 2, BOS, EOS) == [3, 4, 5, 6, 7]
+    assert window_indices(tokens, _at(2), 2, BOS, EOS).tolist() == [[3, 4, 5, 6, 7]]
 
 
 def test_label_context_layout():
     history = [11, 12]
     # five slots at t=3: three pre-sentence BOL pads, then y1, y2
-    assert label_context_indices(history, 2, 5, BOL) == [BOL, BOL, BOL, 11, 12]
+    assert label_context_indices(history, _at(2), 5, BOL).tolist() == [[BOL, BOL, BOL, 11, 12]]
 
 
 def test_label_context_empty_history():
-    assert label_context_indices([], 0, 3, BOL) == [BOL, BOL, BOL]
+    assert label_context_indices([], _at(0), 3, BOL).tolist() == [[BOL, BOL, BOL]]
 
 
 def test_label_context_single_slot():
-    assert label_context_indices([4, 5, 6], 3, 1, BOL) == [6]
+    assert label_context_indices([4, 5, 6], _at(3), 1, BOL).tolist() == [[6]]
 
 
 def test_embed_concat_position_stability():
     rng = new_rng(0)
     table = rng.normal(size=(8, 4))
-    idxs = [1, 3, 5]
+    idxs = np.array([[1, 3, 5]])
     base = embed_concat(table, idxs)
     table2 = table.copy()
     table2[3] += 1.0  # slot k=1 only
     moved = embed_concat(table2, idxs)
-    diff = np.nonzero(moved - base)[0]
+    diff = np.nonzero(moved[0] - base[0])[0]
     assert diff.min() >= 4 and diff.max() < 8
 
 
 def test_embed_concat_backward_splits_by_slot():
-    dvec = np.arange(6.0)
-    pairs = embed_concat_backward(dvec, [2, 2, 9], 2)
-    assert [p[0] for p in pairs] == [2, 2, 9]
-    assert np.array_equal(pairs[1][1], np.array([2.0, 3.0]))
+    dvec = np.arange(6.0)[None]
+    pairs = embed_concat_backward(dvec, np.array([[2, 2, 9]]), 2)
+    # row 2 gets slots 0 and 1, [0, 1] + [2, 3]; row 9 gets slot 2
+    assert [p[0] for p in pairs] == [2, 9]
+    assert np.array_equal(pairs[0][1], np.array([2.0, 4.0]))
+    assert np.array_equal(pairs[1][1], np.array([4.0, 5.0]))
 
 
 # -- relu hidden layer ---------------------------------------------------------
 
 def test_relu_hidden_zero_weights():
-    h, _ = relu_hidden_forward(np.zeros((4, 3)), np.zeros(4), np.ones(3))
+    h, _ = relu_hidden_forward(np.zeros((4, 3)), np.zeros(4), np.ones((1, 3)))
     assert np.all(h == 0.0)
 
 
 def test_relu_hidden_hand_case():
     W = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, -1.0]])
     b = np.array([0.1, -0.2])
-    x = np.array([1.0, 0.5, 2.0])
+    x = np.array([[1.0, 0.5, 2.0]])
     h, pre = relu_hidden_forward(W, b, x)
-    # row 0: 1 - 1 + 1 + 0.1 = 1.1 ; row 1: 0.5 - 2 - 0.2 = -1.7 -> 0
-    assert np.allclose(pre, [1.1, -1.7])
-    assert np.allclose(h, [1.1, 0.0])
+    # unit 0: 1 - 1 + 1 + 0.1 = 1.1 ; unit 1: 0.5 - 2 - 0.2 = -1.7 -> 0
+    assert np.allclose(pre, [[1.1, -1.7]])
+    assert np.allclose(h, [[1.1, 0.0]])
 
 
 def test_relu_hidden_gradient_finite_differences():
     rng = new_rng(1)
     W = rng.normal(size=(5, 7))
     b = rng.normal(size=5)
-    x = rng.normal(size=7)
-    v = rng.normal(size=5)  # loss = v . h
+    x = rng.normal(size=(1, 7))
+    v = rng.normal(size=(1, 5))  # loss = v . h
 
     h, pre = relu_hidden_forward(W, b, x)
     dW, db, dx = relu_hidden_backward(W, x, pre, v)
     eps = 1e-6
 
     def loss(W_, b_, x_):
-        return float(v @ relu_hidden_forward(W_, b_, x_)[0])
+        return float(np.sum(v * relu_hidden_forward(W_, b_, x_)[0]))
 
     for grad, get, shape in ((dW, lambda p: loss(p, b, x), W),
                              (db, lambda p: loss(W, p, x), b),
@@ -132,26 +138,28 @@ def _unit_gru(val=1.0):
 def test_gru_zero_fixed_point():
     params = {n: np.zeros((1, 1)) for n in ("W_z", "U_z", "W_r", "U_r", "W_h", "U_h")}
     params.update(b_z=np.zeros(1), b_r=np.zeros(1), b_c=np.zeros(1))
-    h, cache = gru_forward(params, np.zeros(1), np.zeros(1))
-    assert cache["z"][0] == 0.5 and cache["r"][0] == 0.5
-    assert cache["hc"][0] == 0.0 and h[0] == 0.0
+    h, cache = gru_forward(params, np.zeros((1, 1)), np.zeros(1))
+    assert cache["z"][0, 0] == 0.5 and cache["r"][0, 0] == 0.5
+    assert cache["hc"][0, 0] == 0.0 and h[0, 0] == 0.0
 
 
 def test_gru_single_unit_hand_arithmetic():
     params = _unit_gru()
-    x, h_prev = np.array([1.0]), np.array([0.5])
+    x, h_prev = np.array([[1.0]]), np.array([0.5])
     h, cache = gru_forward(params, x, h_prev)
     sig = lambda a: 1.0 / (1.0 + math.exp(-a))
     z = sig(0.5 + 1.0)
     r = sig(0.5 + 1.0)
     hc = math.tanh(r * 0.5 + 1.0)
     expected = (1 - z) * 0.5 + z * hc
-    assert abs(cache["z"][0] - z) < 1e-12
-    assert abs(cache["hc"][0] - hc) < 1e-12
-    assert abs(h[0] - expected) < 1e-12
+    assert abs(cache["z"][0, 0] - z) < 1e-12
+    assert abs(cache["hc"][0, 0] - hc) < 1e-12
+    assert abs(h[0, 0] - expected) < 1e-12
 
 
 def test_gru_backward_finite_differences():
+    """One step, then steps of one sequence: backpropagation through time,
+    down to the gradient on the initial state."""
     rng = new_rng(2)
     dim, xdim = 4, 6
     params = {}
@@ -161,31 +169,33 @@ def test_gru_backward_finite_differences():
     params["b_z"] = rng.normal(size=dim) * 0.1
     params["b_r"] = rng.normal(size=dim) * 0.1
     params["b_c"] = rng.normal(size=dim) * 0.1
-    x = rng.normal(size=xdim)
-    h_prev = rng.normal(size=dim) * 0.5
-    v = rng.normal(size=dim)
+    for steps in (1, 4):
+        x = rng.normal(size=(steps, xdim))
+        h_prev = rng.normal(size=dim) * 0.5
+        v = rng.normal(size=(steps, dim))
 
-    h, cache = gru_forward(params, x, h_prev)
-    grads, dx, dh_prev = gru_backward(params, cache, v)
-    eps = 1e-6
+        h, cache = gru_forward(params, x, h_prev)
+        grads, dx, dh_prev = gru_backward(params, cache, v)
+        eps = 1e-6
 
-    def loss():
-        return float(v @ gru_forward(params, x, h_prev)[0])
+        def loss():
+            return float(np.sum(v * gru_forward(params, x, h_prev)[0]))
 
-    targets = [(name, params[name], grads[name]) for name in grads]
-    targets += [("x", x, dx), ("h_prev", h_prev, dh_prev)]
-    for name, tensor, grad in targets:
-        flat = tensor.reshape(-1)
-        flat_g = np.asarray(grad).reshape(-1)
-        for c in range(flat.size):
-            orig = flat[c]
-            flat[c] = orig + eps
-            plus = loss()
-            flat[c] = orig - eps
-            minus = loss()
-            flat[c] = orig
-            fd = (plus - minus) / (2 * eps)
-            assert abs(flat_g[c] - fd) / max(abs(fd), abs(flat_g[c]), 1e-8) < 1e-5, name
+        targets = [(name, params[name], grads[name]) for name in grads]
+        targets += [("x", x, dx), ("h_prev", h_prev, dh_prev)]
+        for name, tensor, grad in targets:
+            flat = tensor.reshape(-1)
+            flat_g = np.asarray(grad).reshape(-1)
+            for c in range(flat.size):
+                orig = flat[c]
+                flat[c] = orig + eps
+                plus = loss()
+                flat[c] = orig - eps
+                minus = loss()
+                flat[c] = orig
+                fd = (plus - minus) / (2 * eps)
+                assert abs(flat_g[c] - fd) / max(abs(fd), abs(flat_g[c]), 1e-8) < 1e-5, \
+                    (steps, name)
 
 
 # -- character convolution -------------------------------------------------------
@@ -195,8 +205,8 @@ def test_char_conv_single_char_word():
     E = rng.normal(size=(6, 3))
     W = rng.normal(size=(4, 3))
     b = rng.normal(size=4)
-    out, _ = char_conv_forward(np.array([2]), E, W, b, d_c=0, pad_id=CPAD)
-    assert np.allclose(out, W @ E[2] + b)
+    out, _ = char_conv_forward([np.array([2])], E, W, b, d_c=0, pad_id=CPAD)
+    assert np.allclose(out, [W @ E[2] + b])
 
 
 def test_char_conv_two_chars_elementwise_max():
@@ -204,8 +214,8 @@ def test_char_conv_two_chars_elementwise_max():
     E = rng.normal(size=(6, 3))
     W = rng.normal(size=(4, 3))
     b = np.zeros(4)
-    out, _ = char_conv_forward(np.array([1, 5]), E, W, b, d_c=0, pad_id=CPAD)
-    assert np.allclose(out, np.maximum(W @ E[1], W @ E[5]))
+    out, _ = char_conv_forward([np.array([1, 5])], E, W, b, d_c=0, pad_id=CPAD)
+    assert np.allclose(out, [np.maximum(W @ E[1], W @ E[5])])
 
 
 def test_char_conv_output_size_independent_of_word_length():
@@ -215,14 +225,14 @@ def test_char_conv_output_size_independent_of_word_length():
     b = np.zeros(4)
     for length in (1, 3, 8):
         out, _ = char_conv_forward(
-            np.array([1] * length), E, W, b, d_c=1, pad_id=CPAD
+            [np.array([1] * length)], E, W, b, d_c=1, pad_id=CPAD
         )
-        assert out.shape == (4,)
+        assert out.shape == (1, 4)
 
 
 def test_char_conv_empty_word_rejected():
     with pytest.raises(DataError):
-        char_conv_forward(np.array([], dtype=np.int64), np.zeros((2, 2)),
+        char_conv_forward([np.array([], dtype=np.int64)], np.zeros((2, 2)),
                           np.zeros((2, 2)), np.zeros(2), 0, CPAD)
 
 
@@ -232,7 +242,7 @@ def test_char_conv_tie_breaks_to_first_column():
     W = rng.normal(size=(4, 3))
     b = np.zeros(4)
     # two identical characters give identical columns: leftmost must win
-    _, cache = char_conv_forward(np.array([2, 2]), E, W, b, d_c=0, pad_id=CPAD)
+    _, cache = char_conv_forward([np.array([2, 2])], E, W, b, d_c=0, pad_id=CPAD)
     assert np.all(cache["best"] == 0)
 
 
@@ -241,8 +251,8 @@ def test_char_conv_gradient_finite_differences():
     E = rng.normal(size=(6, 3))
     W = rng.normal(size=(4, 9))
     b = rng.normal(size=4)
-    chars = np.array([1, 4, 2])
-    v = rng.normal(size=4)
+    chars = [np.array([1, 4, 2])]
+    v = rng.normal(size=(1, 4))
 
     out, cache = char_conv_forward(chars, E, W, b, d_c=1, pad_id=CPAD)
     dW, db, rows = char_conv_backward(cache, W, v)
@@ -252,7 +262,7 @@ def test_char_conv_gradient_finite_differences():
     eps = 1e-6
 
     def loss():
-        return float(v @ char_conv_forward(chars, E, W, b, d_c=1, pad_id=CPAD)[0])
+        return float(np.sum(v * char_conv_forward(chars, E, W, b, d_c=1, pad_id=CPAD)[0]))
 
     for tensor, grad in ((W, dW), (b, db), (E, dE)):
         flat = tensor.reshape(-1)
@@ -271,14 +281,14 @@ def test_char_conv_gradient_finite_differences():
 # -- output layer ------------------------------------------------------------
 
 def test_output_zero_weights_uniform():
-    y = output_forward(np.zeros((5, 3)), np.zeros(5), np.ones(3))
+    y = output_forward(np.zeros((5, 3)), np.zeros(5), np.ones((1, 3)))
     assert np.allclose(y, 0.2)
 
 
 def test_output_argmax_shift_invariance():
     rng = new_rng(8)
     O = rng.normal(size=(4, 3))
-    h = rng.normal(size=3)
+    h = rng.normal(size=(1, 3))
     y1 = output_forward(O, np.zeros(4), h)
     y2 = output_forward(O, np.full(4, 7.0), h)
     assert np.argmax(y1) == np.argmax(y2)
@@ -288,16 +298,16 @@ def test_output_backward_matches_cross_entropy_fd():
     rng = new_rng(9)
     O = rng.normal(size=(4, 3))
     b = rng.normal(size=4)
-    h = rng.normal(size=3)
+    h = rng.normal(size=(1, 3))
     gold = 2
     y = output_forward(O, b, h)
     delta = y.copy()
-    delta[gold] -= 1.0
+    delta[0, gold] -= 1.0
     dO, db, dh = output_backward(O, h, delta)
     eps = 1e-6
 
     def loss():
-        return -math.log(output_forward(O, b, h)[gold])
+        return -math.log(output_forward(O, b, h)[0, gold])
 
     for tensor, grad in ((O, dO), (b, db), (h, dh)):
         flat = tensor.reshape(-1)

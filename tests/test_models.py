@@ -56,8 +56,8 @@ def test_output_distributions_are_normalized(small_model_factory, tiny_seqs):
 
 
 def test_predict_label_never_returns_bol_index():
-    y = np.array([0.9, 0.05, 0.05])  # even with mass on index 0
-    assert predict_label(y) != 0
+    y = np.array([[0.9, 0.05, 0.05]])  # even with mass on index 0
+    assert predict_label(y)[0] != 0
 
 
 def test_single_position_prediction_uses_bol_context(small_model_factory, tiny_vocab):

@@ -75,9 +75,9 @@ def test_sequence_pass_matches_per_position_reference(length):
     tokens[-1] = tokens[0]  # a repeated token: its embedding rows are summed
     ref = Grads()
     for t in range(length):
-        y, cache = nnlm_forward(p, tokens, t)
+        y, cache = nnlm_forward(p, tokens, np.array([t]))
         delta = y.copy()
-        delta[tokens[t]] -= 1.0
+        delta[0, tokens[t]] -= 1.0
         nnlm_backward(p, cache, delta, ref)
     ref = ref.to_dense(p)
     for scale in (1.0, 1.0 / length):

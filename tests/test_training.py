@@ -11,6 +11,7 @@ from labelrnn.models import (
     combine_bidirectional,
     l2_term,
     make_position_masks,
+    sequence_grads,
     tag_bidirectional,
     tag_greedy,
 )
@@ -223,10 +224,27 @@ def test_scheduled_sampling_smoke(tiny_vocab, tiny_seqs):
     assert len(log) == 2
 
 
-def _per_position_masks(model, config, rng, n=None):
+@pytest.mark.parametrize("variant", ["irnn", "irnn-gru", "irnn-deep"])
+def test_training_step_applies_the_checked_gradient(small_model_factory, tiny_seqs, variant):
+    # Without dropout, momentum, L2 and clipping one step is w <- w - lr * g / n,
+    # g being the gradient that gradient_check verifies (through time for the GRU).
+    model = small_model_factory(variant, use_classes=True, use_chars=True, seed=4)
+    config = small_config(dropout_embed=0.0, dropout_hidden=0.0, momentum=0.0,
+                          lambda_l2=0.0, max_grad_norm=0.0)
+    seq, lr = tiny_seqs[1], 0.3
+    expected = sequence_grads(model, seq)
+    before = {name: value.copy() for name, value in model.params.items()}
+    opt = SgdMomentum(model, config.momentum, config.lambda_l2)
+    training._train_sentence(model, opt, seq, lr, config, new_rng(0))
+    for name, value in model.params.items():
+        np.testing.assert_allclose(value - before[name], -lr * expected[name] / len(seq),
+                                   rtol=1e-10, atol=1e-15, err_msg=name)
+
+
+def _per_position_masks(model, config, rng, n):
     """Reference: one dropout_mask draw per mask per position, stacked."""
     rows = []
-    for _ in range(1 if n is None else n):
+    for _ in range(n):
         masks = {}
         if config.dropout_embed > 0.0:
             keep = 1.0 - config.dropout_embed
@@ -237,8 +255,6 @@ def _per_position_masks(model, config, rng, n=None):
         if config.dropout_hidden > 0.0:
             masks["h"] = dropout_mask(model.hidden_size, 1.0 - config.dropout_hidden, rng)
         rows.append(masks)
-    if n is None:
-        return rows[0]
     return {key: np.stack([m[key] for m in rows]) for key in rows[0]}
 
 
