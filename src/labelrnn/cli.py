@@ -24,7 +24,7 @@ from .corpus import (
     read_lines,
     write_column_file,
 )
-from .errors import ConfigError, LabelRnnError
+from .errors import ConfigError, DataError, LabelRnnError
 from .mathcore import new_rng, xavier_init
 from .metrics import evaluate
 from .models import (
@@ -52,6 +52,16 @@ def _sha256(path) -> str:
 
 def _info(msg):
     print(msg, file=sys.stderr)
+
+
+def _load_sentences(path, *readers):
+    """load_column_file; a model or config that reads word classes needs the
+    class column."""
+    sentences = load_column_file(path)
+    if any(r.use_classes for r in readers) and any(s.classes is None for s in sentences):
+        raise DataError(f"{path}: the model reads word classes, but the file has no class "
+                        "column (expected word, class, label)")
+    return sentences
 
 
 # -- generate ----------------------------------------------------------------
@@ -141,14 +151,17 @@ def _load_init_table(path, token_to_id, rows, cols, seed):
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    train_sents = load_column_file(args.train)
-    dev_sents = load_column_file(args.dev) if args.dev else train_sents
-
-    if args.direction == "bidir":
+    bidir = args.direction == "bidir"
+    if bidir:
         if not args.fwd_model or not args.bwd_model:
             raise ConfigError("--direction bidir requires --fwd-model and --bwd-model")
         fwd = load_model(args.fwd_model)
         bwd = load_model(args.bwd_model)
+    readers = (fwd, bwd) if bidir else (config,)
+    train_sents = _load_sentences(args.train, *readers)
+    dev_sents = _load_sentences(args.dev, *readers) if args.dev else train_sents
+
+    if bidir:
         vocab = Vocabulary.load(args.fwd_model + ".vocab")
         if fwd.vocab_hash != vocab.hash() or bwd.vocab_hash != vocab.hash():
             raise ConfigError("component models disagree with the stored vocabulary")
@@ -203,28 +216,24 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     if args.model:
-        model = load_model(args.model)
-        vocab = Vocabulary.load(args.vocab or args.model + ".vocab")
-        if model.vocab_hash != vocab.hash():
-            raise ConfigError("vocabulary hash mismatch between model and vocabulary file")
-        tagger = lambda seqs: tag_greedy_batch(model, seqs)
+        paths = [args.model]
     elif args.fwd_model and args.bwd_model:
-        fwd = load_model(args.fwd_model)
-        bwd = load_model(args.bwd_model)
-        vocab = Vocabulary.load(args.vocab or args.fwd_model + ".vocab")
-        if fwd.vocab_hash != vocab.hash() or bwd.vocab_hash != vocab.hash():
-            raise ConfigError("vocabulary hash mismatch between models and vocabulary file")
-        tagger = lambda seqs: tag_bidirectional_batch(fwd, bwd, seqs)
+        paths = [args.fwd_model, args.bwd_model]
     else:
         raise ConfigError("tag requires --model, or --fwd-model plus --bwd-model")
+    models = [load_model(path) for path in paths]
+    vocab = Vocabulary.load(args.vocab or paths[0] + ".vocab")
+    if any(m.vocab_hash != vocab.hash() for m in models):
+        raise ConfigError("vocabulary hash mismatch between model and vocabulary file")
+    tagger = tag_greedy_batch if len(models) == 1 else tag_bidirectional_batch
 
-    sentences = load_column_file(args.input)
+    sentences = _load_sentences(args.input, *models)
     tagged = []
     # One decoding group at a time, so that the encoded sentences and the
     # output distributions of only one group are held at once.
     for start in range(0, len(sentences), DECODE_GROUP):
         chunk = sentences[start : start + DECODE_GROUP]
-        outs = tagger([encode(sent, vocab, with_labels=False) for sent in chunk])
+        outs = tagger(*models, [encode(sent, vocab, with_labels=False) for sent in chunk])
         tagged += [Sentence(words=sent.words, classes=sent.classes,
                             labels=decode_labels(out.labels, vocab))
                    for sent, out in zip(chunk, outs)]
@@ -319,10 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LabelRnnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (LabelRnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

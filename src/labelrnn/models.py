@@ -423,30 +423,6 @@ def make_position_masks(model, p_embed, p_hidden, rng, n):
     return masks
 
 
-def forward_pass_with_cache(model, oriented_seq, teacher_labels=None):
-    """Position-by-position pass over an oriented sequence (dropout off),
-    one one-row stack per position, caching every intermediate.
-
-    With teacher_labels the label context is built from those (gold) labels;
-    otherwise the model's own greedy predictions feed the context, which
-    makes the pass the reference for greedy tagging.
-    """
-    n = len(oriented_seq)
-    caches = []
-    dists = []
-    predicted = []
-    history = teacher_labels if teacher_labels is not None else predicted
-    h_prev = None
-    for t in range(n):
-        y, cache = position_forward(model, oriented_seq, np.array([t]), history, h_prev=h_prev)
-        caches.append(cache)
-        dists.append(y[0])
-        predicted.append(predict_label(y)[0])
-        if model.variant == VARIANT_GRU:
-            h_prev = cache["h"][0]
-    return caches, np.array(predicted, dtype=np.int64), dists
-
-
 # -- greedy decoding ---------------------------------------------------------
 # The label context enters one layer (H, F_l, or the GRU's U matrices) as a
 # sum over the d_l slots of W_slot @ E_l[y]. Decoding therefore precomputes
@@ -573,10 +549,10 @@ def _decode_group(model, oseqs):
 def tag_greedy_batch(model: TaggerModel, seqs) -> list:
     """Greedy decode of each sequence; the label context holds the model's
     own predictions. Sentences are sorted by length and decoded in lockstep
-    groups of at most DECODE_GROUP. Distributions agree with the
-    position-by-position pass (forward_pass_with_cache) up to rounding,
-    which can depend on the group a sentence falls in, so labels equal its
-    labels unless two labels tie within rounding."""
+    groups of at most DECODE_GROUP. Distributions agree with a
+    position-by-position greedy pass up to rounding, which can depend on the
+    group a sentence falls in, so labels equal its labels unless two labels
+    tie within rounding."""
     outs = [None] * len(seqs)
     by_length = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
     for g in range(0, len(by_length), DECODE_GROUP):
@@ -598,11 +574,12 @@ def tag_greedy(model: TaggerModel, seq: EncodedSequence) -> TaggerOutput:
 
 
 def sequence_loss(model, seq, lam=0.0) -> float:
-    """Teacher-forced total cross-entropy plus the L2 term (dropout off)."""
-    oriented = orient(seq, model.direction)
-    _, _, dists = forward_pass_with_cache(model, oriented, teacher_labels=oriented.labels)
-    ce = -sum(np.log(dists[t][oriented.labels[t]]) for t in range(len(oriented)))
-    return float(ce) + l2_term(model, lam)
+    """Teacher-forced total cross-entropy plus the L2 term (dropout off),
+    from the batched forward that sentence_pass runs."""
+    oseq = orient(seq, model.direction)
+    rows = np.arange(len(oseq))
+    y, _ = position_forward(model, oseq, rows, oseq.labels)
+    return _cross_entropy(y, oseq.labels, rows) + l2_term(model, lam)
 
 
 def l2_term(model, lam):
@@ -666,6 +643,16 @@ def combine_bidirectional(yf: np.ndarray, yb: np.ndarray) -> np.ndarray:
     return np.divide(unnorm, total, out=unnorm, where=total != 0.0)
 
 
+def _bidirectional_forward(fwd, bwd, seq, masks=(None, None)):
+    """Teacher-forced batched forward of both models over one sentence:
+    (combined distribution in sentence order, fwd cache, bwd cache)."""
+    rows = np.arange(len(seq))
+    rev = orient(seq, DIR_BWD)
+    yf, cache_f = position_forward(fwd, seq, rows, seq.labels, masks=masks[0])
+    yb, cache_b = position_forward(bwd, rev, rows, rev.labels, masks=masks[1])
+    return combine_bidirectional(yf, yb[::-1]), cache_f, cache_b
+
+
 def bidirectional_pass(fwd, bwd, seq, grads_f, grads_b, masks=(None, None), scale=1.0) -> float:
     """Joint batched pass of a forward and a backward model over one sentence.
 
@@ -676,10 +663,7 @@ def bidirectional_pass(fwd, bwd, seq, grads_f, grads_b, masks=(None, None), scal
     dict with one row per position, or None.
     """
     rows = np.arange(len(seq))
-    rev = orient(seq, DIR_BWD)
-    yf, cache_f = position_forward(fwd, seq, rows, seq.labels, masks=masks[0])
-    yb, cache_b = position_forward(bwd, rev, rows, rev.labels, masks=masks[1])
-    combined = combine_bidirectional(yf, yb[::-1])
+    combined, cache_f, cache_b = _bidirectional_forward(fwd, bwd, seq, masks)
     loss = _cross_entropy(combined, seq.labels, rows)
     delta = combined * (0.5 * scale)
     delta[rows, seq.labels] -= 0.5 * scale
@@ -690,13 +674,9 @@ def bidirectional_pass(fwd, bwd, seq, grads_f, grads_b, masks=(None, None), scal
 
 def bidirectional_loss(fwd, bwd, seq) -> float:
     """Teacher-forced total cross-entropy of the combined distribution
-    (dropout off), from the position-by-position forward."""
-    rev = orient(seq, DIR_BWD)
-    _, _, df = forward_pass_with_cache(fwd, seq, teacher_labels=seq.labels)
-    _, _, db = forward_pass_with_cache(bwd, rev, teacher_labels=rev.labels)
-    n = len(seq)
-    return float(-sum(np.log(combine_bidirectional(df[t], db[n - 1 - t])[seq.labels[t]])
-                      for t in range(n)))
+    (dropout off), from the forward that bidirectional_pass runs."""
+    combined, _, _ = _bidirectional_forward(fwd, bwd, seq)
+    return _cross_entropy(combined, seq.labels, np.arange(len(seq)))
 
 
 def tag_bidirectional_batch(fwd: TaggerModel, bwd: TaggerModel, seqs) -> list:
@@ -795,6 +775,8 @@ def _parse_model(data: bytes) -> TaggerModel:
     for name, shape in shapes:
         count = math.prod(shape)
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ModelIOError(f"tensor {name} holds a non-finite value")
         model.params[name] = arr.astype(np.float64)
         offset += 8 * count
     return model

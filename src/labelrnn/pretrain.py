@@ -86,10 +86,15 @@ def nnlm_sequence_pass(p: NnlmParams, tokens, grads: Grads, scale: float = 1.0) 
 
 
 def nnlm_corpus_loss(p: NnlmParams, sequences) -> float:
-    """Summed cross-entropy, position by position: the reference for the
-    gradient check."""
-    return sum(-float(np.log(nnlm_forward(p, tokens, np.array([t]))[0][0, tokens[t]]))
-               for tokens in sequences for t in range(len(tokens)))
+    """Summed cross-entropy from one batched forward per non-empty sequence,
+    as nnlm_sequence_pass computes it: the loss nnlm_corpus_grads
+    differentiates."""
+    total = 0.0
+    for tokens in sequences:
+        if len(tokens):
+            rows = np.arange(len(tokens))
+            total += _cross_entropy(nnlm_forward(p, tokens, rows)[0], np.asarray(tokens), rows)
+    return total
 
 
 def nnlm_corpus_grads(p: NnlmParams, sequences) -> dict:

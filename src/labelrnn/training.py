@@ -7,9 +7,10 @@ sentences. Each sentence goes through one batched forward/backward pass,
 one row per position (models.sentence_pass): the label context is
 teacher-forced (gold previous labels), so every layer is one GEMM per
 sentence. With a scheduled probability of feeding back predictions, the
-label history is first built by the position-by-position forward, and the
-batched pass then runs on that history. Each epoch ends with a dev pass
-through the lockstep greedy decoder (models.tag_greedy_batch).
+label history is first built position by position (_sampled_history). Each
+epoch ends with a dev pass through the lockstep greedy decoder
+(models.tag_greedy_batch). A gradient check differentiates the loss of the
+batched forward whose gradient it checks (models.sequence_loss).
 """
 
 import copy

@@ -1,5 +1,6 @@
-"""The batched sentence pass against the position-by-position reference, and
-the in-place optimizer step against the textbook update."""
+"""The batched sentence pass and the losses the gradient checks differentiate
+against the position-by-position reference, and the in-place optimizer step
+against the textbook update."""
 
 import itertools
 
@@ -12,35 +13,23 @@ from labelrnn.models import (
     VARIANT_GRU,
     VARIANTS,
     Grads,
+    bidirectional_loss,
     bidirectional_pass,
     combine_bidirectional,
     make_position_masks,
     orient,
     position_backward,
-    position_forward,
     sentence_pass,
+    sequence_loss,
 )
 from labelrnn.training import SgdMomentum
+from reference import reference_forward
 
 RTOL, ATOL = 1e-10, 1e-12  # float64: only the summation order differs
 
 
 def _masks(model, n, seed):
     return make_position_masks(model, 0.3, 0.4, new_rng(seed), n)
-
-
-def _reference_forward(model, oseq, history, masks):
-    """Position-by-position forward, one one-row stack per position:
-    (per-position dists, caches)."""
-    ys, caches, h_prev = [], [], None
-    for t in range(len(oseq)):
-        row = None if masks is None else {key: rows[t : t + 1] for key, rows in masks.items()}
-        y, cache = position_forward(model, oseq, np.array([t]), history, masks=row, h_prev=h_prev)
-        if model.variant == VARIANT_GRU:
-            h_prev = cache["h"][0]
-        ys.append(y[0])
-        caches.append(cache)
-    return ys, caches
 
 
 def _reference_backward(model, caches, deltas, grads, chain):
@@ -53,7 +42,7 @@ def _reference_backward(model, caches, deltas, grads, chain):
 
 
 def _reference_sentence(model, oseq, history, masks, chain):
-    ys, caches = _reference_forward(model, oseq, history, masks)
+    _, ys, caches = reference_forward(model, oseq, history, masks)
     gold = oseq.labels
     loss = -sum(np.log(y[g]) for y, g in zip(ys, gold))
     deltas = [y.copy() for y in ys]
@@ -91,6 +80,8 @@ def test_sentence_pass_matches_position_reference(small_model_factory, tiny_seqs
             grads = Grads()
             loss = sentence_pass(model, oseq, history, grads, masks=masks)
             assert abs(loss - ref_loss) <= RTOL * abs(ref_loss) + ATOL
+            if masks is None and history is oseq.labels:  # the gradient check's loss
+                assert sequence_loss(model, seq) == pytest.approx(ref_loss, rel=RTOL)
             dense = grads.to_dense(model)
             _assert_same(dense, reference)
             if recurrent:  # the pass is not the one-step truncation of the chain
@@ -120,8 +111,8 @@ def test_bidirectional_pass_matches_position_reference(small_model_factory, tiny
         n = len(seq)
         masks = (_masks(fwd, n, seed=i), _masks(bwd, n, seed=10 + i)) if dropout else (None, None)
         of, ob = orient(seq, "fwd"), orient(seq, "bwd")
-        yf, cf = _reference_forward(fwd, of, of.labels, masks[0])
-        yb, cb = _reference_forward(bwd, ob, ob.labels, masks[1])
+        _, yf, cf = reference_forward(fwd, of, of.labels, masks[0])
+        _, yb, cb = reference_forward(bwd, ob, ob.labels, masks[1])
         loss, deltas_f = 0.0, []
         for t in range(n):
             combined = combine_bidirectional(yf[t], yb[n - 1 - t])
@@ -136,6 +127,8 @@ def test_bidirectional_pass_matches_position_reference(small_model_factory, tiny
         gf, gb = Grads(), Grads()
         got = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks)
         assert abs(got - loss) <= RTOL * abs(loss) + ATOL
+        if not dropout:  # the bidirectional gradient check's loss
+            assert bidirectional_loss(fwd, bwd, seq) == pytest.approx(loss, rel=RTOL)
         _assert_same(gf.to_dense(fwd), ref_f.to_dense(fwd))
         _assert_same(gb.to_dense(bwd), ref_b.to_dense(bwd))
 

@@ -4,7 +4,8 @@ import warnings
 import pytest
 
 from labelrnn.cli import _resolve_config, build_parser, main
-from labelrnn.corpus import Vocabulary, decode_labels, encode, load_column_file
+from labelrnn.corpus import (Sentence, Vocabulary, decode_labels, encode, load_column_file,
+                             write_column_file)
 from labelrnn.pretrain import load_external_embeddings
 from labelrnn.models import load_model, save_model, tag_greedy
 from labelrnn.training import TrainConfig
@@ -387,6 +388,73 @@ def test_tag_rejects_model_with_wrong_tensors(trained_model, corpus_dir, tmp_pat
                "--input", str(corpus_dir / "test.txt"), "--output", str(tmp_path / "t.txt")])
     assert rc == 1
     assert _error_lines(capsys.readouterr().err) == [f"error: {bad}: {problem}"]
+
+
+@pytest.mark.parametrize("command", ["tag", "bidir"])
+def test_model_with_a_non_finite_weight_rejected(trained_model, corpus_dir, tmp_path, capsys,
+                                                 command):
+    model, bad = load_model(trained_model), tmp_path / "nan.bin"
+    model.params["H"][0, 0] = np.nan
+    save_model(model, bad)
+    if command == "tag":
+        argv = ["tag", "--model", str(bad), "--vocab", str(trained_model) + ".vocab",
+                "--input", str(corpus_dir / "test.txt"), "--output", str(tmp_path / "t.txt")]
+    else:
+        argv = ["train", "--direction", "bidir", "--train", str(corpus_dir / "train.txt"),
+                "--fwd-model", str(bad), "--bwd-model", str(trained_model),
+                "--out", str(tmp_path / "bi")]
+    rc = main(argv)
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {bad}: tensor H holds a non-finite value"]
+
+
+def _without_classes(path, out):
+    write_column_file([Sentence(words=s.words, labels=s.labels) for s in load_column_file(path)],
+                      out)
+    return out
+
+
+def test_train_with_classes_rejects_a_file_without_the_class_column(corpus_dir, tmp_path,
+                                                                    capsys):
+    two_columns = _without_classes(corpus_dir / "dev.txt", tmp_path / "dev2.txt")
+    for train, dev in ((two_columns, corpus_dir / "dev.txt"), (corpus_dir / "train.txt", two_columns)):
+        rc = main(["train", "--variant", "irnn", "--train", str(train), "--dev", str(dev),
+                   "--set", "use_classes=true", "--out", str(tmp_path / "m.bin")]
+                  + SMALL_TRAIN_OVERRIDES)
+        assert rc == 1
+        assert _error_lines(capsys.readouterr().err) == [
+            f"error: {two_columns}: the model reads word classes, but the file has no class "
+            "column (expected word, class, label)"]
+
+
+def test_tag_with_a_classes_model_rejects_input_without_the_class_column(corpus_dir, tmp_path,
+                                                                         capsys):
+    model = tmp_path / "classes.bin"
+    rc = main(["train", "--variant", "irnn", "--train", str(corpus_dir / "train.txt"),
+               "--use-classes", "--seed", "4", "--out", str(model)]
+              + SMALL_TRAIN_OVERRIDES + ["--set", "epochs_fwd_bwd=1"])
+    assert rc == 0
+    two_columns = _without_classes(corpus_dir / "test.txt", tmp_path / "test2.txt")
+    rc = main(["tag", "--model", str(model), "--input", str(two_columns),
+               "--output", str(tmp_path / "t.txt")])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {two_columns}: the model reads word classes, but the file has no class "
+        "column (expected word, class, label)"]
+
+
+@pytest.mark.parametrize("flag", ["eval --gold", "tag --input", "tag --model", "tag --output"])
+def test_a_directory_path_fails_cleanly(trained_model, corpus_dir, tmp_path, capsys, flag):
+    command, option = flag.split()
+    paths = {"eval": {"--gold": corpus_dir / "test.txt", "--pred": corpus_dir / "test.txt"},
+             "tag": {"--model": trained_model, "--vocab": str(trained_model) + ".vocab",
+                     "--input": corpus_dir / "test.txt", "--output": tmp_path / "t.txt"}}[command]
+    paths[option] = tmp_path
+    rc = main([command] + [str(x) for item in paths.items() for x in item])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "Is a directory" in lines[0] and str(tmp_path) in lines[0]
 
 
 def test_eval_gold_as_prediction(corpus_dir, tmp_path, capsys):

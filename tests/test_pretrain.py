@@ -17,6 +17,7 @@ from labelrnn.pretrain import (
     save_embeddings,
     train_nnlm,
 )
+from labelrnn.training import _finite_difference_report
 
 
 def test_context_must_be_positive():
@@ -45,25 +46,10 @@ def test_initial_loss_near_log_vocab_size():
 def test_gradient_check_on_toy_vocab():
     p = build_nnlm(5, 0, context=2, embed_size=4, hidden_size=6, rng=new_rng(2))
     seqs = [[1, 2, 3, 4, 1, 2]]
-    analytic = nnlm_corpus_grads(p, seqs)
-    eps = 1e-5
-    for name in ("E_tok", "H", "b_h", "O", "b_o"):
-        tensor = p.params[name]
-        flat = tensor.reshape(-1)
-        flat_g = analytic[name].reshape(-1)
-        coords = new_rng(3).choice(flat.size, size=min(40, flat.size), replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            plus = nnlm_corpus_loss(p, seqs)
-            flat[c] = orig - eps
-            minus = nnlm_corpus_loss(p, seqs)
-            flat[c] = orig
-            fd = (plus - minus) / (2 * eps)
-            a = flat_g[c]
-            if abs(a) < 1e-10 and abs(fd) < 1e-10:
-                continue
-            assert abs(a - fd) / max(abs(a), abs(fd), 1e-8) < 1e-5, name
+    report = _finite_difference_report(p.params, nnlm_corpus_grads(p, seqs),
+                                       lambda: nnlm_corpus_loss(p, seqs), 1e-5, new_rng(3), 40)
+    assert set(report) == {"E_tok", "H", "b_h", "O", "b_o"}
+    assert all(err < 1e-5 for err in report.values()), report
 
 
 @pytest.mark.parametrize("length", [1, 3, 4, 9])  # context 4: shorter, equal, longer
@@ -73,9 +59,10 @@ def test_sequence_pass_matches_per_position_reference(length):
     p.params["b_o"] += new_rng(7).normal(scale=0.1, size=6)
     tokens = [int(x) for x in new_rng(8).integers(1, 6, size=length)]
     tokens[-1] = tokens[0]  # a repeated token: its embedding rows are summed
-    ref = Grads()
+    ref, ref_loss = Grads(), 0.0
     for t in range(length):
         y, cache = nnlm_forward(p, tokens, np.array([t]))
+        ref_loss -= float(np.log(y[0, tokens[t]]))
         delta = y.copy()
         delta[0, tokens[t]] -= 1.0
         nnlm_backward(p, cache, delta, ref)
@@ -83,12 +70,13 @@ def test_sequence_pass_matches_per_position_reference(length):
     for scale in (1.0, 1.0 / length):
         grads = Grads()
         loss = nnlm_sequence_pass(p, tokens, grads, scale=scale)
-        assert loss == pytest.approx(nnlm_corpus_loss(p, [tokens]), rel=1e-10)
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
         dense = grads.to_dense(p)
         assert set(dense) == set(ref)
         for name in ref:
             np.testing.assert_allclose(dense[name], scale * ref[name], rtol=1e-10, atol=1e-14,
                                        err_msg=name)
+    assert nnlm_corpus_loss(p, [tokens, []]) == pytest.approx(ref_loss, rel=1e-10)
     corpus = nnlm_corpus_grads(p, [tokens, []])  # an empty sequence is skipped
     for name in ref:
         np.testing.assert_allclose(corpus[name], ref[name], rtol=1e-10, atol=1e-14)
