@@ -22,6 +22,7 @@ from .corpus import (
     encode,
     load_column_file,
     read_lines,
+    require_classes,
     write_column_file,
 )
 from .errors import ConfigError, DataError, LabelRnnError
@@ -39,7 +40,7 @@ from .models import (
 )
 from .pretrain import load_external_embeddings, save_embeddings, train_nnlm
 from .synthetic import Grammar, generate_corpus_files
-from .training import TrainConfig, train_bidirectional, train_tagger, write_log
+from .training import TrainConfig, best_entry, train_bidirectional, train_tagger, write_log
 
 
 def _sha256(path) -> str:
@@ -58,9 +59,10 @@ def _load_sentences(path, *readers):
     """load_column_file; a model or config that reads word classes needs the
     class column."""
     sentences = load_column_file(path)
-    if any(r.use_classes for r in readers) and any(s.classes is None for s in sentences):
-        raise DataError(f"{path}: the model reads word classes, but the file has no class "
-                        "column (expected word, class, label)")
+    try:
+        require_classes(sentences, *readers)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return sentences
 
 
@@ -204,7 +206,7 @@ def cmd_train(args) -> int:
     save_model(model, args.out)
     vocab.save(args.out + ".vocab")
     write_log(log, args.out + ".log")
-    best = max(log, key=lambda e: e.dev_acc if config.dev_metric == "accuracy" else e.dev_f1)
+    best = best_entry(log, config.dev_metric)
     with open(args.out + ".summary", "w", encoding="utf-8") as fh:
         fh.write(f"best_epoch={best.epoch}\nbest_dev_acc={best.dev_acc:.4f}\n"
                  f"best_dev_f1={best.dev_f1:.4f}\nfinal_train_loss={log[-1].train_loss:.6f}\n")
@@ -228,17 +230,17 @@ def cmd_tag(args) -> int:
     tagger = tag_greedy_batch if len(models) == 1 else tag_bidirectional_batch
 
     sentences = _load_sentences(args.input, *models)
-    tagged = []
-    # One decoding group at a time, so that the encoded sentences and the
-    # output distributions of only one group are held at once.
-    for start in range(0, len(sentences), DECODE_GROUP):
-        chunk = sentences[start : start + DECODE_GROUP]
-        outs = tagger(*models, [encode(sent, vocab, with_labels=False) for sent in chunk])
-        tagged += [Sentence(words=sent.words, classes=sent.classes,
-                            labels=decode_labels(out.labels, vocab))
-                   for sent, out in zip(chunk, outs)]
-    write_column_file(tagged, args.output)
-    _info(f"tagged {len(tagged)} sentences into {args.output}")
+    # The output is opened before any decoding, and written one decoding
+    # group at a time, so that the encoded sentences and the output
+    # distributions of only one group are held at once.
+    with open(args.output, "w", encoding="utf-8") as out:
+        for start in range(0, len(sentences), DECODE_GROUP):
+            chunk = sentences[start : start + DECODE_GROUP]
+            decoded = tagger(*models, [encode(sent, vocab, with_labels=False) for sent in chunk])
+            write_column_file([Sentence(words=sent.words, classes=sent.classes,
+                                        labels=decode_labels(d.labels, vocab))
+                               for sent, d in zip(chunk, decoded)], out)
+    _info(f"tagged {len(sentences)} sentences into {args.output}")
     return 0
 
 

@@ -5,7 +5,9 @@ line with 2 fields (word, label) or 3 fields (word, class, label), blank
 lines separating sentences, "-" in the class column meaning "no class".
 """
 
+import os
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -256,8 +258,11 @@ def _sentence_from_rows(rows):
     )
 
 
-def write_column_file(sentences, path):
-    with open(path, "w", encoding="utf-8") as fh:
+def write_column_file(sentences, out):
+    """Write sentences as a column file to out: a path, or a text file open
+    for writing, which the sentences are appended to."""
+    is_path = isinstance(out, (str, os.PathLike))
+    with open(out, "w", encoding="utf-8") if is_path else nullcontext(out) as fh:
         for sent in sentences:
             for i, word in enumerate(sent.words):
                 fields = [word]
@@ -266,6 +271,14 @@ def write_column_file(sentences, path):
                 fields.append(sent.labels[i])
                 fh.write("\t".join(fields) + "\n")
             fh.write("\n")
+
+
+def require_classes(sentences, *readers):
+    """DataError when a reader (a model or a training config) uses word
+    classes and one of the sentences, raw or encoded, has no class column."""
+    if any(r.use_classes for r in readers) and any(s.classes is None for s in sentences):
+        raise DataError("the model reads word classes, but a sentence has no class column "
+                        "(expected word, class, label)")
 
 
 def build_vocabulary(sentences, min_count: int = 1, lowercase: bool = True) -> Vocabulary:

@@ -26,6 +26,7 @@ from .corpus import (
     WORD_BOS_ID,
     WORD_EOS_ID,
     EncodedSequence,
+    require_classes,
 )
 from .errors import ConfigError, ModelIOError, ShapeError
 from .layers import (
@@ -552,7 +553,9 @@ def tag_greedy_batch(model: TaggerModel, seqs) -> list:
     groups of at most DECODE_GROUP. Distributions agree with a
     position-by-position greedy pass up to rounding, which can depend on the
     group a sentence falls in, so labels equal its labels unless two labels
-    tie within rounding."""
+    tie within rounding. A model that reads word classes needs every
+    sequence's class column."""
+    require_classes(seqs, model)
     outs = [None] * len(seqs)
     by_length = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
     for g in range(0, len(by_length), DECODE_GROUP):
@@ -573,59 +576,41 @@ def tag_greedy(model: TaggerModel, seq: EncodedSequence) -> TaggerOutput:
     return tag_greedy_batch(model, [seq])[0]
 
 
-def sequence_loss(model, seq, lam=0.0) -> float:
-    """Teacher-forced total cross-entropy plus the L2 term (dropout off),
-    from the batched forward that sentence_pass runs."""
-    oseq = orient(seq, model.direction)
-    rows = np.arange(len(oseq))
-    y, _ = position_forward(model, oseq, rows, oseq.labels)
-    return _cross_entropy(y, oseq.labels, rows) + l2_term(model, lam)
-
-
-def l2_term(model, lam):
-    if lam == 0.0:
-        return 0.0
-    return 0.5 * lam * sum(float(np.sum(model.params[n] ** 2)) for n in model.weight_matrix_names())
-
-
 def _cross_entropy(y, gold, rows):
     return float(-np.log(np.maximum(y[rows, gold], 1e-300)).sum())
 
 
-def sentence_pass(model, oseq, history, grads, masks=None, scale=1.0) -> float:
-    """Forward, loss and backward of one oriented sentence in one batched pass.
+def sentence_pass(model, oseq, history, grads=None, masks=None, scale=1.0) -> float:
+    """Summed cross-entropy of one oriented sentence from one batched pass;
+    given grads, it adds scale times its gradient to them, chained through
+    time for the GRU.
 
     Row t of every array is position t, and the label context comes from
     history (the gold labels under teacher forcing). masks is None or a
-    make_position_masks dict with one row per position. Adds scale times the gradient of
-    the summed cross-entropy to grads, chained through time for the GRU, and
-    returns that sum.
+    make_position_masks dict with one row per position.
     """
     rows = np.arange(len(oseq))
     y, cache = position_forward(model, oseq, rows, history, masks=masks)
     loss = _cross_entropy(y, oseq.labels, rows)
-    delta = y * scale
-    delta[rows, oseq.labels] -= scale
-    position_backward(model, cache, delta, grads)
+    if grads is not None:
+        delta = y * scale
+        delta[rows, oseq.labels] -= scale
+        position_backward(model, cache, delta, grads)
     return loss
 
 
-def sequence_grads(model, seq, lam=0.0) -> dict:
-    """Exact dense gradient of sequence_loss w.r.t. every parameter tensor.
+def sequence_grads(model, seq) -> dict:
+    """Exact dense gradient of the teacher-forced sentence loss (dropout off)
+    w.r.t. every parameter tensor, from the batched pass that training runs.
 
-    It comes from the batched pass that training runs. For the GRU variant
-    the gradient is chained through the hidden state across all steps; for
-    the feed-forward variants positions are independent under teacher
-    forcing.
+    For the GRU variant the gradient is chained through the hidden state
+    across all steps; for the feed-forward variants positions are independent
+    under teacher forcing.
     """
     oriented = orient(seq, model.direction)
     grads = Grads()
     sentence_pass(model, oriented, oriented.labels, grads)
-    dense = grads.to_dense(model)
-    if lam > 0.0:
-        for name in model.weight_matrix_names():
-            dense[name] += lam * model.params[name]
-    return dense
+    return grads.to_dense(model)
 
 
 # -- bidirectional combination ----------------------------------------------
@@ -643,40 +628,28 @@ def combine_bidirectional(yf: np.ndarray, yb: np.ndarray) -> np.ndarray:
     return np.divide(unnorm, total, out=unnorm, where=total != 0.0)
 
 
-def _bidirectional_forward(fwd, bwd, seq, masks=(None, None)):
-    """Teacher-forced batched forward of both models over one sentence:
-    (combined distribution in sentence order, fwd cache, bwd cache)."""
+def bidirectional_pass(fwd, bwd, seq, grads_f=None, grads_b=None, masks=(None, None),
+                       scale=1.0) -> float:
+    """Summed cross-entropy of the combined (renormalized) distribution of a
+    forward and a backward model over one sentence, from one teacher-forced
+    batched pass. Its gradient at each branch's pre-softmax layer is
+    (combined - onehot)/2; given grads_f and grads_b, scale times each
+    model's gradient is added to its grads, chained through time for the GRU.
+    masks holds each model's make_position_masks dict with one row per
+    position, or None.
+    """
     rows = np.arange(len(seq))
     rev = orient(seq, DIR_BWD)
     yf, cache_f = position_forward(fwd, seq, rows, seq.labels, masks=masks[0])
     yb, cache_b = position_forward(bwd, rev, rows, rev.labels, masks=masks[1])
-    return combine_bidirectional(yf, yb[::-1]), cache_f, cache_b
-
-
-def bidirectional_pass(fwd, bwd, seq, grads_f, grads_b, masks=(None, None), scale=1.0) -> float:
-    """Joint batched pass of a forward and a backward model over one sentence.
-
-    The cross-entropy of the combined (renormalized) distribution has
-    gradient (combined - onehot)/2 at each branch's pre-softmax layer. Adds
-    scale times it to each model's grads, chained through time for the GRU,
-    and returns the summed loss. masks holds each model's make_position_masks
-    dict with one row per position, or None.
-    """
-    rows = np.arange(len(seq))
-    combined, cache_f, cache_b = _bidirectional_forward(fwd, bwd, seq, masks)
+    combined = combine_bidirectional(yf, yb[::-1])
     loss = _cross_entropy(combined, seq.labels, rows)
-    delta = combined * (0.5 * scale)
-    delta[rows, seq.labels] -= 0.5 * scale
-    position_backward(fwd, cache_f, delta, grads_f)
-    position_backward(bwd, cache_b, delta[::-1], grads_b)
+    if grads_f is not None:
+        delta = combined * (0.5 * scale)
+        delta[rows, seq.labels] -= 0.5 * scale
+        position_backward(fwd, cache_f, delta, grads_f)
+        position_backward(bwd, cache_b, delta[::-1], grads_b)
     return loss
-
-
-def bidirectional_loss(fwd, bwd, seq) -> float:
-    """Teacher-forced total cross-entropy of the combined distribution
-    (dropout off), from the forward that bidirectional_pass runs."""
-    combined, _, _ = _bidirectional_forward(fwd, bwd, seq)
-    return _cross_entropy(combined, seq.labels, np.arange(len(seq)))
 
 
 def tag_bidirectional_batch(fwd: TaggerModel, bwd: TaggerModel, seqs) -> list:

@@ -7,7 +7,8 @@ embedding table is kept.
 
 It is built from the taggers' layers, its n previous tokens forming a
 label-context window. Each sequence is one batched pass (nnlm_sequence_pass,
-as models.sentence_pass), stepped by the taggers' SgdMomentum without L2.
+as models.sentence_pass), stepped by the taggers' SgdMomentum without L2, in
+the taggers' epoch loop (training.run_epochs).
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .layers import (embed_concat, embed_concat_backward, label_context_indices,
                      output_forward, relu_hidden_backward, relu_hidden_forward)
 from .mathcore import new_rng, xavier_init
 from .models import Grads, _cross_entropy
-from .training import SgdMomentum, TrainConfig, _check_finite, _diverging_quietly, lr_at
+from .training import SgdMomentum, TrainConfig, run_epochs
 
 
 @dataclass
@@ -71,39 +72,19 @@ def nnlm_backward(p: NnlmParams, cache, delta, grads: Grads):
     grads.add_rows("E_tok", embed_concat_backward(dx, cache["idxs"], w["E_tok"].shape[1]))
 
 
-def nnlm_sequence_pass(p: NnlmParams, tokens, grads: Grads, scale: float = 1.0) -> float:
-    """Forward, loss and backward of one non-empty sequence in one batched
-    pass. Adds scale times the gradient of the summed cross-entropy to
-    grads, and returns that sum."""
+def nnlm_sequence_pass(p: NnlmParams, tokens, grads=None, scale: float = 1.0) -> float:
+    """Forward and loss of one non-empty sequence in one batched pass, and
+    its backward when grads are given. Returns the summed cross-entropy; with
+    grads, adds scale times its gradient to them."""
     rows = np.arange(len(tokens))
     gold = np.asarray(tokens, dtype=np.intp)
     y, cache = nnlm_forward(p, tokens, rows)
     loss = _cross_entropy(y, gold, rows)
-    delta = y * scale
-    delta[rows, gold] -= scale
-    nnlm_backward(p, cache, delta, grads)
+    if grads is not None:
+        delta = y * scale
+        delta[rows, gold] -= scale
+        nnlm_backward(p, cache, delta, grads)
     return loss
-
-
-def nnlm_corpus_loss(p: NnlmParams, sequences) -> float:
-    """Summed cross-entropy from one batched forward per non-empty sequence,
-    as nnlm_sequence_pass computes it: the loss nnlm_corpus_grads
-    differentiates."""
-    total = 0.0
-    for tokens in sequences:
-        if len(tokens):
-            rows = np.arange(len(tokens))
-            total += _cross_entropy(nnlm_forward(p, tokens, rows)[0], np.asarray(tokens), rows)
-    return total
-
-
-def nnlm_corpus_grads(p: NnlmParams, sequences) -> dict:
-    """Dense gradients of nnlm_corpus_loss, from the pass training runs."""
-    grads = Grads()
-    for tokens in sequences:
-        if len(tokens):
-            nnlm_sequence_pass(p, tokens, grads)
-    return grads.to_dense(p)
 
 
 def train_nnlm(sequences, vocab_size: int, pad_id: int, *,
@@ -113,11 +94,11 @@ def train_nnlm(sequences, vocab_size: int, pad_id: int, *,
                momentum: float = TrainConfig.momentum, rng=None):
     """SGD-with-momentum training; returns (embedding table, per-epoch losses).
 
-    sequences are index lists over one vocabulary section. As for the taggers,
-    per-position gradients are averaged over each sequence and applied in one
-    step (per-position steps diverge at the default learning rate), the
-    learning rate decays linearly, and a non-finite epoch loss raises
-    TrainingDivergedError naming the epoch.
+    sequences are index lists over one vocabulary section; empty ones are
+    skipped. As for the taggers (training.run_epochs), per-position gradients
+    are averaged over each sequence and applied in one step (per-position
+    steps diverge at the default learning rate), the learning rate decays
+    linearly, and a non-finite epoch loss raises TrainingDivergedError.
     """
     if not sequences:
         raise ConfigError("NNLM training requires a non-empty corpus")
@@ -127,20 +108,16 @@ def train_nnlm(sequences, vocab_size: int, pad_id: int, *,
         rng = new_rng(0)
     p = build_nnlm(vocab_size, pad_id, context, embed_size, hidden_size, rng)
     opt = SgdMomentum(p, momentum, lam=0.0)
-    n_positions = sum(len(s) for s in sequences)
-    losses = []
-    for epoch in range(epochs):
-        lr = lr_at(epoch, epochs, lr0)
-        total = 0.0
-        with _diverging_quietly():
-            for si in rng.permutation(len(sequences)):
-                tokens = sequences[si]
-                if len(tokens):
-                    grads = Grads()
-                    total += nnlm_sequence_pass(p, tokens, grads, scale=1.0 / len(tokens))
-                    opt.step(grads, lr)
-        _check_finite(total, epoch)
-        losses.append(total / n_positions)
+
+    def update(tokens, lr):
+        if not len(tokens):
+            return 0.0
+        grads = Grads()
+        loss = nnlm_sequence_pass(p, tokens, grads, scale=1.0 / len(tokens))
+        opt.step(grads, lr)
+        return loss
+
+    losses = [loss for _, _, loss in run_epochs(sequences, epochs, lr0, rng, update)]
     return p.params["E_tok"], losses
 
 

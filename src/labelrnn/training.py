@@ -2,24 +2,24 @@
 dropout + L2 regularization, dev-based model selection, bidirectional
 fine-tuning, and a finite-difference gradient-check harness.
 
-Taggers train with one stochastic update per sentence over shuffled
-sentences. Each sentence goes through one batched forward/backward pass,
-one row per position (models.sentence_pass): the label context is
-teacher-forced (gold previous labels), so every layer is one GEMM per
-sentence. With a scheduled probability of feeding back predictions, the
-label history is first built position by position (_sampled_history). Each
-epoch ends with a dev pass through the lockstep greedy decoder
-(models.tag_greedy_batch). A gradient check differentiates the loss of the
-batched forward whose gradient it checks (models.sequence_loss).
+One epoch loop (run_epochs) trains the taggers, their bidirectional
+fine-tuning and the pretraining NNLM: one update per sentence, over shuffled
+sentences. Each sentence is one batched forward/backward pass, one row per
+position (models.sentence_pass), teacher-forced, or with a label history
+built position by position under scheduled sampling (_sampled_history).
+After each epoch a tagger is scored on dev by the lockstep decoder, and
+best_entry picks the model kept. The gradient checks differentiate the loss
+that a pass returns when it is given no gradients.
 """
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import decode_labels
+from .corpus import decode_labels, require_classes
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .mathcore import new_rng
 from .metrics import f1_chunks, token_accuracy
@@ -27,7 +27,6 @@ from .models import (
     DIR_FWD,
     Grads,
     VARIANT_GRU,
-    bidirectional_loss,
     bidirectional_pass,
     build_model,
     make_position_masks,
@@ -36,7 +35,6 @@ from .models import (
     predict_label,
     sentence_pass,
     sequence_grads,
-    sequence_loss,
     tag_bidirectional_batch,
     tag_greedy_batch,
 )
@@ -234,16 +232,46 @@ class SgdMomentum:
             w[rows] -= lr * g
 
 
-def _dev_scores(outputs, dev_seqs, vocab, chunk_mode):
+def run_epochs(seqs, epochs: int, lr0: float, rng, update):
+    """The epoch loop of every trainer. Each epoch calls update(seq, lr), which
+    steps the model on one sequence and returns its summed loss, over seqs in
+    a fresh permutation drawn from rng, at lr_at's rate and with numpy's
+    overflow and invalid-value warnings off. It then yields (epoch, lr, loss
+    per position), or raises TrainingDivergedError naming the epoch if the
+    loss is not finite."""
+    n_positions = sum(len(s) for s in seqs)
+    for epoch in range(epochs):
+        lr = lr_at(epoch, epochs, lr0)
+        total = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for si in rng.permutation(len(seqs)):
+                total += update(seqs[si], lr)
+        if not math.isfinite(total):
+            raise TrainingDivergedError(
+                f"training loss is {total} in epoch {epoch}; training diverged")
+        yield epoch, lr, total / n_positions
+
+
+def best_entry(entries, metric: str) -> TrainLogEntry:
+    """Dev-based model selection: the first entry with the highest dev score
+    under metric ("accuracy" or "f1")."""
+    return max(entries, key=lambda e: e.dev_acc if metric == "accuracy" else e.dev_f1)
+
+
+def _select_on_dev(epochs, decode_dev, snapshot, dev_seqs, vocab, config):
+    """Scores decode_dev() on dev_seqs after each of the epochs, run_epochs's
+    (epoch, lr, loss) triples, and takes snapshot() whenever the epoch is the
+    best_entry so far. Returns (best snapshot, log); an epoch numbered -1
+    stands for the model before training and stays out of the log."""
     golds = [decode_labels(seq.labels, vocab) for seq in dev_seqs]
-    preds = [decode_labels(out.labels, vocab) for out in outputs]
-    acc = token_accuracy(golds, preds)
-    f1 = f1_chunks(golds, preds, chunk_mode).f1
-    return acc, f1
-
-
-def _selection_score(entry: TrainLogEntry, metric: str) -> float:
-    return entry.dev_acc if metric == "accuracy" else entry.dev_f1
+    candidates, best = [], None
+    for epoch, lr, loss in epochs:
+        preds = [decode_labels(out.labels, vocab) for out in decode_dev()]
+        candidates.append(TrainLogEntry(epoch, lr, loss, token_accuracy(golds, preds),
+                                        f1_chunks(golds, preds, config.chunk_mode).f1))
+        if best_entry(candidates, config.dev_metric) is candidates[-1]:
+            best = snapshot()
+    return best, [entry for entry in candidates if entry.epoch >= 0]
 
 
 def _position_masks(model, config, rng, n):
@@ -291,23 +319,13 @@ def _train_sentence(model, opt, seq, lr, config, rng) -> float:
     return total
 
 
-def _diverging_quietly():
-    """Context for a training epoch: overflow and invalid values raise no
-    numpy warnings, as a diverging epoch is reported by _check_finite."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def _check_finite(total, epoch):
-    if not math.isfinite(total):
-        raise TrainingDivergedError(f"training loss is {total} in epoch {epoch}; training diverged")
-
-
 def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
                  direction: str, init_word_emb=None, init_label_emb=None, rng=None):
     """Full training of one directional tagger; returns (dev-best model, log)."""
     config.validate()
     if not train_seqs:
         raise ConfigError("training set is empty")
+    require_classes([*train_seqs, *dev_seqs], config)
     if rng is None:
         rng = new_rng(config.seed)
     model = build_model(
@@ -331,26 +349,10 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
     opt = SgdMomentum(model, config.momentum, config.lambda_l2,
                       l2_include_all=config.l2_include_all,
                       max_grad_norm=config.max_grad_norm)
-    log = []
-    best = None
-    best_score = -1.0
-    n_positions = sum(len(s) for s in train_seqs)
-    for epoch in range(config.epochs_fwd_bwd):
-        lr = lr_at(epoch, config.epochs_fwd_bwd, config.lr0)
-        total = 0.0
-        with _diverging_quietly():
-            for si in rng.permutation(len(train_seqs)):
-                total += _train_sentence(model, opt, train_seqs[si], lr, config, rng)
-        _check_finite(total, epoch)
-        dev_acc, dev_f1 = _dev_scores(tag_greedy_batch(model, dev_seqs), dev_seqs, vocab,
-                                      config.chunk_mode)
-        entry = TrainLogEntry(epoch, lr, total / n_positions, dev_acc, dev_f1)
-        log.append(entry)
-        score = _selection_score(entry, config.dev_metric)
-        if score > best_score:
-            best_score = score
-            best = copy.deepcopy(model)
-    return best, log
+    epochs = run_epochs(train_seqs, config.epochs_fwd_bwd, config.lr0, rng,
+                        lambda seq, lr: _train_sentence(model, opt, seq, lr, config, rng))
+    return _select_on_dev(epochs, lambda: tag_greedy_batch(model, dev_seqs),
+                          lambda: copy.deepcopy(model), dev_seqs, vocab, config)
 
 
 def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConfig, rng=None):
@@ -359,51 +361,39 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     The cross-entropy of the combined (renormalized) distribution has
     gradient (combined - onehot)/2 at each branch's pre-softmax layer, so
     each model receives half of the combined error signal. Updates happen
-    once per sentence, after both directional passes.
+    once per sentence, after both directional passes. The untouched pair is
+    the first candidate of dev selection (as epoch -1), so fine-tuning can
+    only improve the dev score.
     """
     config.validate()
     if fwd.direction != DIR_FWD:
         raise ConfigError("first model must be the forward one")
     if not train_seqs:
         raise ConfigError("training set is empty")
+    require_classes([*train_seqs, *dev_seqs], fwd, bwd)
     if rng is None:
         rng = new_rng(config.seed)
-    fwd = copy.deepcopy(fwd)
-    bwd = copy.deepcopy(bwd)
-    lam = config.lambda_l2_bidir
-    opt_f, opt_b = (SgdMomentum(m, config.momentum, lam, l2_include_all=config.l2_include_all,
+    fwd, bwd = copy.deepcopy(fwd), copy.deepcopy(bwd)
+    opt_f, opt_b = (SgdMomentum(m, config.momentum, config.lambda_l2_bidir,
+                                l2_include_all=config.l2_include_all,
                                 max_grad_norm=config.max_grad_norm,
                                 freeze_embeddings=config.freeze_embeddings_bidir)
                     for m in (fwd, bwd))
-    log = []
-    # Seed selection with the untouched pair: the pure combination is already
-    # a valid candidate, so fine-tuning can only improve the dev score.
-    acc0, f10 = _dev_scores(tag_bidirectional_batch(fwd, bwd, dev_seqs), dev_seqs, vocab,
-                            config.chunk_mode)
-    best = (copy.deepcopy(fwd), copy.deepcopy(bwd))
-    best_score = _selection_score(TrainLogEntry(-1, 0.0, 0.0, acc0, f10), config.dev_metric)
-    n_positions = sum(len(s) for s in train_seqs)
-    for epoch in range(config.epochs_bidir):
-        lr = lr_at(epoch, config.epochs_bidir, config.lr0)
-        total = 0.0
-        with _diverging_quietly():
-            for si in rng.permutation(len(train_seqs)):
-                seq = train_seqs[si]
-                n = len(seq)
-                masks = (_position_masks(fwd, config, rng, n), _position_masks(bwd, config, rng, n))
-                gf, gb = Grads(), Grads()
-                total += bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
-                opt_f.step(gf, lr)
-                opt_b.step(gb, lr)
-        _check_finite(total, epoch)
-        dev_acc, dev_f1 = _dev_scores(tag_bidirectional_batch(fwd, bwd, dev_seqs), dev_seqs,
-                                      vocab, config.chunk_mode)
-        entry = TrainLogEntry(epoch, lr, total / n_positions, dev_acc, dev_f1)
-        log.append(entry)
-        score = _selection_score(entry, config.dev_metric)
-        if score > best_score:
-            best_score = score
-            best = (copy.deepcopy(fwd), copy.deepcopy(bwd))
+
+    def update(seq, lr):
+        n = len(seq)
+        masks = (_position_masks(fwd, config, rng, n), _position_masks(bwd, config, rng, n))
+        gf, gb = Grads(), Grads()
+        loss = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
+        opt_f.step(gf, lr)
+        opt_b.step(gb, lr)
+        return loss
+
+    epochs = run_epochs(train_seqs, config.epochs_bidir, config.lr0, rng, update)
+    best, log = _select_on_dev(itertools.chain([(-1, 0.0, 0.0)], epochs),
+                               lambda: tag_bidirectional_batch(fwd, bwd, dev_seqs),
+                               lambda: (copy.deepcopy(fwd), copy.deepcopy(bwd)),
+                               dev_seqs, vocab, config)
     return best[0], best[1], log
 
 
@@ -443,8 +433,10 @@ def gradient_check(model, seq, epsilon: float = 1e-5, rng=None,
     """
     if rng is None:
         rng = new_rng(0)
+    oseq = orient(seq, model.direction)
     analytic = sequence_grads(model, seq)
-    return _finite_difference_report(model.params, analytic, lambda: sequence_loss(model, seq),
+    return _finite_difference_report(model.params, analytic,
+                                     lambda: sentence_pass(model, oseq, oseq.labels),
                                      epsilon, rng, samples_per_tensor)
 
 
@@ -464,5 +456,5 @@ def bidirectional_gradient_check(fwd, bwd, seq, epsilon: float = 1e-5, rng=None,
         for name, w in model.params.items():
             params[f"{prefix}.{name}"] = w
             analytic[f"{prefix}.{name}"] = dense[name]
-    return _finite_difference_report(params, analytic, lambda: bidirectional_loss(fwd, bwd, seq),
+    return _finite_difference_report(params, analytic, lambda: bidirectional_pass(fwd, bwd, seq),
                                      epsilon, rng, samples_per_tensor)

@@ -1,11 +1,14 @@
 """The lockstep greedy decoder against the position-by-position greedy pass
 (reference.reference_forward) on the synthetic test set."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from labelrnn import models
 from labelrnn.corpus import Sentence, build_vocabulary, encode
+from labelrnn.errors import DataError
 from labelrnn.mathcore import new_rng
 from labelrnn.models import (
     DIRECTIONS,
@@ -124,3 +127,14 @@ def test_batch_decoder_keeps_input_order_and_empty_sequences(task):
     assert [len(o.labels) for o in outs] == [len(seqs[0]), 0, len(seqs[1])]
     assert outs[1].dists.shape == (0, model.n_labels)
     assert np.array_equal(outs[2].labels, tag_greedy(model, seqs[1]).labels)
+
+
+def test_a_classes_model_rejects_sentences_without_the_class_column(small_model_factory,
+                                                                    tiny_seqs):
+    model = small_model_factory("irnn", use_classes=True)
+    seqs = [replace(seq, classes=None) if i == 1 else seq for i, seq in enumerate(tiny_seqs)]
+    with pytest.raises(DataError, match="reads word classes, but a sentence has no class"):
+        tag_greedy_batch(model, seqs)
+    with pytest.raises(DataError, match="reads word classes, but a sentence has no class"):
+        tag_bidirectional_batch(model, small_model_factory("irnn", "bwd", use_classes=True),
+                                seqs)

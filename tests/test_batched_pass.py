@@ -1,6 +1,7 @@
-"""The batched sentence pass and the losses the gradient checks differentiate
-against the position-by-position reference, and the in-place optimizer step
-against the textbook update."""
+"""The batched sentence passes against the position-by-position reference,
+their loss-only calls (the losses the gradient checks differentiate) against
+their gradient calls, and the in-place optimizer step against the textbook
+update."""
 
 import itertools
 
@@ -13,14 +14,12 @@ from labelrnn.models import (
     VARIANT_GRU,
     VARIANTS,
     Grads,
-    bidirectional_loss,
     bidirectional_pass,
     combine_bidirectional,
     make_position_masks,
     orient,
     position_backward,
     sentence_pass,
-    sequence_loss,
 )
 from labelrnn.training import SgdMomentum
 from reference import reference_forward
@@ -80,8 +79,8 @@ def test_sentence_pass_matches_position_reference(small_model_factory, tiny_seqs
             grads = Grads()
             loss = sentence_pass(model, oseq, history, grads, masks=masks)
             assert abs(loss - ref_loss) <= RTOL * abs(ref_loss) + ATOL
-            if masks is None and history is oseq.labels:  # the gradient check's loss
-                assert sequence_loss(model, seq) == pytest.approx(ref_loss, rel=RTOL)
+            # the loss-only call, which the gradient check differentiates
+            assert sentence_pass(model, oseq, history, masks=masks) == loss
             dense = grads.to_dense(model)
             _assert_same(dense, reference)
             if recurrent:  # the pass is not the one-step truncation of the chain
@@ -127,8 +126,7 @@ def test_bidirectional_pass_matches_position_reference(small_model_factory, tiny
         gf, gb = Grads(), Grads()
         got = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks)
         assert abs(got - loss) <= RTOL * abs(loss) + ATOL
-        if not dropout:  # the bidirectional gradient check's loss
-            assert bidirectional_loss(fwd, bwd, seq) == pytest.approx(loss, rel=RTOL)
+        assert bidirectional_pass(fwd, bwd, seq, masks=masks) == got
         _assert_same(gf.to_dense(fwd), ref_f.to_dense(fwd))
         _assert_same(gb.to_dense(bwd), ref_b.to_dense(bwd))
 

@@ -174,6 +174,21 @@ def test_train_writes_artifacts(trained_model):
     assert len(log_lines) == 1 + 2  # header + one line per epoch
 
 
+def test_summary_best_epoch_follows_the_dev_metric(corpus_dir, tmp_path):
+    # With this seed the dev F1 peaks first at epoch 3 and again at epoch 5,
+    # where dev accuracy peaks: the first epoch with the highest F1 is kept.
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--variant", "irnn", "--train", str(corpus_dir / "train.txt"),
+               "--dev", str(corpus_dir / "dev.txt"), "--seed", "7", "--out", str(out)]
+              + SMALL_TRAIN_OVERRIDES + ["--set", "epochs_fwd_bwd=6", "--set", "lr0=0.5",
+                                         "--set", "dev_metric=f1"])
+    assert rc == 0
+    rows = [line.split("\t") for line in (tmp_path / "m.bin.log").read_text().splitlines()[1:]]
+    f1 = [float(row[4]) for row in rows]
+    summary = dict(line.split("=") for line in (tmp_path / "m.bin.summary").read_text().split())
+    assert int(summary["best_epoch"]) == f1.index(max(f1))
+
+
 def test_manifest_contents_and_digest_stability(corpus_dir, tmp_path):
     outs = []
     for name in ("m1", "m2"):
@@ -424,8 +439,8 @@ def test_train_with_classes_rejects_a_file_without_the_class_column(corpus_dir, 
                   + SMALL_TRAIN_OVERRIDES)
         assert rc == 1
         assert _error_lines(capsys.readouterr().err) == [
-            f"error: {two_columns}: the model reads word classes, but the file has no class "
-            "column (expected word, class, label)"]
+            f"error: {two_columns}: the model reads word classes, but a sentence has no "
+            "class column (expected word, class, label)"]
 
 
 def test_tag_with_a_classes_model_rejects_input_without_the_class_column(corpus_dir, tmp_path,
@@ -440,8 +455,22 @@ def test_tag_with_a_classes_model_rejects_input_without_the_class_column(corpus_
                "--output", str(tmp_path / "t.txt")])
     assert rc == 1
     assert _error_lines(capsys.readouterr().err) == [
-        f"error: {two_columns}: the model reads word classes, but the file has no class "
-        "column (expected word, class, label)"]
+        f"error: {two_columns}: the model reads word classes, but a sentence has no "
+        "class column (expected word, class, label)"]
+
+
+def test_tag_output_in_a_missing_directory_fails_before_decoding(trained_model, corpus_dir,
+                                                                  tmp_path, capsys, monkeypatch):
+    def decoder(*args):
+        raise AssertionError("decoded before the output was opened")
+
+    monkeypatch.setattr("labelrnn.cli.tag_greedy_batch", decoder)
+    output = tmp_path / "missing" / "t.txt"
+    rc = main(["tag", "--model", str(trained_model), "--input", str(corpus_dir / "test.txt"),
+               "--output", str(output)])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and str(output) in lines[0]
 
 
 @pytest.mark.parametrize("flag", ["eval --gold", "tag --input", "tag --model", "tag --output"])

@@ -10,14 +10,19 @@ from labelrnn.pretrain import (
     build_nnlm,
     load_external_embeddings,
     nnlm_backward,
-    nnlm_corpus_grads,
-    nnlm_corpus_loss,
     nnlm_forward,
     nnlm_sequence_pass,
     save_embeddings,
     train_nnlm,
 )
 from labelrnn.training import _finite_difference_report
+
+
+def _grads(p, tokens):
+    """Dense gradient of one sequence's summed loss, from the training pass."""
+    grads = Grads()
+    nnlm_sequence_pass(p, tokens, grads)
+    return grads.to_dense(p)
 
 
 def test_context_must_be_positive():
@@ -39,15 +44,15 @@ def test_initial_loss_near_log_vocab_size():
     vocab_size = 7
     p = build_nnlm(vocab_size, 0, context=2, embed_size=8, hidden_size=8, rng=new_rng(0))
     seqs = [list(new_rng(1).integers(1, vocab_size, size=30))]
-    avg = nnlm_corpus_loss(p, seqs) / 30
+    avg = nnlm_sequence_pass(p, seqs[0]) / 30
     assert abs(avg - math.log(vocab_size)) < 0.3
 
 
 def test_gradient_check_on_toy_vocab():
     p = build_nnlm(5, 0, context=2, embed_size=4, hidden_size=6, rng=new_rng(2))
-    seqs = [[1, 2, 3, 4, 1, 2]]
-    report = _finite_difference_report(p.params, nnlm_corpus_grads(p, seqs),
-                                       lambda: nnlm_corpus_loss(p, seqs), 1e-5, new_rng(3), 40)
+    tokens = [1, 2, 3, 4, 1, 2]
+    report = _finite_difference_report(p.params, _grads(p, tokens),
+                                       lambda: nnlm_sequence_pass(p, tokens), 1e-5, new_rng(3), 40)
     assert set(report) == {"E_tok", "H", "b_h", "O", "b_o"}
     assert all(err < 1e-5 for err in report.values()), report
 
@@ -71,15 +76,13 @@ def test_sequence_pass_matches_per_position_reference(length):
         grads = Grads()
         loss = nnlm_sequence_pass(p, tokens, grads, scale=scale)
         assert loss == pytest.approx(ref_loss, rel=1e-10)
+        # the loss-only call, which the gradient check differentiates
+        assert nnlm_sequence_pass(p, tokens) == loss
         dense = grads.to_dense(p)
         assert set(dense) == set(ref)
         for name in ref:
             np.testing.assert_allclose(dense[name], scale * ref[name], rtol=1e-10, atol=1e-14,
                                        err_msg=name)
-    assert nnlm_corpus_loss(p, [tokens, []]) == pytest.approx(ref_loss, rel=1e-10)
-    corpus = nnlm_corpus_grads(p, [tokens, []])  # an empty sequence is skipped
-    for name in ref:
-        np.testing.assert_allclose(corpus[name], ref[name], rtol=1e-10, atol=1e-14)
 
 
 def test_training_equals_textbook_momentum_updates():
@@ -96,7 +99,7 @@ def test_training_equals_textbook_momentum_updates():
         for si in rng.permutation(len(seqs)):
             if not seqs[si]:
                 continue
-            g = nnlm_corpus_grads(p, [seqs[si]])
+            g = _grads(p, seqs[si])
             for name, v in velocity.items():
                 v[:] = 0.6 * v - lr * g[name] / len(seqs[si])
                 p.params[name] += v

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import labelrnn.training as training
 from labelrnn.corpus import build_vocabulary, decode_labels, encode
-from labelrnn.errors import ConfigError, LabelRnnError, ShapeError, TrainingDivergedError
+from labelrnn.errors import (ConfigError, DataError, LabelRnnError, ShapeError,
+                             TrainingDivergedError)
 from labelrnn.mathcore import dropout_mask, new_rng
 from labelrnn.metrics import token_accuracy
 from labelrnn.models import (
     Grads,
     combine_bidirectional,
-    l2_term,
     make_position_masks,
     sequence_grads,
     tag_bidirectional,
@@ -19,6 +21,8 @@ from labelrnn.synthetic import generate_corpus
 from labelrnn.training import (
     SgdMomentum,
     TrainConfig,
+    TrainLogEntry,
+    best_entry,
     gradient_check,
     lr_at,
     train_bidirectional,
@@ -90,28 +94,6 @@ def test_lr_schedule():
         lr_at(30, 30, 0.5)
     with pytest.raises(ConfigError):
         lr_at(-1, 30, 0.5)
-
-
-# -- loss --------------------------------------------------------------------
-
-def test_l2_term_zero_weights(small_model_factory):
-    model = small_model_factory("irnn")
-    for name in model.weight_matrix_names():
-        model.params[name][:] = 0.0
-    assert l2_term(model, 0.01) == 0.0
-
-
-def test_l2_term_exact_sum(small_model_factory):
-    model = small_model_factory("irnn")
-    lam = 0.01
-    expected = 0.5 * lam * sum(
-        float(np.sum(model.params[n] ** 2)) for n in model.weight_matrix_names()
-    )
-    assert abs(l2_term(model, lam) - expected) < 1e-12
-    # biases and embeddings contribute nothing
-    model.params["b_o"][:] = 100.0
-    model.params["E_w"][:] = 100.0
-    assert abs(l2_term(model, lam) - expected) < 1e-12
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -208,6 +190,32 @@ def test_dev_selection_returns_best_snapshot(tiny_vocab, tiny_seqs):
     preds = [decode_labels(tag_greedy(model, s).labels, tiny_vocab) for s in tiny_seqs]
     best_logged = max(e.dev_acc for e in log)
     assert abs(token_accuracy(golds, preds) - best_logged) < 1e-9
+
+
+def test_best_entry_is_the_first_with_the_highest_score_under_the_metric():
+    log = [TrainLogEntry(0, 0.5, 2.0, 80.0, 40.0), TrainLogEntry(1, 0.4, 1.5, 90.0, 60.0),
+           TrainLogEntry(2, 0.3, 1.2, 95.0, 50.0), TrainLogEntry(3, 0.2, 1.0, 95.0, 60.0)]
+    assert best_entry(log, "accuracy").epoch == 2
+    assert best_entry(log, "f1").epoch == 1
+
+
+def _without_classes(seqs):
+    return [replace(seq, classes=None) for seq in seqs]
+
+
+def test_training_with_classes_rejects_sentences_without_the_class_column(tiny_vocab,
+                                                                          tiny_seqs):
+    config = small_config(use_classes=True, epochs_fwd_bwd=1)
+    for train, dev in ((_without_classes(tiny_seqs), tiny_seqs),
+                       (tiny_seqs, _without_classes(tiny_seqs))):
+        with pytest.raises(DataError, match="reads word classes, but a sentence has no class"):
+            train_tagger(train, dev, tiny_vocab, config, "irnn", "fwd")
+    fwd, _ = train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, "irnn", "fwd")
+    bwd, _ = train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, "irnn", "bwd")
+    for train, dev in ((_without_classes(tiny_seqs), tiny_seqs),
+                       (tiny_seqs, _without_classes(tiny_seqs))):
+        with pytest.raises(DataError, match="reads word classes, but a sentence has no class"):
+            train_bidirectional(fwd, bwd, train, dev, tiny_vocab, config)
 
 
 def test_pretrained_embeddings_must_match_shape(tiny_vocab, tiny_seqs):
@@ -369,8 +377,8 @@ def test_gradient_check_detects_sign_flip(small_model_factory, tiny_seqs, monkey
     model = small_model_factory("irnn", d_c=0, use_chars=False)
     real = training.sequence_grads
 
-    def corrupted(m, seq, lam=0.0):
-        return {name: -g for name, g in real(m, seq, lam).items()}
+    def corrupted(m, seq):
+        return {name: -g for name, g in real(m, seq).items()}
 
     monkeypatch.setattr(training, "sequence_grads", corrupted)
     report = gradient_check(model, tiny_seqs[0], rng=new_rng(0), samples_per_tensor=10)
