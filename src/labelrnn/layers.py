@@ -5,8 +5,10 @@ Gradients w.r.t. embedding tables are reported as (row, vector) pairs so
 callers can update touched rows sparsely.
 
 Every layer takes a stack of rows, one per position, and positions are an
-index array. Each weight gradient is one GEMM over all rows (dPre.T @ X),
-summed over the rows.
+index array. A weight gradient summed over the rows is the product
+dPre.T @ X of rank at most the number of rows, and each backward returns it
+as the factor pair (dPre, X). _weight_grad is the one place that multiplies
+a pair out; the optimizer does so one row block at a time.
 """
 
 import numpy as np
@@ -61,12 +63,13 @@ def embed_concat_backward(dvec: np.ndarray, indices: np.ndarray, dim: int):
     return list(zip(rows.tolist(), summed))
 
 
-def _weight_grad(d, x):
-    """Sum over rows of outer(d_row, x_row): one GEMM, or np.outer for a
+def _weight_grad(d, x, out=None):
+    """The weight gradient of the factor pair (d, x), the sum over rows of
+    outer(d_row, x_row), into out if given: one GEMM, or np.outer for a
     single row (a GEMM with k=1 is several times slower)."""
     if len(d) == 1:
-        return np.outer(d, x)
-    return d.T @ x
+        return np.outer(d, x, out=out)
+    return np.matmul(d.T, x, out=out)
 
 
 # -- relu hidden layer ---------------------------------------------------
@@ -77,9 +80,10 @@ def relu_hidden_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray):
 
 
 def relu_hidden_backward(W: np.ndarray, x: np.ndarray, pre: np.ndarray, dh: np.ndarray):
-    """Returns (dW, db, dx) for h = relu(W x + b); dW and db sum over rows."""
+    """Returns (dW, db, dx) for h = relu(W x + b); dW is the factor pair
+    (dpre, x), and dW and db sum over rows."""
     dpre = dh * relu_grad(pre)
-    return _weight_grad(dpre, x), dpre.sum(axis=0), dpre @ W
+    return (dpre, x), dpre.sum(axis=0), dpre @ W
 
 
 # -- GRU hidden layer -----------------------------------------------------
@@ -130,9 +134,9 @@ def gru_backward(params: dict, cache: dict, dh: np.ndarray):
     The factors each step multiplies by are computed for all steps first, so
     the loop, last step first, does only the work that needs the gradient
     flowing back from the step after it: two W products and the
-    element-wise products around them. Each weight gradient is then one GEMM
-    over all steps. Returns (grads, dx, dh_prev); grads keys mirror the
-    parameter dict, and dh_prev is the gradient on the initial state.
+    element-wise products around them. Returns (grads, dx, dh_prev); grads
+    keys mirror the parameter dict, each weight gradient a factor pair over
+    all steps, and dh_prev is the gradient on the initial state.
     """
     x, h_prev, z, r, hc = (cache[k] for k in ("x", "h_prev", "z", "r", "hc"))
     n, hid = z.shape
@@ -154,14 +158,14 @@ def gru_backward(params: dict, cache: dict, dh: np.ndarray):
     da_z, da_r = da_zr[:, :hid], da_zr[:, hid:]
 
     grads = {
-        "W_z": _weight_grad(da_z, h_prev),
-        "U_z": _weight_grad(da_z, x),
+        "W_z": (da_z, h_prev),
+        "U_z": (da_z, x),
         "b_z": da_z.sum(axis=0),
-        "W_r": _weight_grad(da_r, h_prev),
-        "U_r": _weight_grad(da_r, x),
+        "W_r": (da_r, h_prev),
+        "U_r": (da_r, x),
         "b_r": da_r.sum(axis=0),
-        "W_h": _weight_grad(da_c, r * h_prev),
-        "U_h": _weight_grad(da_c, x),
+        "W_h": (da_c, r * h_prev),
+        "U_h": (da_c, x),
         "b_c": da_c.sum(axis=0),
     }
     dx = da_z @ params["U_z"] + da_r @ params["U_r"] + da_c @ params["U_h"]
@@ -198,12 +202,12 @@ def char_conv_forward(words, E_ch: np.ndarray, W: np.ndarray,
 
 
 def char_conv_backward(cache: dict, W: np.ndarray, dout: np.ndarray):
-    """Returns (dW, db, embedding row grads); gradient flows only through
-    the argmax column of each output coordinate."""
+    """Returns (dW, db, embedding row grads), dW a factor pair; gradient
+    flows only through the argmax column of each output coordinate."""
     dcols = np.zeros((len(cache["x"]), W.shape[0]))
     dcols[cache["best"], np.arange(W.shape[0])] = dout
     row_grads = embed_concat_backward(dcols @ W, cache["idx"], cache["dim"])
-    return _weight_grad(dcols, cache["x"]), dout.sum(axis=0), row_grads
+    return (dcols, cache["x"]), dout.sum(axis=0), row_grads
 
 
 # -- softmax output layer ---------------------------------------------------
@@ -214,5 +218,6 @@ def output_forward(O: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def output_backward(O: np.ndarray, h: np.ndarray, delta: np.ndarray):
     """Backward for softmax + cross-entropy given delta = y - c at the
-    pre-softmax layer. Returns (dO, db, dh); dO and db sum over rows."""
-    return _weight_grad(delta, h), delta.sum(axis=0), delta @ O
+    pre-softmax layer. Returns (dO, db, dh); dO is the factor pair
+    (delta, h), and dO and db sum over rows."""
+    return (delta, h), delta.sum(axis=0), delta @ O

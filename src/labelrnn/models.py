@@ -30,6 +30,7 @@ from .corpus import (
 )
 from .errors import ConfigError, ModelIOError, ShapeError
 from .layers import (
+    _weight_grad,
     char_conv_backward,
     char_conv_forward,
     embed_concat,
@@ -187,10 +188,13 @@ def _param_shapes(model) -> list:
 # -- gradient accumulation -------------------------------------------------
 
 class Grads:
-    """Accumulates dense weight gradients and sparse embedding-row grads."""
+    """Accumulates gradients: dense arrays (biases, or a weight gradient
+    given whole), weight gradients as layer factor pairs (d, x) whose product
+    d.T @ x is never formed, and sparse embedding-row grads."""
 
     def __init__(self):
         self.dense = {}
+        self.factors = {}
         self.rows = {}
 
     def add(self, name, g):
@@ -200,6 +204,15 @@ class Grads:
             self.dense[name] += g
         else:
             self.dense[name] = g
+
+    def add_factors(self, name, d, x):
+        """Add d.T @ x to the gradient of name as a factor pair, kept as
+        given; a second pair for name is stacked under the first, row by
+        row."""
+        if name in self.factors:
+            d0, x0 = self.factors[name]
+            d, x = np.concatenate((d0, d)), np.concatenate((x0, x))
+        self.factors[name] = (d, x)
 
     def add_rows(self, table, pairs):
         bucket = self.rows.setdefault(table, {})
@@ -212,16 +225,21 @@ class Grads:
     def scale(self, factor: float):
         for g in self.dense.values():
             g *= factor
+        for name, (d, x) in self.factors.items():
+            self.factors[name] = (d * factor, x)
         for bucket in self.rows.values():
             for row in bucket:
                 bucket[row] = bucket[row] * factor
 
     def to_dense(self, model) -> dict:
-        """Full gradient dict with zeros for untouched parameters."""
+        """Full gradient dict with zeros for untouched parameters; each
+        factor pair is multiplied out."""
         out = {}
         for name, value in model.params.items():
             if name in self.dense:
                 out[name] = self.dense[name]
+            elif name in self.factors:
+                out[name] = _weight_grad(*self.factors[name])
             else:
                 out[name] = np.zeros_like(value)
         for table, bucket in self.rows.items():
@@ -311,7 +329,7 @@ def _scatter_input_grad(model, cache, dx, grads):
         offset += dim
         if name == "ch":
             dW, db, rows = char_conv_backward(cache["ch_cache"], model.params["W_conv"], piece)
-            grads.add("W_conv", dW)
+            grads.add_factors("W_conv", *dW)
             grads.add("b_conv", db)
             grads.add_rows("E_ch", rows)
             continue
@@ -325,14 +343,14 @@ def _scatter_input_grad(model, cache, dx, grads):
 
 def position_backward(model, cache, delta, grads, dh_next=None):
     """Backward of position_forward given delta = (y - c) at the pre-softmax
-    layer, one row per position; every weight gradient is one GEMM over the
-    rows. The GRU backpropagates through time, with dh_next added to the
-    gradient on the last step's h; returns the gradient w.r.t. the initial
-    hidden state (GRU only).
+    layer, one row per position; every weight gradient goes to grads as one
+    factor pair over the rows. The GRU backpropagates through time, with
+    dh_next added to the gradient on the last step's h; returns the gradient
+    w.r.t. the initial hidden state (GRU only).
     """
     p = model.params
     dO, db_o, dh = output_backward(p["O"], cache["h_drop"], delta)
-    grads.add("O", dO)
+    grads.add_factors("O", *dO)
     grads.add("b_o", db_o)
     mask_h = cache["masks"].get("h")
     if mask_h is not None:
@@ -340,7 +358,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
 
     if model.variant == VARIANT_IRNN:
         dH, db_h, dx = relu_hidden_backward(p["H"], cache["x"], cache["pre"], dh)
-        grads.add("H", dH)
+        grads.add_factors("H", *dH)
         grads.add("b_h", db_h)
         _scatter_input_grad(model, cache, dx, grads)
         return None
@@ -349,12 +367,15 @@ def position_backward(model, cache, delta, grads, dh_next=None):
             dh[-1] += dh_next
         ggrads, dx, dh_prev = gru_backward(model.gru_params(), cache["gcache"], dh)
         for name, g in ggrads.items():
-            grads.add(name, g)
+            if _is_bias(name):
+                grads.add(name, g)
+            else:
+                grads.add_factors(name, *g)
         _scatter_input_grad(model, cache, dx, grads)
         return dh_prev
 
     dH2, db_2, dhcat = relu_hidden_backward(p["H2"], cache["hcat"], cache["pre2"], dh)
-    grads.add("H2", dH2)
+    grads.add_factors("H2", *dH2)
     grads.add("b_2", db_2)
     offset = 0
     dx_pieces = []
@@ -364,7 +385,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
         dF, dFb, dxp = relu_hidden_backward(
             p[f"F_{name}"], cache[f"x_{name}"], cache[f"fpre_{name}"], df
         )
-        grads.add(f"F_{name}", dF)
+        grads.add_factors(f"F_{name}", *dF)
         grads.add(f"Fb_{name}", dFb)
         dx_pieces.append(dxp)
     _scatter_input_grad(model, cache, np.concatenate(dx_pieces, axis=-1), grads)

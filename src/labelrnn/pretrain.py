@@ -67,8 +67,10 @@ def nnlm_backward(p: NnlmParams, cache, delta, grads: Grads):
     w = p.params
     dO, db_o, dh = output_backward(w["O"], cache["h"], delta)
     dH, db_h, dx = relu_hidden_backward(w["H"], cache["x"], cache["pre"], dh)
-    for name, g in (("O", dO), ("b_o", db_o), ("H", dH), ("b_h", db_h)):
-        grads.add(name, g)
+    grads.add_factors("O", *dO)
+    grads.add("b_o", db_o)
+    grads.add_factors("H", *dH)
+    grads.add("b_h", db_h)
     grads.add_rows("E_tok", embed_concat_backward(dx, cache["idxs"], w["E_tok"].shape[1]))
 
 

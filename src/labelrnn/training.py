@@ -20,7 +20,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .corpus import decode_labels, require_classes
-from .errors import ConfigError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, DataError, ShapeError, TrainingDivergedError
+from .layers import _weight_grad
 from .mathcore import new_rng
 from .metrics import f1_chunks, token_accuracy
 from .models import (
@@ -173,6 +174,26 @@ def lr_at(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0 * (1.0 - epoch / total_epochs)
 
 
+# Bytes of weight gradient the step forms at a time: one row block, sized to
+# stay in cache together with the rows of the weight and velocity it updates.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _update(w, v, g, mu, rate, decay):
+    """v <- mu*v - rate*g - decay*w; w <- w + v, in place, with g as scratch."""
+    v *= mu
+    v -= np.multiply(g, rate, out=g)
+    if decay:
+        v -= np.multiply(w, decay, out=g)
+    w += v
+
+
+def _factor_norm(d, x):
+    """Frobenius norm of d.T @ x from n x n products:
+    |d.T x|^2 = sum((d d.T) * (x x.T)) for n rows."""
+    return math.sqrt(max(float(np.vdot(d @ d.T, x @ x.T)), 0.0))
+
+
 class SgdMomentum:
     """v <- mu*v - lr*(grad + lam*w); w <- w + v for weights and biases.
 
@@ -182,8 +203,14 @@ class SgdMomentum:
     weight gradient is clipped to that norm per tensor, an embedding
     gradient per row.
 
-    The step runs in place and makes no temporary the size of a tensor: it
-    consumes grads, whose dense arrays serve as its scratch buffers.
+    The step runs in place. A dense gradient in grads serves as its own
+    scratch. A factor pair (d, x) is never multiplied out whole when it is
+    larger than _BLOCK_BYTES: each block of rows of d.T @ x is formed in one
+    scratch buffer and applied to the same rows of the weight and its
+    velocity while they are in cache, with the same element-wise operations
+    in the same order. So the step equals the whole-array step bit for bit
+    wherever the BLAS gives a block the values of the same rows of the whole
+    product. The clipping norm of a pair comes from its factors.
     """
 
     def __init__(self, model, momentum: float, lam: float, l2_include_all: bool = False,
@@ -202,23 +229,51 @@ class SgdMomentum:
             for name, value in model.params.items()
             if not name.startswith("E_")
         }
+        # rows of a weight's gradient per block; never one (see _update_blocks)
+        self._block_rows = {name: max(2, _BLOCK_BYTES // (8 * value.shape[1]))
+                            for name, value in self.velocity.items() if value.ndim == 2}
+        self._scratch = np.empty(0)
 
     def _clip_scale(self, norm):
         """Factor that brings a gradient norm down to max_grad_norm, or 1."""
         return self.max_grad_norm / np.maximum(norm, self.max_grad_norm)
 
+    def _update_blocks(self, w, v, d, x, rows, rate, decay):
+        """_update with g = d.T @ x formed rows rows at a time in one scratch
+        buffer. No block has a single row: numpy would take it through a
+        matrix-vector product, whose sums round differently from the GEMM's."""
+        cols = w.shape[1]
+        if self._scratch.size < (rows + 1) * cols:
+            self._scratch = np.empty((rows + 1) * cols)
+        starts = range(0, len(w) - 1, rows)  # a last single row joins the block before it
+        for lo in starts:
+            hi = len(w) if lo == starts[-1] else lo + rows
+            g = self._scratch[: (hi - lo) * cols].reshape(hi - lo, cols)
+            _update(w[lo:hi], v[lo:hi], _weight_grad(d[:, lo:hi], x, out=g), self.momentum, rate,
+                    decay)
+
     def step(self, grads: Grads, lr: float):
+        clip = self.max_grad_norm > 0.0
+        decay = lr * self.lam
         for name, g in grads.dense.items():
             w = self.model.params[name]
             if g.shape != w.shape:
                 raise ShapeError(f"gradient shape {g.shape} does not match {name}")
-            v = self.velocity[name]
-            v *= self.momentum
-            scale = self._clip_scale(np.linalg.norm(g)) if self.max_grad_norm > 0.0 else 1.0
-            v -= np.multiply(g, lr * scale, out=g)
-            if self.lam > 0.0 and name in self.l2_names:
-                v -= np.multiply(w, lr * self.lam, out=g)
-            w += v
+            scale = self._clip_scale(np.linalg.norm(g)) if clip else 1.0
+            _update(w, self.velocity[name], g, self.momentum, lr * scale,
+                    decay if name in self.l2_names else 0.0)
+        for name, (d, x) in grads.factors.items():
+            w = self.model.params[name]
+            if d.shape[1:] + x.shape[1:] != w.shape or len(d) != len(x):
+                raise ShapeError(f"gradient factors of shapes {d.shape} and {x.shape} "
+                                 f"do not match {name}")
+            scale = self._clip_scale(_factor_norm(d, x)) if clip else 1.0
+            rate, wd = lr * scale, decay if name in self.l2_names else 0.0
+            rows = self._block_rows[name]
+            if rows >= len(w):  # one block: the whole gradient at once
+                _update(w, self.velocity[name], _weight_grad(d, x), self.momentum, rate, wd)
+            else:
+                self._update_blocks(w, self.velocity[name], d, x, rows, rate, wd)
         if self.freeze_embeddings:
             return
         for table, bucket in grads.rows.items():
@@ -238,8 +293,10 @@ def run_epochs(seqs, epochs: int, lr0: float, rng, update):
     a fresh permutation drawn from rng, at lr_at's rate and with numpy's
     overflow and invalid-value warnings off. It then yields (epoch, lr, loss
     per position), or raises TrainingDivergedError naming the epoch if the
-    loss is not finite."""
+    loss is not finite. seqs must hold at least one position."""
     n_positions = sum(len(s) for s in seqs)
+    if not n_positions:
+        raise DataError("the training sequences hold no positions")
     for epoch in range(epochs):
         lr = lr_at(epoch, epochs, lr0)
         total = 0.0
@@ -256,6 +313,16 @@ def best_entry(entries, metric: str) -> TrainLogEntry:
     """Dev-based model selection: the first entry with the highest dev score
     under metric ("accuracy" or "f1")."""
     return max(entries, key=lambda e: e.dev_acc if metric == "accuracy" else e.dev_f1)
+
+
+def _require_training_set(train_seqs):
+    """A tagger trains on at least one sequence, and on no empty one (its
+    gradient is averaged over its positions)."""
+    if not train_seqs:
+        raise ConfigError("training set is empty")
+    for i, seq in enumerate(train_seqs):
+        if not len(seq):
+            raise DataError(f"training sequence {i} is empty")
 
 
 def _select_on_dev(epochs, decode_dev, snapshot, dev_seqs, vocab, config):
@@ -323,8 +390,7 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
                  direction: str, init_word_emb=None, init_label_emb=None, rng=None):
     """Full training of one directional tagger; returns (dev-best model, log)."""
     config.validate()
-    if not train_seqs:
-        raise ConfigError("training set is empty")
+    _require_training_set(train_seqs)
     require_classes([*train_seqs, *dev_seqs], config)
     if rng is None:
         rng = new_rng(config.seed)
@@ -368,8 +434,7 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     config.validate()
     if fwd.direction != DIR_FWD:
         raise ConfigError("first model must be the forward one")
-    if not train_seqs:
-        raise ConfigError("training set is empty")
+    _require_training_set(train_seqs)
     require_classes([*train_seqs, *dev_seqs], fwd, bwd)
     if rng is None:
         rng = new_rng(config.seed)

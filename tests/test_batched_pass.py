@@ -3,11 +3,14 @@ their loss-only calls (the losses the gradient checks differentiate) against
 their gradient calls, and the in-place optimizer step against the textbook
 update."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+import labelrnn.training as training
+from labelrnn.layers import _weight_grad
 from labelrnn.mathcore import new_rng
 from labelrnn.models import (
     DIRECTIONS,
@@ -160,6 +163,59 @@ def _textbook_step(params, velocity, grads, lr, mu, lam, l2_names, l2_include_al
             params[table][row] = params[table][row] - lr * g
 
 
+def _step_factors_whole_and_textbook(model, n, lam, l2_include_all, max_grad_norm, freeze):
+    """Three steps of random gradients, the weight gradients as factor pairs
+    of n rows, against the same steps with each pair multiplied out and
+    against _textbook_step."""
+    whole = copy.deepcopy(model)  # stepped with each factor pair multiplied out
+    opt, opt_whole = (SgdMomentum(m, 0.7, lam, l2_include_all=l2_include_all,
+                                  max_grad_norm=max_grad_norm, freeze_embeddings=freeze)
+                      for m in (model, whole))
+    params = {name: value.copy() for name, value in model.params.items()}
+    velocity = {name: np.zeros_like(value) for name, value in params.items()}
+    l2_names = set(opt.l2_names)
+    rng = new_rng(16)
+    dim = model.embed_size
+    for step in range(3):
+        # gradient norms on both sides of max_grad_norm
+        factors = {name: (rng.normal(size=(n, value.shape[0])) * rng.choice([1e-3, 1.0]),
+                          rng.normal(size=(n, value.shape[1])))
+                   for name, value in model.params.items()
+                   if value.ndim == 2 and not name.startswith("E_")}
+        dense = {name: rng.normal(size=value.shape) * rng.choice([1e-3, 1.0])
+                 for name, value in model.params.items() if value.ndim == 1}
+        rows = {
+            # row 4 twice in one sentence: its two vectors are summed, then clipped
+            "E_w": [(4, rng.normal(size=dim) * 0.3), (7, rng.normal(size=dim) * 1e-3),
+                    (4, rng.normal(size=dim) * 0.3)],
+            "E_l": [(1, rng.normal(size=dim))],
+        }
+        grads, grads_whole = Grads(), Grads()
+        for name, g in dense.items():
+            grads.add(name, g.copy())
+            grads_whole.add(name, g.copy())
+        for name, (d, x) in factors.items():
+            grads.add_factors(name, d, x)
+            grads_whole.add(name, _weight_grad(d, x))
+        for table, pairs in rows.items():
+            grads.add_rows(table, pairs)
+            grads_whole.add_rows(table, pairs)
+        lr = 0.3 - 0.05 * step
+        opt.step(grads, lr)
+        opt_whole.step(grads_whole, lr)
+        full = {**dense, **{name: _weight_grad(d, x) for name, (d, x) in factors.items()}}
+        _textbook_step(params, velocity, {"dense": full, "rows": rows}, lr,
+                       0.7, lam, l2_names, l2_include_all, max_grad_norm, freeze)
+        for name, value in params.items():
+            np.testing.assert_allclose(model.params[name], value, rtol=1e-12, atol=1e-14,
+                                       err_msg=name)
+            if max_grad_norm == 0.0:
+                assert np.array_equal(model.params[name], whole.params[name]), name
+            else:  # the clipping norm of a pair comes from its factors
+                np.testing.assert_allclose(model.params[name], whole.params[name],
+                                           rtol=1e-12, atol=1e-14, err_msg=name)
+
+
 @pytest.mark.parametrize("lam,l2_include_all,max_grad_norm,freeze", [
     (0.0, False, 0.0, False),
     (0.05, False, 0.0, False),
@@ -168,34 +224,31 @@ def _textbook_step(params, velocity, grads, lr, mu, lam, l2_names, l2_include_al
     (0.05, True, 0.5, False),
     (0.05, False, 0.5, True),
 ])
-def test_in_place_step_matches_textbook(small_model_factory, lam, l2_include_all,
+def test_in_place_step_matches_textbook(small_model_factory, monkeypatch, lam, l2_include_all,
                                         max_grad_norm, freeze):
-    model = small_model_factory("irnn-deep", seed=15, use_chars=True)
-    opt = SgdMomentum(model, 0.7, lam, l2_include_all=l2_include_all,
-                      max_grad_norm=max_grad_norm, freeze_embeddings=freeze)
-    params = {name: value.copy() for name, value in model.params.items()}
-    velocity = {name: np.zeros_like(value) for name, value in params.items()}
-    l2_names = set(opt.l2_names)
-    rng = new_rng(16)
-    dim = model.embed_size
-    for step in range(3):
-        # gradient norms on both sides of max_grad_norm
-        dense = {name: rng.normal(size=value.shape) * rng.choice([1e-3, 1.0])
-                 for name, value in model.params.items() if not name.startswith("E_")}
-        rows = {
-            # row 4 twice in one sentence: its two vectors are summed, then clipped
-            "E_w": [(4, rng.normal(size=dim) * 0.3), (7, rng.normal(size=dim) * 1e-3),
-                    (4, rng.normal(size=dim) * 0.3)],
-            "E_l": [(1, rng.normal(size=dim))],
-        }
-        grads = Grads()
-        for name, g in dense.items():
-            grads.add(name, g.copy())
-        for table, pairs in rows.items():
-            grads.add_rows(table, pairs)
-        opt.step(grads, lr=0.3 - 0.05 * step)
-        _textbook_step(params, velocity, {"dense": dense, "rows": rows}, 0.3 - 0.05 * step,
-                       0.7, lam, l2_names, l2_include_all, max_grad_norm, freeze)
-        for name, value in params.items():
-            np.testing.assert_allclose(model.params[name], value, rtol=1e-12, atol=1e-14,
-                                       err_msg=name)
+    # 64-element blocks: most factored tensors here span several blocks, and
+    # their row counts are not multiples of the block's
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 8 * 64)
+    for n in (1, 3):  # rows per factor pair: np.outer, then a GEMM
+        model = small_model_factory("irnn-deep", seed=15, use_chars=True)
+        _step_factors_whole_and_textbook(model, n, lam, l2_include_all, max_grad_norm, freeze)
+
+
+@pytest.mark.parametrize("variant,direction", itertools.product(VARIANTS, DIRECTIONS))
+def test_training_passes_multiply_out_no_weight_gradient(small_model_factory, tiny_seqs,
+                                                          variant, direction):
+    """Weight gradients reach the step as factor pairs: a pass puts only
+    bias gradients, never a weight-sized array, in grads.dense."""
+    model = small_model_factory(variant, direction, seed=17, use_classes=True, use_chars=True)
+    other = small_model_factory(variant, "bwd" if direction == "fwd" else "fwd", seed=18,
+                                use_classes=True, use_chars=True)
+    seq = tiny_seqs[0]
+    oseq = orient(seq, direction)
+    grads = Grads()
+    sentence_pass(model, oseq, oseq.labels, grads, masks=_masks(model, len(oseq), seed=0))
+    fwd, bwd = (model, other) if direction == "fwd" else (other, model)
+    grads_f, grads_b = Grads(), Grads()
+    bidirectional_pass(fwd, bwd, seq, grads_f, grads_b)
+    for g in (grads, grads_f, grads_b):
+        assert g.dense and all(value.ndim == 1 for value in g.dense.values())
+        assert set(g.factors) == set(model.weight_matrix_names())

@@ -5,6 +5,7 @@ import pytest
 
 from labelrnn.errors import DataError
 from labelrnn.layers import (
+    _weight_grad,
     char_conv_backward,
     char_conv_forward,
     embed_concat,
@@ -105,6 +106,7 @@ def test_relu_hidden_gradient_finite_differences():
 
     h, pre = relu_hidden_forward(W, b, x)
     dW, db, dx = relu_hidden_backward(W, x, pre, v)
+    dW = _weight_grad(*dW)
     eps = 1e-6
 
     def loss(W_, b_, x_):
@@ -181,7 +183,8 @@ def test_gru_backward_finite_differences():
         def loss():
             return float(np.sum(v * gru_forward(params, x, h_prev)[0]))
 
-        targets = [(name, params[name], grads[name]) for name in grads]
+        targets = [(name, params[name], _weight_grad(*g) if isinstance(g, tuple) else g)
+                   for name, g in grads.items()]
         targets += [("x", x, dx), ("h_prev", h_prev, dh_prev)]
         for name, tensor, grad in targets:
             flat = tensor.reshape(-1)
@@ -256,6 +259,7 @@ def test_char_conv_gradient_finite_differences():
 
     out, cache = char_conv_forward(chars, E, W, b, d_c=1, pad_id=CPAD)
     dW, db, rows = char_conv_backward(cache, W, v)
+    dW = _weight_grad(*dW)
     dE = np.zeros_like(E)
     for row, vec in rows:
         dE[row] += vec
@@ -304,6 +308,7 @@ def test_output_backward_matches_cross_entropy_fd():
     delta = y.copy()
     delta[0, gold] -= 1.0
     dO, db, dh = output_backward(O, h, delta)
+    dO = _weight_grad(*dO)
     eps = 1e-6
 
     def loss():

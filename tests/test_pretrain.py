@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from labelrnn.errors import ConfigError, TrainingDivergedError
+from labelrnn.errors import ConfigError, LabelRnnError, TrainingDivergedError
 from labelrnn.mathcore import new_rng
 from labelrnn.models import Grads
 from labelrnn.pretrain import (
@@ -33,6 +33,11 @@ def test_context_must_be_positive():
 def test_empty_corpus_rejected():
     with pytest.raises(ConfigError):
         train_nnlm([], 5, 0)
+
+
+def test_corpus_of_empty_sequences_rejected():
+    with pytest.raises(LabelRnnError, match="no positions"):
+        train_nnlm([[]], 5, 0)
 
 
 def test_zero_epochs_rejected():
@@ -83,6 +88,15 @@ def test_sequence_pass_matches_per_position_reference(length):
         for name in ref:
             np.testing.assert_allclose(dense[name], scale * ref[name], rtol=1e-10, atol=1e-14,
                                        err_msg=name)
+
+
+def test_sequence_pass_multiplies_out_no_weight_gradient():
+    p = build_nnlm(6, 0, context=2, embed_size=5, hidden_size=7, rng=new_rng(5))
+    grads = Grads()
+    nnlm_sequence_pass(p, [1, 2, 3, 4], grads)
+    assert set(grads.dense) == {"b_h", "b_o"}
+    assert all(g.ndim == 1 for g in grads.dense.values())
+    assert set(grads.factors) == {"H", "O"}
 
 
 def test_training_equals_textbook_momentum_updates():

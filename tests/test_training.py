@@ -163,6 +163,14 @@ def test_bad_gradient_shape_rejected(small_model_factory):
     grads.add("O", np.zeros((1, 1)))
     with pytest.raises(ShapeError):
         opt.step(grads, lr=0.1)
+    rows, cols = model.params["O"].shape
+    for d, x in ((np.zeros((2, rows + 1)), np.zeros((2, cols))),  # d.T @ x has a wrong shape
+                 (np.zeros((2, rows)), np.zeros((3, cols))),  # the factors' rows differ
+                 (np.zeros(rows), np.zeros(cols))):  # not stacks of rows
+        grads = Grads()
+        grads.add_factors("O", d, x)
+        with pytest.raises(ShapeError, match="O"):
+            opt.step(grads, lr=0.1)
 
 
 # -- directional training --------------------------------------------------------
@@ -181,6 +189,30 @@ def test_train_tagger_reduces_loss_and_is_deterministic(tiny_vocab, tiny_seqs):
 def test_train_tagger_empty_corpus_rejected(tiny_vocab):
     with pytest.raises(ConfigError):
         train_tagger([], [], tiny_vocab, small_config(), "irnn", "fwd")
+
+
+def _empty_seq(like):
+    return replace(like, words=like.words[:0], classes=like.classes[:0], chars=[],
+                   labels=like.labels[:0])
+
+
+def test_train_tagger_rejects_an_empty_training_sequence(tiny_vocab, tiny_seqs):
+    seqs = [tiny_seqs[0], _empty_seq(tiny_seqs[0]), tiny_seqs[1]]
+    with pytest.raises(DataError, match="training sequence 1 is empty"):
+        train_tagger(seqs, tiny_seqs, tiny_vocab, small_config(), "irnn", "fwd")
+
+
+def test_train_bidirectional_rejects_an_empty_training_sequence(tiny_vocab, tiny_seqs,
+                                                                small_model_factory):
+    fwd, bwd = small_model_factory("irnn", "fwd"), small_model_factory("irnn", "bwd")
+    seqs = [*tiny_seqs, _empty_seq(tiny_seqs[0])]
+    with pytest.raises(DataError, match=f"training sequence {len(tiny_seqs)} is empty"):
+        train_bidirectional(fwd, bwd, seqs, tiny_seqs, tiny_vocab, small_config())
+
+
+def test_run_epochs_rejects_sequences_without_positions():
+    with pytest.raises(LabelRnnError, match="no positions"):
+        next(training.run_epochs([[], []], 1, 0.1, new_rng(0), lambda seq, lr: 0.0))
 
 
 def test_dev_selection_returns_best_snapshot(tiny_vocab, tiny_seqs):
