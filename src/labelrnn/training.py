@@ -204,13 +204,14 @@ class SgdMomentum:
     gradient per row.
 
     The step runs in place. A dense gradient in grads serves as its own
-    scratch. A factor pair (d, x) is never multiplied out whole when it is
-    larger than _BLOCK_BYTES: each block of rows of d.T @ x is formed in one
-    scratch buffer and applied to the same rows of the weight and its
-    velocity while they are in cache, with the same element-wise operations
-    in the same order. So the step equals the whole-array step bit for bit
-    wherever the BLAS gives a block the values of the same rows of the whole
-    product. The clipping norm of a pair comes from its factors.
+    scratch. A factor pair (d, x) is multiplied out one block of about
+    _BLOCK_BYTES of rows of d.T @ x at a time, in one scratch buffer, and
+    each block is applied to the same rows of the weight and its velocity
+    while they are in cache, with the same element-wise operations in the
+    same order; a weight larger than one block never has its whole gradient
+    formed. So the step equals the whole-array step bit for bit wherever the
+    BLAS gives a block the values of the same rows of the whole product. The
+    clipping norm of a pair comes from its factors.
     """
 
     def __init__(self, model, momentum: float, lam: float, l2_include_all: bool = False,
@@ -229,9 +230,6 @@ class SgdMomentum:
             for name, value in model.params.items()
             if not name.startswith("E_")
         }
-        # rows of a weight's gradient per block; never one (see _update_blocks)
-        self._block_rows = {name: max(2, _BLOCK_BYTES // (8 * value.shape[1]))
-                            for name, value in self.velocity.items() if value.ndim == 2}
         self._scratch = np.empty(0)
 
     def _clip_scale(self, norm):
@@ -245,7 +243,7 @@ class SgdMomentum:
         cols = w.shape[1]
         if self._scratch.size < (rows + 1) * cols:
             self._scratch = np.empty((rows + 1) * cols)
-        starts = range(0, len(w) - 1, rows)  # a last single row joins the block before it
+        starts = range(0, max(len(w) - 1, 1), rows)  # a last single row joins the block before it
         for lo in starts:
             hi = len(w) if lo == starts[-1] else lo + rows
             g = self._scratch[: (hi - lo) * cols].reshape(hi - lo, cols)
@@ -269,11 +267,8 @@ class SgdMomentum:
                                  f"do not match {name}")
             scale = self._clip_scale(_factor_norm(d, x)) if clip else 1.0
             rate, wd = lr * scale, decay if name in self.l2_names else 0.0
-            rows = self._block_rows[name]
-            if rows >= len(w):  # one block: the whole gradient at once
-                _update(w, self.velocity[name], _weight_grad(d, x), self.momentum, rate, wd)
-            else:
-                self._update_blocks(w, self.velocity[name], d, x, rows, rate, wd)
+            rows = max(2, _BLOCK_BYTES // (8 * w.shape[1]))  # never one (see _update_blocks)
+            self._update_blocks(w, self.velocity[name], d, x, rows, rate, wd)
         if self.freeze_embeddings:
             return
         for table, bucket in grads.rows.items():

@@ -232,6 +232,10 @@ def test_in_place_step_matches_textbook(small_model_factory, monkeypatch, lam, l
     for n in (1, 3):  # rows per factor pair: np.outer, then a GEMM
         model = small_model_factory("irnn-deep", seed=15, use_chars=True)
         _step_factors_whole_and_textbook(model, n, lam, l2_include_all, max_grad_norm, freeze)
+    # H2, W_conv and each F_* of one row: a block of one row
+    model = small_model_factory("irnn-deep", seed=15, use_chars=True, hidden_size=1,
+                                first_level_size=1, conv_size=1)
+    _step_factors_whole_and_textbook(model, 3, lam, l2_include_all, max_grad_norm, freeze)
 
 
 @pytest.mark.parametrize("variant,direction", itertools.product(VARIANTS, DIRECTIONS))
