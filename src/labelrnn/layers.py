@@ -21,7 +21,6 @@ from .mathcore import (
     sigmoid,
     sigmoid_grad_from_output,
     softmax,
-    tanh,
     tanh_grad_from_output,
 )
 
@@ -54,13 +53,18 @@ def embed_concat(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def embed_concat_backward(dvec: np.ndarray, indices: np.ndarray, dim: int):
     """Split the gradients over the concatenations back into (row, vector)
-    pairs. The slot gradients are summed per table row with one np.add.at,
-    so each row appears once.
+    pairs, each table row once, its vector a row of one new array.
+
+    The slot gradients are summed per table row by one flat np.bincount over
+    (row, coordinate) bins. It adds them one by one in slot order from zero,
+    so each sum is the sequential one, bit for bit; a pairwise sum such as
+    np.add.reduceat's rounds differently where a row fills three or more
+    slots.
     """
     rows, inverse = np.unique(np.ravel(indices), return_inverse=True)
-    summed = np.zeros((len(rows), dim))
-    np.add.at(summed, inverse, dvec.reshape(-1, dim))
-    return list(zip(rows.tolist(), summed))
+    bins = (inverse[:, None] * dim + np.arange(dim)).ravel()
+    summed = np.bincount(bins, weights=np.ravel(dvec))
+    return list(zip(rows.tolist(), summed.reshape(len(rows), dim)))
 
 
 def _weight_grad(d, x, out=None):
@@ -88,22 +92,33 @@ def relu_hidden_backward(W: np.ndarray, x: np.ndarray, pre: np.ndarray, dh: np.n
 
 # -- GRU hidden layer -----------------------------------------------------
 
-def gru_step(W_zr, W_h, h_prev, pre_zr, pre_h):
+def gru_step(W_zr, W_h, h_prev, pre):
     """One GRU step from h_prev, one state or one row per sequence.
 
-    W_zr is [W_z; W_r].T and W_h is W_h.T; pre_zr holds the input terms
-    U x + b of the update and reset gates side by side, pre_h that of the
-    candidate:
+    W_zr is [W_z; W_r].T and W_h is W_h.T; pre holds the input terms
+    U x + b of the update gate, the reset gate and the candidate side by
+    side, pre_zr then pre_h:
 
-    z, r = sig(h_prev [W_z; W_r].T + pre_zr)
+    z|r = sig(h_prev [W_z; W_r].T + pre_zr)
     hc = tanh((r * h_prev) W_h.T + pre_h)
     h = (1 - z) * h_prev + z * hc
 
-    Returns (h, z, r, hc).
+    Returns (h, zr, hc), zr holding z and r side by side. Every sum and
+    product is the one the formulas name, in their order; the in-place steps
+    write only over arrays this call made, so they round as the formulas do.
     """
-    z, r = np.split(sigmoid(h_prev @ W_zr + pre_zr), 2, axis=-1)
-    hc = tanh((r * h_prev) @ W_h + pre_h)
-    return (1.0 - z) * h_prev + z * hc, z, r, hc
+    hid = W_h.shape[0]
+    zr = h_prev @ W_zr
+    zr += pre[..., : 2 * hid]
+    zr = sigmoid(zr)
+    hc = (zr[..., hid:] * h_prev) @ W_h
+    hc += pre[..., 2 * hid :]
+    np.tanh(hc, out=hc)
+    z = zr[..., :hid]
+    h = 1.0 - z
+    h *= h_prev
+    h += z * hc
+    return h, zr, hc
 
 
 def gru_forward(params: dict, x: np.ndarray, h_prev: np.ndarray):
@@ -112,19 +127,20 @@ def gru_forward(params: dict, x: np.ndarray, h_prev: np.ndarray):
 
     U x comes from one GEMM per gate over all steps, so only the W h
     products run step by step. h and every cached array hold one row per
-    step; the cache's h_prev row t is the state step t started from.
+    step; the cache's h_prev row t is the state step t started from, and
+    its zr row t holds z and r side by side.
     """
     n, hid = len(x), len(h_prev)
-    pre_zr = np.concatenate([matmul(x, params["U_z"].T) + params["b_z"],
-                             matmul(x, params["U_r"].T) + params["b_r"]], axis=1)
-    pre_h = matmul(x, params["U_h"].T) + params["b_c"]
+    pre = np.empty((n, 3 * hid))
+    for k, (U, b) in enumerate((("U_z", "b_z"), ("U_r", "b_r"), ("U_h", "b_c"))):
+        np.add(matmul(x, params[U].T), params[b], out=pre[:, k * hid : (k + 1) * hid])
     W_zr, W_h = np.concatenate([params["W_z"], params["W_r"]]).T, params["W_h"].T
     hs = np.empty((n + 1, hid))
     hs[0] = h_prev
-    z, r, hc = np.empty((n, hid)), np.empty((n, hid)), np.empty((n, hid))
+    zr, hc = np.empty((n, 2 * hid)), np.empty((n, hid))
     for t in range(n):
-        hs[t + 1], z[t], r[t], hc[t] = gru_step(W_zr, W_h, hs[t], pre_zr[t], pre_h[t])
-    return hs[1:], {"x": x, "h_prev": hs[:-1], "z": z, "r": r, "hc": hc}
+        hs[t + 1], zr[t], hc[t] = gru_step(W_zr, W_h, hs[t], pre[t])
+    return hs[1:], {"x": x, "h_prev": hs[:-1], "zr": zr, "hc": hc}
 
 
 def gru_backward(params: dict, cache: dict, dh: np.ndarray):
@@ -134,27 +150,33 @@ def gru_backward(params: dict, cache: dict, dh: np.ndarray):
     The factors each step multiplies by are computed for all steps first, so
     the loop, last step first, does only the work that needs the gradient
     flowing back from the step after it: two W products and the
-    element-wise products around them. Returns (grads, dx, dh_prev); grads
-    keys mirror the parameter dict, each weight gradient a factor pair over
-    all steps, and dh_prev is the gradient on the initial state.
+    element-wise products around them, each written into an array made
+    before the loop. Returns (grads, dx, dh_prev); grads keys mirror the
+    parameter dict, each weight gradient a factor pair over all steps, and
+    dh_prev is the gradient on the initial state.
     """
-    x, h_prev, z, r, hc = (cache[k] for k in ("x", "h_prev", "z", "r", "hc"))
-    n, hid = z.shape
+    x, h_prev, zr, hc = (cache[k] for k in ("x", "h_prev", "zr", "hc"))
+    n, hid = hc.shape
+    z, r = zr[:, :hid], zr[:, hid:]
     # per step: da_z = g * f_z, da_c = g * f_c, da_r = (da_c W_h) * f_r
-    f_z = (hc - h_prev) * sigmoid_grad_from_output(z)
+    s = sigmoid_grad_from_output(zr)
+    f_z = (hc - h_prev) * s[:, :hid]
     f_c = z * tanh_grad_from_output(hc)
-    f_r = h_prev * sigmoid_grad_from_output(r)
+    f_r = h_prev * s[:, hid:]
     keep = 1.0 - z
     W_zr, W_h = np.concatenate([params["W_z"], params["W_r"]]), params["W_h"]
     da_zr, da_c = np.empty((n, 2 * hid)), np.empty((n, hid))
-    dh_prev = np.zeros(hid)
+    g, drh, term, dh_prev = np.empty(hid), np.empty(hid), np.empty(hid), np.zeros(hid)
     for t in reversed(range(n)):
-        g = dh[t] + dh_prev
-        da_zr[t, :hid] = g * f_z[t]
-        da_c[t] = g * f_c[t]
-        drh = da_c[t] @ W_h
-        da_zr[t, hid:] = drh * f_r[t]
-        dh_prev = g * keep[t] + drh * r[t] + da_zr[t] @ W_zr
+        np.add(dh[t], dh_prev, out=g)
+        np.multiply(g, f_z[t], out=da_zr[t, :hid])
+        np.multiply(g, f_c[t], out=da_c[t])
+        np.matmul(da_c[t], W_h, out=drh)
+        np.multiply(drh, f_r[t], out=da_zr[t, hid:])
+        # dh_prev = g * keep + drh * r + da_zr W_zr, summed in that order
+        np.multiply(g, keep[t], out=dh_prev)
+        dh_prev += np.multiply(drh, r[t], out=term)
+        dh_prev += np.matmul(da_zr[t], W_zr, out=term)
     da_z, da_r = da_zr[:, :hid], da_zr[:, hid:]
 
     grads = {
@@ -168,7 +190,9 @@ def gru_backward(params: dict, cache: dict, dh: np.ndarray):
         "U_h": (da_c, x),
         "b_c": da_c.sum(axis=0),
     }
-    dx = da_z @ params["U_z"] + da_r @ params["U_r"] + da_c @ params["U_h"]
+    dx = da_z @ params["U_z"]
+    dx += da_r @ params["U_r"]
+    dx += da_c @ params["U_h"]
     return grads, dx, dh_prev
 
 

@@ -31,9 +31,16 @@ def relu_grad(pre):
 
 
 def sigmoid(x):
-    # exp of -|x| only, which cannot overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # e^min(x,0) / (1 + e^-|x|): exps of non-positive values only, which cannot
+    # overflow; 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, with e^x = e^-|x| there
+    s = np.minimum(x, 0.0)
+    np.exp(s, out=s)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def sigmoid_grad_from_output(s):

@@ -215,12 +215,15 @@ class Grads:
         self.factors[name] = (d, x)
 
     def add_rows(self, table, pairs):
+        """Add each (row, vector) pair to the gradient of that table row. A
+        vector is kept, not copied, and never written to: a repeated row is
+        summed into a new array."""
         bucket = self.rows.setdefault(table, {})
         for row, vec in pairs:
             if row in bucket:
                 bucket[row] = bucket[row] + vec
             else:
-                bucket[row] = vec.copy()
+                bucket[row] = vec
 
     def scale(self, factor: float):
         for g in self.dense.values():
@@ -528,7 +531,6 @@ def _decode_group(model, oseqs):
                  for U, b in (("U_z", "b_z"), ("U_r", "b_r"), ("U_h", "b_c"))]
         term = np.concatenate([g[0] for g in gates], axis=1)
         table = None if model.gru_words_only else np.concatenate([g[1] for g in gates], axis=1)
-        zr = 2 * model.hidden_size
         W_zr, W_h = np.concatenate([p["W_z"], p["W_r"]]).T, p["W_h"].T
         h = np.zeros((len(oseqs), model.hidden_size))
     else:
@@ -557,7 +559,7 @@ def _decode_group(model, oseqs):
                 labels = relu(labels + Fb_l) @ H2_l
             pre = pre + labels
         if model.variant == VARIANT_GRU:
-            h[:a] = hid = gru_step(W_zr, W_h, h[:a], pre[:, :zr], pre[:, zr:])[0]
+            h[:a] = hid = gru_step(W_zr, W_h, h[:a], pre)[0]
         else:
             hid = relu(pre)
         y = dists[rows] = softmax(hid @ O + b_o)

@@ -1,6 +1,12 @@
-"""The position-by-position tagger forward that the batched passes and the
-lockstep decoder are tested against: one one-row stack per position, with
-the GRU's hidden state carried from each position to the next."""
+"""References that the library is tested against.
+
+- The position-by-position tagger forward that the batched passes and the
+  lockstep decoder are tested against: one one-row stack per position, with
+  the GRU's hidden state carried from each position to the next.
+- A plain GRU cell, forward and backpropagation through time, written with
+  the formulas as first stated, one numpy expression each, so that the
+  library's leaner cell can be held to its rounding bit for bit.
+"""
 
 import numpy as np
 
@@ -27,3 +33,64 @@ def reference_forward(model, oseq, history=None, masks=None):
         dists.append(y[0])
         caches.append(cache)
     return np.array(predicted, dtype=np.int64), np.array(dists), caches
+
+
+# -- a plain GRU ---------------------------------------------------------------
+
+def reference_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_gru_step(W_zr, W_h, h_prev, pre_zr, pre_h):
+    """One step; W_zr is [W_z; W_r].T and W_h is W_h.T. Returns (h, z, r, hc)."""
+    z, r = np.split(reference_sigmoid(h_prev @ W_zr + pre_zr), 2, axis=-1)
+    hc = np.tanh((r * h_prev) @ W_h + pre_h)
+    return (1.0 - z) * h_prev + z * hc, z, r, hc
+
+
+def reference_gru_forward(params, x, h_prev):
+    """Steps over the rows of x from h_prev. Returns (h, cache), the cache
+    holding one row per step of x, h_prev (the state each step started
+    from), z, r and hc."""
+    n, hid = len(x), len(h_prev)
+    pre_zr = np.concatenate([x @ params["U_z"].T + params["b_z"],
+                             x @ params["U_r"].T + params["b_r"]], axis=1)
+    pre_h = x @ params["U_h"].T + params["b_c"]
+    W_zr, W_h = np.concatenate([params["W_z"], params["W_r"]]).T, params["W_h"].T
+    hs = np.empty((n + 1, hid))
+    hs[0] = h_prev
+    z, r, hc = np.empty((n, hid)), np.empty((n, hid)), np.empty((n, hid))
+    for t in range(n):
+        hs[t + 1], z[t], r[t], hc[t] = reference_gru_step(W_zr, W_h, hs[t], pre_zr[t], pre_h[t])
+    return hs[1:], {"x": x, "h_prev": hs[:-1], "z": z, "r": r, "hc": hc}
+
+
+def reference_gru_backward(params, cache, dh):
+    """Backpropagation through time, last step first. Returns (grads, dx,
+    dh_prev): each weight gradient a factor pair (dPre, X) over all steps,
+    each bias gradient summed over them."""
+    x, h_prev, z, r, hc = (cache[k] for k in ("x", "h_prev", "z", "r", "hc"))
+    n, hid = z.shape
+    f_z = (hc - h_prev) * (z * (1.0 - z))
+    f_c = z * (1.0 - hc * hc)
+    f_r = h_prev * (r * (1.0 - r))
+    keep = 1.0 - z
+    W_zr, W_h = np.concatenate([params["W_z"], params["W_r"]]), params["W_h"]
+    da_zr, da_c = np.empty((n, 2 * hid)), np.empty((n, hid))
+    dh_prev = np.zeros(hid)
+    for t in reversed(range(n)):
+        g = dh[t] + dh_prev
+        da_zr[t, :hid] = g * f_z[t]
+        da_c[t] = g * f_c[t]
+        drh = da_c[t] @ W_h
+        da_zr[t, hid:] = drh * f_r[t]
+        dh_prev = g * keep[t] + drh * r[t] + da_zr[t] @ W_zr
+    da_z, da_r = da_zr[:, :hid], da_zr[:, hid:]
+    grads = {
+        "W_z": (da_z, h_prev), "U_z": (da_z, x), "b_z": da_z.sum(axis=0),
+        "W_r": (da_r, h_prev), "U_r": (da_r, x), "b_r": da_r.sum(axis=0),
+        "W_h": (da_c, r * h_prev), "U_h": (da_c, x), "b_c": da_c.sum(axis=0),
+    }
+    dx = da_z @ params["U_z"] + da_r @ params["U_r"] + da_c @ params["U_h"]
+    return grads, dx, dh_prev

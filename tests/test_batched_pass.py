@@ -197,12 +197,19 @@ def _step_factors_whole_and_textbook(model, n, lam, l2_include_all, max_grad_nor
         for name, (d, x) in factors.items():
             grads.add_factors(name, d, x)
             grads_whole.add(name, _weight_grad(d, x))
+        given = {table: [vec.copy() for _, vec in pairs] for table, pairs in rows.items()}
         for table, pairs in rows.items():
             grads.add_rows(table, pairs)
             grads_whole.add_rows(table, pairs)
+        # add_rows keeps a vector it is given; a repeated row is summed into a new array
+        assert grads.rows["E_w"][7] is rows["E_w"][1][1]
+        assert all(grads.rows["E_w"][4] is not vec for _, vec in rows["E_w"])
         lr = 0.3 - 0.05 * step
         opt.step(grads, lr)
         opt_whole.step(grads_whole, lr)
+        for table, pairs in rows.items():  # neither step wrote to a vector it was given
+            for (_, vec), copy_before in zip(pairs, given[table]):
+                assert np.array_equal(vec, copy_before), table
         full = {**dense, **{name: _weight_grad(d, x) for name, (d, x) in factors.items()}}
         _textbook_step(params, velocity, {"dense": full, "rows": rows}, lr,
                        0.7, lam, l2_names, l2_include_all, max_grad_norm, freeze)

@@ -12,6 +12,7 @@ from labelrnn.layers import (
     embed_concat_backward,
     gru_backward,
     gru_forward,
+    gru_step,
     label_context_indices,
     output_backward,
     output_forward,
@@ -20,6 +21,11 @@ from labelrnn.layers import (
     window_indices,
 )
 from labelrnn.mathcore import new_rng
+from reference import (
+    reference_gru_backward,
+    reference_gru_forward,
+    reference_gru_step,
+)
 
 BOS, EOS, BOL, CPAD = 90, 91, 92, 0
 
@@ -78,6 +84,35 @@ def test_embed_concat_backward_splits_by_slot():
     assert [p[0] for p in pairs] == [2, 9]
     assert np.array_equal(pairs[0][1], np.array([2.0, 4.0]))
     assert np.array_equal(pairs[1][1], np.array([4.0, 5.0]))
+
+
+@pytest.mark.parametrize("dim", [24, 200])
+def test_embed_concat_backward_sums_each_row_in_slot_order(dim):
+    """Each row's vector equals, bit for bit, the sum of its slot gradients
+    added one by one in slot order from zero. The windows put a row in three
+    or more slots: BOS/EOS padding around a short sentence, and one label
+    filling the label context. A pairwise or otherwise reordered sum, such
+    as np.add.reduceat over the sorted slots, rounds differently and fails
+    this."""
+    rng = new_rng(7)
+    words = window_indices(np.array([5, 6, 5]), np.arange(3), 5, BOS, EOS)  # 11-word windows
+    labels = label_context_indices(np.array([4, 4, 4, 4]), np.arange(4), 5, BOL)
+    for indices in (words, labels):
+        shape = (len(indices), indices.shape[1] * dim)
+        # magnitudes over many orders, so that the order of the additions shows;
+        # a column slice of a wider array, as a layer's input gradient is
+        wide = rng.normal(size=(shape[0], shape[1] + 3))
+        wide[:, 1:-2] *= 10.0 ** rng.integers(-6, 7, size=shape)
+        dvec = wide[:, 1:-2]
+        expected = {}
+        for row, vec in zip(np.ravel(indices).tolist(), dvec.reshape(-1, dim)):
+            acc = expected.setdefault(row, np.zeros(dim))
+            acc += vec
+        assert max(np.unique(indices, return_counts=True)[1]) >= 3
+        pairs = embed_concat_backward(dvec, indices, dim)
+        assert [row for row, _ in pairs] == sorted(expected)
+        for row, vec in pairs:
+            assert np.array_equal(vec, expected[row]), row
 
 
 # -- relu hidden layer ---------------------------------------------------------
@@ -141,7 +176,7 @@ def test_gru_zero_fixed_point():
     params = {n: np.zeros((1, 1)) for n in ("W_z", "U_z", "W_r", "U_r", "W_h", "U_h")}
     params.update(b_z=np.zeros(1), b_r=np.zeros(1), b_c=np.zeros(1))
     h, cache = gru_forward(params, np.zeros((1, 1)), np.zeros(1))
-    assert cache["z"][0, 0] == 0.5 and cache["r"][0, 0] == 0.5
+    assert cache["zr"][0, 0] == 0.5 and cache["zr"][0, 1] == 0.5  # z, then r
     assert cache["hc"][0, 0] == 0.0 and h[0, 0] == 0.0
 
 
@@ -154,7 +189,7 @@ def test_gru_single_unit_hand_arithmetic():
     r = sig(0.5 + 1.0)
     hc = math.tanh(r * 0.5 + 1.0)
     expected = (1 - z) * 0.5 + z * hc
-    assert abs(cache["z"][0, 0] - z) < 1e-12
+    assert abs(cache["zr"][0, 0] - z) < 1e-12
     assert abs(cache["hc"][0, 0] - hc) < 1e-12
     assert abs(h[0, 0] - expected) < 1e-12
 
@@ -199,6 +234,47 @@ def test_gru_backward_finite_differences():
                 fd = (plus - minus) / (2 * eps)
                 assert abs(flat_g[c] - fd) / max(abs(fd), abs(flat_g[c]), 1e-8) < 1e-5, \
                     (steps, name)
+
+
+@pytest.mark.parametrize("hid,xdim", [(48, 288), (200, 3200)])  # desk and paper widths
+def test_gru_rounds_as_the_plain_reference(hid, xdim):
+    """gru_forward's states and cache, gru_backward's factor pairs, bias
+    gradients, dx and dh_prev, and gru_step on a stack of states (as the
+    lockstep decoder runs it) equal reference.py's plain GRU bit for bit."""
+    rng = new_rng(31)
+    params = {}
+    for gate in ("z", "r", "h"):
+        params[f"W_{gate}"] = rng.normal(size=(hid, hid)) * 2.0 / np.sqrt(hid)
+        params[f"U_{gate}"] = rng.normal(size=(hid, xdim)) * 2.0 / np.sqrt(xdim)
+    for name in ("b_z", "b_r", "b_c"):
+        params[name] = rng.normal(size=hid) * 0.5
+    n = 13
+    x, h_prev, dh = rng.normal(size=(n, xdim)), rng.normal(size=hid), rng.normal(size=(n, hid))
+
+    h, cache = gru_forward(params, x, h_prev)
+    ref_h, ref = reference_gru_forward(params, x, h_prev)
+    assert np.array_equal(h, ref_h)
+    assert np.array_equal(cache["h_prev"], ref["h_prev"])
+    assert np.array_equal(cache["zr"], np.concatenate([ref["z"], ref["r"]], axis=1))
+    assert np.array_equal(cache["hc"], ref["hc"])
+
+    grads, dx, dh_prev = gru_backward(params, cache, dh)
+    ref_grads, ref_dx, ref_dh_prev = reference_gru_backward(params, ref, dh)
+    assert set(grads) == set(ref_grads)
+    for name, want in ref_grads.items():
+        got = grads[name]
+        for a, b in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
+            assert np.array_equal(a, b), name
+    assert np.array_equal(dx, ref_dx)
+    assert np.array_equal(dh_prev, ref_dh_prev)
+
+    W_zr = np.concatenate([params["W_z"], params["W_r"]]).T
+    states, pre = rng.normal(size=(5, hid)), rng.normal(size=(5, 3 * hid)) * 3.0
+    got_h, got_zr, got_hc = gru_step(W_zr, params["W_h"].T, states, pre)
+    want_h, z, r, want_hc = reference_gru_step(W_zr, params["W_h"].T, states,
+                                               pre[:, : 2 * hid], pre[:, 2 * hid :])
+    assert np.array_equal(got_h, want_h) and np.array_equal(got_hc, want_hc)
+    assert np.array_equal(got_zr, np.concatenate([z, r], axis=1))
 
 
 # -- character convolution -------------------------------------------------------

@@ -19,6 +19,7 @@ from labelrnn.mathcore import (
     xavier_init,
     dropout_mask as _dm,  # noqa: F401 (re-export check)
 )
+from reference import reference_sigmoid
 
 
 # -- matmul -------------------------------------------------------------
@@ -76,6 +77,15 @@ def test_sigmoid_basics():
     big = sigmoid(np.array([700.0, -700.0]))
     assert np.all(np.isfinite(big))
     assert 0.0 < big[1] < big[0] <= 1.0  # sigmoid(700) rounds to 1.0 in float64
+
+
+def test_sigmoid_rounds_as_the_plain_form():
+    """Bit for bit where(x >= 0, 1, e) / (1 + e) with e = e^-|x|, at signed
+    zeros, infinities, saturation and values too small to move e^-|x|."""
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 700.0, -700.0, 1e-300, -1e-300, -1e-17],
+                        new_rng(5).normal(size=2001) * 10.0 ** new_rng(6).integers(-8, 3, 2001)])
+    assert np.array_equal(sigmoid(x), reference_sigmoid(x))
+    assert np.array_equal(sigmoid(x.reshape(-1, 3)), reference_sigmoid(x.reshape(-1, 3)))
 
 
 def test_tanh_one():
