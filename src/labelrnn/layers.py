@@ -21,6 +21,7 @@ from .mathcore import (
     sigmoid,
     sigmoid_grad_from_output,
     softmax,
+    tanh,
     tanh_grad_from_output,
 )
 
@@ -113,7 +114,7 @@ def gru_step(W_zr, W_h, h_prev, pre):
     zr = sigmoid(zr)
     hc = (zr[..., hid:] * h_prev) @ W_h
     hc += pre[..., 2 * hid :]
-    np.tanh(hc, out=hc)
+    hc = tanh(hc)
     z = zr[..., :hid]
     h = 1.0 - z
     h *= h_prev
