@@ -13,6 +13,7 @@ import time
 
 from . import __version__
 from .corpus import (
+    CHUNK_MODES,
     LABEL_BOL_ID,
     WORD_BOS_ID,
     Sentence,
@@ -318,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a predicted column file against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--chunk-mode", choices=("bio-suffix", "bio-prefix", "plain"),
-                   default="bio-suffix")
+    p.add_argument("--chunk-mode", choices=CHUNK_MODES, default="bio-suffix")
     p.add_argument("--out", help="also write a key=value report file")
     p.set_defaults(func=cmd_eval)
     return parser

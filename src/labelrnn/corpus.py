@@ -39,6 +39,10 @@ CLASS_BOS_ID = 0
 CLASS_EOS_ID = 1
 CHAR_PAD_ID = 0
 
+# Label schemes of chunks_from_labels, and the label forms of the BIO ones.
+CHUNK_MODES = ("bio-suffix", "bio-prefix", "plain")
+_BIO_FORMS = {"bio-suffix": "'X-B', 'X-I' or 'O'", "bio-prefix": "'B-X', 'I-X' or 'O'"}
+
 
 @dataclass
 class Sentence:
@@ -339,19 +343,41 @@ def _split_bio(label: str, mode: str):
     """Return (concept, tag) where tag is 'B', 'I' or 'O'."""
     if label == "O":
         return None, "O"
-    if mode == "bio-suffix":
-        if label.endswith("-B"):
-            return label[:-2], "B"
-        if label.endswith("-I"):
-            return label[:-2], "I"
-        raise DataError(f"malformed BIO label {label!r} (expected 'X-B', 'X-I' or 'O')")
-    if mode == "bio-prefix":
-        if label.startswith("B-"):
-            return label[2:], "B"
-        if label.startswith("I-"):
-            return label[2:], "I"
-        raise DataError(f"malformed BIO label {label!r} (expected 'B-X', 'I-X' or 'O')")
-    raise DataError(f"unknown BIO mode {mode!r}")
+    if mode == "bio-suffix" and label[-2:] in ("-B", "-I"):
+        return label[:-2], label[-1]
+    if mode == "bio-prefix" and label[:2] in ("B-", "I-"):
+        return label[2:], label[0]
+    if mode not in _BIO_FORMS:
+        raise DataError(f"unknown BIO mode {mode!r}")
+    raise DataError(f"malformed BIO label {label!r} (expected {_BIO_FORMS[mode]})")
+
+
+def _chunk_spans(labels, mode: str, split: dict) -> list:
+    """chunks_from_labels as (concept, start, end) tuples. split caches the
+    (concept, tag) of each label across the calls it is passed to."""
+    if mode not in CHUNK_MODES:
+        raise DataError(f"unknown BIO mode {mode!r}")
+    spans = []
+    open_label = None
+    start = None
+    for t, label in enumerate(labels):
+        parts = split.get(label)
+        if parts is None:
+            # Plain mode reads a non-O label as a continuation of its own
+            # concept, so that a run of one label is one chunk.
+            plain = mode == "plain" and label != "O"
+            parts = split[label] = (label, "I") if plain else _split_bio(label, mode)
+        concept, tag = parts
+        if tag == "I" and open_label == concept:
+            continue
+        if open_label is not None:
+            spans.append((open_label, start, t - 1))
+            open_label = None
+        if tag != "O":
+            open_label, start = concept, t
+    if open_label is not None:
+        spans.append((open_label, start, len(labels) - 1))
+    return spans
 
 
 def chunks_from_labels(labels, mode: str = "bio-suffix") -> list:
@@ -361,32 +387,7 @@ def chunks_from_labels(labels, mode: str = "bio-suffix") -> list:
     'plain' where maximal runs of an identical non-O label form one chunk.
     A continuation without a matching begin starts a new chunk (repair rule).
     """
-    chunks = []
-    if mode == "plain":
-        start = None
-        current = None
-        for t, label in enumerate(labels):
-            if label != current:
-                if current is not None and current != "O":
-                    chunks.append(Chunk(current, start, t - 1))
-                current, start = label, t
-        if current is not None and current != "O":
-            chunks.append(Chunk(current, start, len(labels) - 1))
-        return chunks
-
-    open_label = None
-    start = None
-    for t, label in enumerate(labels):
-        concept, tag = _split_bio(label, mode)
-        continues = tag == "I" and open_label == concept
-        if open_label is not None and not continues:
-            chunks.append(Chunk(open_label, start, t - 1))
-            open_label = None
-        if tag in ("B", "I") and not continues:
-            open_label, start = concept, t
-    if open_label is not None:
-        chunks.append(Chunk(open_label, start, len(labels) - 1))
-    return chunks
+    return [Chunk(*span) for span in _chunk_spans(labels, mode, {})]
 
 
 def invalid_continuations(labels, mode: str = "bio-suffix") -> int:

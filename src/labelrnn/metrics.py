@@ -7,8 +7,9 @@ a reference chunk.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import eq
 
-from .corpus import chunks_from_labels
+from .corpus import _chunk_spans
 from .errors import DataError
 
 
@@ -52,34 +53,6 @@ def _check_lengths(gold_seqs, pred_seqs):
             raise DataError(f"sentence {i}: length mismatch {len(g)} vs {len(p)}")
 
 
-def f1_chunks(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
-    """Micro-averaged chunk-exact precision/recall/F1 with per-label counts."""
-    _check_lengths(gold_seqs, pred_seqs)
-    correct = defaultdict(int)
-    hypothesized = defaultdict(int)
-    reference = defaultdict(int)
-    for gold, pred in zip(gold_seqs, pred_seqs):
-        gold_chunks = set(chunks_from_labels(gold, mode))
-        pred_chunks = set(chunks_from_labels(pred, mode))
-        for chunk in gold_chunks:
-            reference[chunk.label] += 1
-        for chunk in pred_chunks:
-            hypothesized[chunk.label] += 1
-            if chunk in gold_chunks:
-                correct[chunk.label] += 1
-    n_correct = sum(correct.values())
-    n_hyp = sum(hypothesized.values())
-    n_ref = sum(reference.values())
-    precision = 100.0 * n_correct / n_hyp if n_hyp else 0.0
-    recall = 100.0 * n_correct / n_ref if n_ref else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    per_label = {
-        label: (correct[label], hypothesized[label], reference[label])
-        for label in set(hypothesized) | set(reference)
-    }
-    return EvalReport(precision=precision, recall=recall, f1=f1, per_label=per_label)
-
-
 def edit_distance(ref, hyp) -> int:
     """Minimum substitutions+insertions+deletions, unit costs."""
     n, m = len(ref), len(hyp)
@@ -95,37 +68,58 @@ def edit_distance(ref, hyp) -> int:
 
 def concept_sequence(labels, mode: str = "bio-suffix") -> list:
     """In-order concept names of the chunks in a label sequence (O excluded)."""
-    return [chunk.label for chunk in chunks_from_labels(labels, mode)]
-
-
-def concept_error_rate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> float:
-    """WER-style error rate over aligned per-sentence concept sequences:
-    100 * (S + I + D) / total reference concepts."""
-    _check_lengths(gold_seqs, pred_seqs)
-    errors = 0
-    total_ref = 0
-    for gold, pred in zip(gold_seqs, pred_seqs):
-        ref = concept_sequence(gold, mode)
-        hyp = concept_sequence(pred, mode)
-        errors += edit_distance(ref, hyp)
-        total_ref += len(ref)
-    return 100.0 * errors / max(1, total_ref)
-
-
-def token_accuracy(gold_seqs, pred_seqs) -> float:
-    _check_lengths(gold_seqs, pred_seqs)
-    total = sum(len(g) for g in gold_seqs)
-    if total == 0:
-        return 0.0
-    hits = sum(
-        int(g == p) for gold, pred in zip(gold_seqs, pred_seqs) for g, p in zip(gold, pred)
-    )
-    return 100.0 * hits / total
+    return [span[0] for span in _chunk_spans(labels, mode, {})]
 
 
 def evaluate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
-    """Full report: chunk F1, CER and token accuracy in one pass."""
-    report = f1_chunks(gold_seqs, pred_seqs, mode)
-    report.cer = concept_error_rate(gold_seqs, pred_seqs, mode)
-    report.token_accuracy = token_accuracy(gold_seqs, pred_seqs)
-    return report
+    """Chunk precision/recall/F1 with per-label counts, CER (WER-style over the
+    aligned concept sequences) and token accuracy, from one pass that chunks
+    each sentence once; a prediction equal to its gold is not chunked at all."""
+    _check_lengths(gold_seqs, pred_seqs)
+    correct, hypothesized, reference = defaultdict(int), defaultdict(int), defaultdict(int)
+    split = {}
+    hits = total = errors = 0
+    for gold, pred in zip(gold_seqs, pred_seqs):
+        gold_spans = _chunk_spans(gold, mode, split)
+        total += len(gold)
+        for concept, _, _ in gold_spans:
+            reference[concept] += 1
+        if pred == gold:
+            hits += len(gold)
+            for concept, _, _ in gold_spans:
+                hypothesized[concept] += 1
+                correct[concept] += 1
+            continue
+        pred_spans = _chunk_spans(pred, mode, split)
+        gold_set = set(gold_spans)
+        for span in pred_spans:
+            hypothesized[span[0]] += 1
+            if span in gold_set:
+                correct[span[0]] += 1
+        errors += edit_distance([span[0] for span in gold_spans],
+                                [span[0] for span in pred_spans])
+        hits += sum(map(eq, gold, pred))
+    n_correct = sum(correct.values())
+    n_hyp = sum(hypothesized.values())
+    n_ref = sum(reference.values())
+    precision = 100.0 * n_correct / n_hyp if n_hyp else 0.0
+    recall = 100.0 * n_correct / n_ref if n_ref else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    per_label = {
+        label: (correct[label], hypothesized[label], reference[label])
+        for label in set(hypothesized) | set(reference)
+    }
+    return EvalReport(precision=precision, recall=recall, f1=f1,
+                      cer=100.0 * errors / max(1, n_ref),
+                      token_accuracy=100.0 * hits / total if total else 0.0,
+                      per_label=per_label)
+
+
+def f1_chunks(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
+    """The evaluate report, read for its chunk precision/recall/F1."""
+    return evaluate(gold_seqs, pred_seqs, mode)
+
+
+def concept_error_rate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> float:
+    """The evaluate report's CER."""
+    return evaluate(gold_seqs, pred_seqs, mode).cer

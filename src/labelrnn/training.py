@@ -19,11 +19,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import decode_labels, require_classes
+from .corpus import CHUNK_MODES, decode_labels, require_classes
 from .errors import ConfigError, DataError, ShapeError, TrainingDivergedError
 from .layers import _weight_grad
 from .mathcore import new_rng
-from .metrics import f1_chunks, token_accuracy
+from .metrics import evaluate
 from .models import (
     DIR_FWD,
     Grads,
@@ -96,6 +96,8 @@ class TrainConfig:
             raise ConfigError("epochs_fwd_bwd must be >= 1 and epochs_bidir >= 0")
         if self.dev_metric not in ("accuracy", "f1"):
             raise ConfigError(f"unknown dev metric {self.dev_metric!r}")
+        if self.chunk_mode not in CHUNK_MODES:
+            raise ConfigError(f"unknown chunk mode {self.chunk_mode!r}")
 
     def resolved_hidden_size(self) -> int:
         """256 when all input types are active, 200 otherwise."""
@@ -136,14 +138,15 @@ class TrainConfig:
             default = getattr(cls(), key)
             try:
                 if isinstance(default, bool):
-                    values[key] = raw.lower() in ("1", "true", "yes")
+                    values[key] = {"1": True, "true": True, "yes": True, "0": False,
+                                   "false": False, "no": False}[raw.lower()]
                 elif isinstance(default, int):
                     values[key] = int(raw)
                 elif isinstance(default, float):
                     values[key] = float(raw)
                 else:
                     values[key] = raw
-            except ValueError:
+            except (KeyError, ValueError):
                 raise ConfigError(f"config line {lineno}: bad value for {key}: {raw!r}") from None
         return cls(**values) if base is None else replace(base, **values)
 
@@ -329,8 +332,8 @@ def _select_on_dev(epochs, decode_dev, snapshot, dev_seqs, vocab, config):
     candidates, best = [], None
     for epoch, lr, loss in epochs:
         preds = [decode_labels(out.labels, vocab) for out in decode_dev()]
-        candidates.append(TrainLogEntry(epoch, lr, loss, token_accuracy(golds, preds),
-                                        f1_chunks(golds, preds, config.chunk_mode).f1))
+        report = evaluate(golds, preds, config.chunk_mode)
+        candidates.append(TrainLogEntry(epoch, lr, loss, report.token_accuracy, report.f1))
         if best_entry(candidates, config.dev_metric) is candidates[-1]:
             best = snapshot()
     return best, [entry for entry in candidates if entry.epoch >= 0]

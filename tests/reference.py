@@ -6,10 +6,17 @@
 - A plain GRU cell, forward and backpropagation through time, written with
   the formulas as first stated, one numpy expression each, so that the
   library's leaner cell can be held to its rounding bit for bit.
+- The three-pass scorer: chunk F1, CER and token accuracy each in a pass of
+  their own, chunking every sentence once per pass into Chunk objects, as
+  the library's one-pass evaluate must score bit for bit.
 """
+
+from collections import defaultdict
 
 import numpy as np
 
+from labelrnn.corpus import Chunk, _split_bio
+from labelrnn.metrics import EvalReport, _check_lengths, edit_distance
 from labelrnn.models import VARIANT_GRU, position_forward, predict_label
 
 
@@ -94,3 +101,93 @@ def reference_gru_backward(params, cache, dh):
     }
     dx = da_z @ params["U_z"] + da_r @ params["U_r"] + da_c @ params["U_h"]
     return grads, dx, dh_prev
+
+
+# -- the three-pass scorer -------------------------------------------------------
+
+def reference_chunks(labels, mode="bio-suffix"):
+    """Maximal concept spans as Chunk objects, with the repair rule: a
+    continuation without a matching begin starts a new chunk."""
+    chunks = []
+    if mode == "plain":
+        start = None
+        current = None
+        for t, label in enumerate(labels):
+            if label != current:
+                if current is not None and current != "O":
+                    chunks.append(Chunk(current, start, t - 1))
+                current, start = label, t
+        if current is not None and current != "O":
+            chunks.append(Chunk(current, start, len(labels) - 1))
+        return chunks
+
+    open_label = None
+    start = None
+    for t, label in enumerate(labels):
+        concept, tag = _split_bio(label, mode)
+        continues = tag == "I" and open_label == concept
+        if open_label is not None and not continues:
+            chunks.append(Chunk(open_label, start, t - 1))
+            open_label = None
+        if tag in ("B", "I") and not continues:
+            open_label, start = concept, t
+    if open_label is not None:
+        chunks.append(Chunk(open_label, start, len(labels) - 1))
+    return chunks
+
+
+def reference_f1_chunks(gold_seqs, pred_seqs, mode="bio-suffix"):
+    _check_lengths(gold_seqs, pred_seqs)
+    correct = defaultdict(int)
+    hypothesized = defaultdict(int)
+    reference = defaultdict(int)
+    for gold, pred in zip(gold_seqs, pred_seqs):
+        gold_chunks = set(reference_chunks(gold, mode))
+        pred_chunks = set(reference_chunks(pred, mode))
+        for chunk in gold_chunks:
+            reference[chunk.label] += 1
+        for chunk in pred_chunks:
+            hypothesized[chunk.label] += 1
+            if chunk in gold_chunks:
+                correct[chunk.label] += 1
+    n_correct = sum(correct.values())
+    n_hyp = sum(hypothesized.values())
+    n_ref = sum(reference.values())
+    precision = 100.0 * n_correct / n_hyp if n_hyp else 0.0
+    recall = 100.0 * n_correct / n_ref if n_ref else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    per_label = {
+        label: (correct[label], hypothesized[label], reference[label])
+        for label in set(hypothesized) | set(reference)
+    }
+    return EvalReport(precision=precision, recall=recall, f1=f1, per_label=per_label)
+
+
+def reference_concept_error_rate(gold_seqs, pred_seqs, mode="bio-suffix"):
+    _check_lengths(gold_seqs, pred_seqs)
+    errors = 0
+    total_ref = 0
+    for gold, pred in zip(gold_seqs, pred_seqs):
+        ref = [chunk.label for chunk in reference_chunks(gold, mode)]
+        hyp = [chunk.label for chunk in reference_chunks(pred, mode)]
+        errors += edit_distance(ref, hyp)
+        total_ref += len(ref)
+    return 100.0 * errors / max(1, total_ref)
+
+
+def reference_token_accuracy(gold_seqs, pred_seqs):
+    _check_lengths(gold_seqs, pred_seqs)
+    total = sum(len(g) for g in gold_seqs)
+    if total == 0:
+        return 0.0
+    hits = sum(
+        int(g == p) for gold, pred in zip(gold_seqs, pred_seqs) for g, p in zip(gold, pred)
+    )
+    return 100.0 * hits / total
+
+
+def reference_evaluate(gold_seqs, pred_seqs, mode="bio-suffix"):
+    report = reference_f1_chunks(gold_seqs, pred_seqs, mode)
+    report.cer = reference_concept_error_rate(gold_seqs, pred_seqs, mode)
+    report.token_accuracy = reference_token_accuracy(gold_seqs, pred_seqs)
+    return report

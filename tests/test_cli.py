@@ -225,6 +225,20 @@ def test_train_bad_set_syntax(corpus_dir, tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting,problem", [
+    ("chunk_mode=bogus", "unknown chunk mode 'bogus'"),
+    ("use_chars=ture", "config line 1: bad value for use_chars: 'ture'"),
+])
+def test_train_rejects_a_bad_setting_before_it_writes(corpus_dir, tmp_path, capsys, setting,
+                                                      problem):
+    rc = main(["train", "--variant", "irnn", "--train", str(corpus_dir / "train.txt"),
+               "--dev", str(corpus_dir / "dev.txt"), "--out", str(tmp_path / "m.bin")]
+              + SMALL_TRAIN_OVERRIDES + ["--set", setting])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [f"error: {problem}"]
+    assert list(tmp_path.iterdir()) == []  # no manifest, model or log
+
+
 def test_train_non_finite_loss_fails_cleanly(corpus_dir, tmp_path, capsys):
     train_file = corpus_dir / "train.txt"
     word = load_column_file(train_file)[0].words[0].lower()

@@ -216,8 +216,9 @@ def test_plain_mode_groups_runs():
 def test_malformed_label_raises():
     with pytest.raises(DataError):
         chunks_from_labels(["notbio"])
-    with pytest.raises(DataError):
-        chunks_from_labels(["X-B"], mode="no-such-mode")
+    for labels in (["X-B"], ["O", "O"], []):
+        with pytest.raises(DataError, match="unknown BIO mode 'no-such-mode'"):
+            chunks_from_labels(labels, mode="no-such-mode")
 
 
 def test_chunks_partition_non_o_positions():

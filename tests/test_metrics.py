@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from labelrnn.corpus import CHUNK_MODES, chunks_from_labels
 from labelrnn.errors import DataError
 from labelrnn.metrics import (
     concept_error_rate,
@@ -8,8 +10,8 @@ from labelrnn.metrics import (
     edit_distance,
     evaluate,
     f1_chunks,
-    token_accuracy,
 )
+from reference import reference_chunks, reference_concept_error_rate, reference_evaluate
 
 
 # -- chunk F1 -----------------------------------------------------------------
@@ -103,11 +105,11 @@ def test_cer_all_deletions():
 
 def test_token_accuracy_values():
     gold = [["O"] * 10]
-    assert token_accuracy(gold, gold) == 100.0
+    assert evaluate(gold, gold).token_accuracy == 100.0
     pred = [["O"] * 9 + ["X-B"]]
-    assert token_accuracy(gold, pred) == 90.0
+    assert evaluate(gold, pred).token_accuracy == 90.0
     pred = [["X-B"] * 10]
-    assert token_accuracy(gold, pred) == 0.0
+    assert evaluate(gold, pred).token_accuracy == 0.0
 
 
 # -- combined report ---------------------------------------------------------------
@@ -123,3 +125,93 @@ def test_evaluate_full_report():
     assert "precision" in text and "CER" in text
     kv = dict(line.split("=") for line in report.to_kv().strip().splitlines())
     assert set(kv) == {"precision", "recall", "f1", "cer", "token_accuracy"}
+
+
+def test_unknown_mode_rejected_for_all_o_sentences():
+    with pytest.raises(DataError, match="unknown BIO mode 'bogus'"):
+        evaluate([["O", "O"]], [["O", "O"]], mode="bogus")
+
+
+# -- one pass against the three-pass reference ------------------------------------
+
+# Concepts include "" and the tag letters, so that labels such as "-B", "B-I"
+# and "I-B" are read by the mode's rule and not by their look.
+CONCEPTS = ("A", "B", "I", "")
+LABELS = {
+    "bio-suffix": ["O"] + [f"{c}-{t}" for c in CONCEPTS for t in "BI"],
+    "bio-prefix": ["O"] + [f"{t}-{c}" for c in CONCEPTS for t in "BI"],
+    "plain": ["O", "A", "B", "A-B", "B-I", ""],
+}
+MALFORMED = ["A", "A-X", "B-", "", "o"]
+PROPERTY = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def corpora(draw, labels):
+    """(gold, pred): equally shaped label sequences, empty sentences and an
+    empty corpus included. Each prediction is drawn at random, is a copy of
+    its gold sentence, or differs from it at one position."""
+    gold, pred = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        g = draw(st.lists(labels, max_size=8))
+        kind = draw(st.sampled_from(("random", "copy", "one change")))
+        if kind == "random":
+            p = draw(st.lists(labels, min_size=len(g), max_size=len(g)))
+        else:
+            p = list(g)
+            if kind == "one change" and g:
+                p[draw(st.integers(0, len(g) - 1))] = draw(labels)
+        gold.append(g)
+        pred.append(p)
+    return gold, pred
+
+
+def _outcome(score, *args):
+    try:
+        return score(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@PROPERTY
+@given(st.data())
+def test_evaluate_equals_the_three_pass_reference(data):
+    mode = data.draw(st.sampled_from(CHUNK_MODES))
+    gold, pred = data.draw(corpora(st.sampled_from(LABELS[mode])))
+    assert evaluate(gold, pred, mode) == reference_evaluate(gold, pred, mode)
+    assert concept_error_rate(gold, pred, mode) == reference_concept_error_rate(gold, pred, mode)
+    for labels in gold + pred:
+        expected = reference_chunks(labels, mode)
+        assert chunks_from_labels(labels, mode) == expected
+        assert concept_sequence(labels, mode) == [chunk.label for chunk in expected]
+
+
+@PROPERTY
+@given(st.data())
+def test_evaluate_raises_the_reference_error_on_malformed_labels(data):
+    mode = data.draw(st.sampled_from(("bio-suffix", "bio-prefix")))
+    gold, pred = data.draw(corpora(st.sampled_from(LABELS[mode] + MALFORMED)))
+    expected = _outcome(reference_evaluate, gold, pred, mode)
+    assert _outcome(evaluate, gold, pred, mode) == expected
+    for labels in gold + pred:
+        assert (_outcome(chunks_from_labels, labels, mode)
+                == _outcome(reference_chunks, labels, mode))
+
+
+@PROPERTY
+@given(st.data())
+def test_evaluate_raises_the_reference_error_on_mismatched_shapes(data):
+    mode = data.draw(st.sampled_from(CHUNK_MODES))
+    labels = st.sampled_from(LABELS[mode] + MALFORMED)
+    gold, pred = data.draw(corpora(labels))
+    change = data.draw(st.sampled_from(("extra sentence", "missing sentence", "longer",
+                                        "shorter")))
+    if change == "extra sentence":
+        pred.append(data.draw(st.lists(labels, max_size=3)))
+    elif change == "missing sentence" and pred:
+        pred.pop(data.draw(st.integers(0, len(pred) - 1)))
+    elif change == "longer" and pred:
+        pred[data.draw(st.integers(0, len(pred) - 1))].append(data.draw(labels))
+    elif change == "shorter" and any(pred):
+        data.draw(st.sampled_from([p for p in pred if p])).pop()
+    assert _outcome(evaluate, gold, pred, mode) == _outcome(reference_evaluate, gold, pred, mode)

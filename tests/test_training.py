@@ -1,14 +1,14 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import labelrnn.training as training
-from labelrnn.corpus import build_vocabulary, decode_labels, encode
+from labelrnn.corpus import CHUNK_MODES, build_vocabulary, decode_labels, encode
 from labelrnn.errors import (ConfigError, DataError, LabelRnnError, ShapeError,
                              TrainingDivergedError)
 from labelrnn.mathcore import dropout_mask, new_rng
-from labelrnn.metrics import token_accuracy
 from labelrnn.models import (
     Grads,
     combine_bidirectional,
@@ -29,6 +29,7 @@ from labelrnn.training import (
     train_tagger,
     write_log,
 )
+from reference import reference_token_accuracy
 
 
 def small_config(**overrides):
@@ -53,6 +54,27 @@ def test_config_validation_errors():
         TrainConfig(d_l=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(dev_metric="bleu").validate()
+
+
+def test_config_rejects_an_unknown_chunk_mode():
+    with pytest.raises(ConfigError, match="unknown chunk mode 'bogus'"):
+        TrainConfig(chunk_mode="bogus").validate()
+    for mode in CHUNK_MODES:
+        TrainConfig(chunk_mode=mode).validate()
+
+
+@pytest.mark.parametrize("raw,value", [("1", True), ("true", True), ("True", True),
+                                       ("YES", True), ("0", False), ("false", False),
+                                       ("False", False), ("No", False)])
+def test_config_boolean_spellings(raw, value):
+    assert TrainConfig.from_kv(f"use_chars={raw}\n").use_chars is value
+
+
+@pytest.mark.parametrize("raw", ["ture", "", "2", "on", "y"])
+def test_config_rejects_any_other_boolean_value(raw):
+    with pytest.raises(ConfigError, match=re.escape(f"config line 1: bad value for "
+                                                    f"use_chars: {raw!r}")):
+        TrainConfig.from_kv(f"use_chars={raw}\n")
 
 
 def test_config_rejects_zero_tagger_epochs():
@@ -221,7 +243,7 @@ def test_dev_selection_returns_best_snapshot(tiny_vocab, tiny_seqs):
     golds = [decode_labels(s.labels, tiny_vocab) for s in tiny_seqs]
     preds = [decode_labels(tag_greedy(model, s).labels, tiny_vocab) for s in tiny_seqs]
     best_logged = max(e.dev_acc for e in log)
-    assert abs(token_accuracy(golds, preds) - best_logged) < 1e-9
+    assert abs(reference_token_accuracy(golds, preds) - best_logged) < 1e-9
 
 
 def test_best_entry_is_the_first_with_the_highest_score_under_the_metric():
@@ -380,7 +402,7 @@ def test_bidirectional_never_worse_than_pure_combination(tiny_vocab, tiny_seqs):
     def acc(f, b):
         preds = [decode_labels(tag_bidirectional(f, b, s).labels, tiny_vocab)
                  for s in tiny_seqs]
-        return token_accuracy(golds, preds)
+        return reference_token_accuracy(golds, preds)
 
     base = acc(fwd, bwd)
     fwd2, bwd2, log = train_bidirectional(fwd, bwd, tiny_seqs, tiny_seqs, tiny_vocab, config)

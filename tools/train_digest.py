@@ -17,7 +17,8 @@ Everything runs on generate_corpus(40, seed=11), with one BLAS thread:
 - irnn, irnn-gru and irnn-deep, each trained fwd and bwd for two epochs, then
   fine-tuned as a bidirectional pair for one;
 - greedy tag of the test split with every fwd and bwd model, and
-  bidirectional tag with every fine-tuned pair;
+  bidirectional tag with every fine-tuned pair, each scored by eval against
+  the test split: its --out report and its stdout;
 - the gradient-check reports of every fine-tuned pair, on the first test
   sentence;
 - a word NNLM pretrained for two epochs at desk sizes.
@@ -54,12 +55,22 @@ GRADIENT_SAMPLES = 5  # coordinates per tensor
 
 
 def _run(*argv):
-    """One CLI command in this process; its stderr is shown only on failure."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    """One CLI command in this process; returns its stdout. Its stderr is
+    shown only on failure."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
     if code != 0:
         sys.exit(f"labelrnn {' '.join(map(str, argv))} failed:\n{err.getvalue()}")
+    return out.getvalue()
+
+
+def _tag_and_eval(gold, output, *models):
+    """Tags gold with models into output, then writes eval's --out report to
+    output.eval.kv and its stdout to output.eval.txt."""
+    _run("tag", *models, "--input", gold, "--output", output)
+    printed = _run("eval", "--gold", gold, "--pred", output, "--out", f"{output}.eval.kv")
+    Path(f"{output}.eval.txt").write_text(printed, encoding="utf-8")
 
 
 def _write_gradient_checks(pair, seq, path):
@@ -88,14 +99,12 @@ def build(out: Path):
                 for direction in ("fwd", "bwd"):
                     model = f"{base}.{direction}"
                     _run("train", *common, "--direction", direction, "--out", model)
-                    _run("tag", "--model", model, "--input", data["test"],
-                         "--output", f"{model}.tagged")
+                    _tag_and_eval(data["test"], f"{model}.tagged", "--model", model)
                 _run("train", *common, "--direction", "bidir", "--fwd-model", f"{base}.fwd",
                      "--bwd-model", f"{base}.bwd", "--out", f"{base}.bidir")
                 pair = (f"{base}.bidir.fwd", f"{base}.bidir.bwd")
-                _run("tag", "--fwd-model", pair[0], "--bwd-model", pair[1],
-                     "--vocab", f"{base}.bidir.vocab", "--input", data["test"],
-                     "--output", f"{base}.bidir.tagged")
+                _tag_and_eval(data["test"], f"{base}.bidir.tagged", "--fwd-model", pair[0],
+                              "--bwd-model", pair[1], "--vocab", f"{base}.bidir.vocab")
                 seq = encode(test_sentence, Vocabulary.load(f"{base}.bidir.vocab"))
                 _write_gradient_checks(pair, seq, f"{base}.bidir.gradcheck")
 
