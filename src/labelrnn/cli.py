@@ -23,7 +23,7 @@ from .corpus import (
     encode,
     load_column_file,
     read_lines,
-    require_classes,
+    require_inputs,
     write_column_file,
 )
 from .errors import ConfigError, DataError, LabelRnnError
@@ -61,7 +61,7 @@ def _load_sentences(path, *readers):
     class column."""
     sentences = load_column_file(path)
     try:
-        require_classes(sentences, *readers)
+        require_inputs(sentences, *readers)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     return sentences
@@ -116,7 +116,7 @@ def _resolve_config(args) -> TrainConfig:
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        config = TrainConfig.from_kv(item, base=config)
+        config = TrainConfig.from_kv(item, base=config, source=f"--set {item}")
     if args.seed is not None:
         config.seed = args.seed
     if args.use_classes:
@@ -172,8 +172,8 @@ def cmd_train(args) -> int:
         if args.dev:
             inputs["dev"] = args.dev
         _write_manifest(args.out + ".manifest.json", config, inputs)
-        train_seqs = [encode(s, vocab) for s in train_sents]
-        dev_seqs = [encode(s, vocab) for s in dev_sents]
+        train_seqs = [encode(s, vocab, *readers) for s in train_sents]
+        dev_seqs = [encode(s, vocab, *readers) for s in dev_sents]
         fwd2, bwd2, log = train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config)
         save_model(fwd2, args.out + ".fwd")
         save_model(bwd2, args.out + ".bwd")
@@ -193,8 +193,8 @@ def cmd_train(args) -> int:
             inputs[name] = getattr(args, name)
     _write_manifest(args.out + ".manifest.json", config, inputs)
 
-    train_seqs = [encode(s, vocab) for s in train_sents]
-    dev_seqs = [encode(s, vocab) for s in dev_sents]
+    train_seqs = [encode(s, vocab, *readers) for s in train_sents]
+    dev_seqs = [encode(s, vocab, *readers) for s in dev_sents]
     init_w = init_l = None
     if args.word_emb:
         init_w = _load_init_table(args.word_emb, vocab.words, vocab.n_words,
@@ -231,16 +231,22 @@ def cmd_tag(args) -> int:
     tagger = tag_greedy_batch if len(models) == 1 else tag_bidirectional_batch
 
     sentences = _load_sentences(args.input, *models)
-    # The output is opened before any decoding, and written one decoding
-    # group at a time, so that the encoded sentences and the output
-    # distributions of only one group are held at once.
+    # The output is opened before any decoding. The whole input is decoded
+    # longest first in groups of DECODE_GROUP, the groups tag_greedy_batch
+    # forms over the whole input, so that a group steps to the length of
+    # sentences close to its own. The encoded sentences and the output
+    # distributions of only one group are held at once; the labels of every
+    # sentence are kept and written in input order after the last group.
+    by_length = sorted(range(len(sentences)), key=lambda i: -len(sentences[i]))
+    labels = [None] * len(sentences)
     with open(args.output, "w", encoding="utf-8") as out:
-        for start in range(0, len(sentences), DECODE_GROUP):
-            chunk = sentences[start : start + DECODE_GROUP]
-            decoded = tagger(*models, [encode(sent, vocab, with_labels=False) for sent in chunk])
-            write_column_file([Sentence(words=sent.words, classes=sent.classes,
-                                        labels=decode_labels(d.labels, vocab))
-                               for sent, d in zip(chunk, decoded)], out)
+        for start in range(0, len(by_length), DECODE_GROUP):
+            group = by_length[start : start + DECODE_GROUP]
+            seqs = [encode(sentences[i], vocab, *models, with_labels=False) for i in group]
+            for i, decoded in zip(group, tagger(*models, seqs)):
+                labels[i] = decode_labels(decoded.labels, vocab)
+        write_column_file([Sentence(words=sent.words, classes=sent.classes, labels=sent_labels)
+                           for sent, sent_labels in zip(sentences, labels)], out)
     _info(f"tagged {len(sentences)} sentences into {args.output}")
     return 0
 

@@ -62,7 +62,7 @@ class EncodedSequence:
 
     words: np.ndarray
     classes: Optional[np.ndarray]
-    chars: list  # one int array per word, original casing
+    chars: Optional[list]  # one int array per word, original casing
     labels: Optional[np.ndarray]
 
     def __len__(self):
@@ -277,12 +277,16 @@ def write_column_file(sentences, out):
             fh.write("\n")
 
 
-def require_classes(sentences, *readers):
+def require_inputs(sentences, *readers):
     """DataError when a reader (a model or a training config) uses word
-    classes and one of the sentences, raw or encoded, has no class column."""
+    classes and one of the sentences, raw or encoded, has no class column, or
+    uses chars and an encoded sentence was encoded without them."""
     if any(r.use_classes for r in readers) and any(s.classes is None for s in sentences):
         raise DataError("the model reads word classes, but a sentence has no class column "
                         "(expected word, class, label)")
+    if any(r.use_chars for r in readers) and any(
+            isinstance(s, EncodedSequence) and s.chars is None for s in sentences):
+        raise DataError("the model reads characters, but a sentence was encoded without them")
 
 
 def build_vocabulary(sentences, min_count: int = 1, lowercase: bool = True) -> Vocabulary:
@@ -314,18 +318,22 @@ def build_vocabulary(sentences, min_count: int = 1, lowercase: bool = True) -> V
     return vocab
 
 
-def encode(sentence: Sentence, vocab: Vocabulary, with_labels: bool = True) -> EncodedSequence:
+def encode(sentence: Sentence, vocab: Vocabulary, *readers,
+           with_labels: bool = True) -> EncodedSequence:
     """Map a sentence to index arrays; OOV words/classes/chars become UNK.
 
-    Unknown gold labels raise DataError (training data must be consistent);
-    pass with_labels=False for unlabeled or evaluation-only input.
+    Given readers (models or training configs), the class ids and the char
+    ids are encoded only if one of them uses them, and are None otherwise;
+    without readers every field is encoded. Unknown gold labels raise
+    DataError (training data must be consistent); pass with_labels=False for
+    unlabeled or evaluation-only input.
     """
     words = np.array([vocab.word_id(w) for w in sentence.words], dtype=np.int64)
-    classes = None
-    if sentence.classes is not None:
+    classes = chars = labels = None
+    if sentence.classes is not None and (not readers or any(r.use_classes for r in readers)):
         classes = np.array([vocab.class_id(c) for c in sentence.classes], dtype=np.int64)
-    chars = [vocab.char_ids(w) for w in sentence.words]
-    labels = None
+    if not readers or any(r.use_chars for r in readers):
+        chars = [vocab.char_ids(w) for w in sentence.words]
     if with_labels and sentence.labels is not None:
         labels = np.array([vocab.label_id(l) for l in sentence.labels], dtype=np.int64)
     return EncodedSequence(words=words, classes=classes, chars=chars, labels=labels)
@@ -391,7 +399,12 @@ def chunks_from_labels(labels, mode: str = "bio-suffix") -> list:
 
 
 def invalid_continuations(labels, mode: str = "bio-suffix") -> int:
-    """Count 'X-I' positions whose previous label is neither X-B nor X-I."""
+    """Count 'X-I' positions whose previous label is neither X-B nor X-I;
+    plain labels have no continuation tag, so none is invalid there."""
+    if mode not in CHUNK_MODES:
+        raise DataError(f"unknown BIO mode {mode!r}")
+    if mode == "plain":
+        return 0
     count = 0
     prev_concept = None
     for label in labels:

@@ -11,7 +11,10 @@ from .errors import ConfigError, ShapeError
 
 
 def new_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator: same seed, bit-identical stream (PCG64)."""
+    """Deterministic generator: same seed, bit-identical stream (PCG64).
+    A negative seed raises ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

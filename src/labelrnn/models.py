@@ -26,7 +26,7 @@ from .corpus import (
     WORD_BOS_ID,
     WORD_EOS_ID,
     EncodedSequence,
-    require_classes,
+    require_inputs,
 )
 from .errors import ConfigError, ModelIOError, ShapeError
 from .layers import (
@@ -404,7 +404,7 @@ def orient(seq: EncodedSequence, direction: str) -> EncodedSequence:
     return EncodedSequence(
         words=seq.words[::-1].copy(),
         classes=None if seq.classes is None else seq.classes[::-1].copy(),
-        chars=list(reversed(seq.chars)),
+        chars=None if seq.chars is None else seq.chars[::-1],
         labels=None if seq.labels is None else seq.labels[::-1].copy(),
     )
 
@@ -486,20 +486,26 @@ _WINDOWS = {"w": ("words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
             "c": ("classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")}
 
 
-def _unlabeled_inputs(model, oseqs, order):
+def _unlabeled_inputs(model, oseqs, lens, order):
     """The input pieces other than the label context at every position of
     oseqs, one row per position in the given order of the concatenated
-    positions."""
-    p = model.params
+    positions.
+
+    Each window is gathered from one padded concatenation of the sentences,
+    [pad] * d_w + tokens + [pad] * d_w each, in which the window of
+    concatenated position k of sentence i starts at k + 2 * d_w * i.
+    """
+    p, d_w = model.params, model.d_w
+    sentence = np.repeat(np.arange(len(oseqs)), lens)
+    first = np.arange(len(sentence)) + 2 * d_w * sentence
+    windows = np.add.outer(first[order], np.arange(2 * d_w + 1))
     x = {}
     for name, _ in model.input_pieces():
         if name in _WINDOWS:
             tokens, bos, eos, table = _WINDOWS[name]
-            idx = np.concatenate([
-                window_indices(getattr(s, tokens), np.arange(len(s)), model.d_w, bos, eos)
-                for s in oseqs
-            ])
-            x[name] = embed_concat(p[table], idx[order])
+            left, right = np.full(d_w, bos), np.full(d_w, eos)
+            padded = np.concatenate([a for s in oseqs for a in (left, getattr(s, tokens), right)])
+            x[name] = embed_concat(p[table], padded[windows])
         elif name == "ch":
             chars = [c for s in oseqs for c in s.chars]
             x[name], _ = char_conv_forward([chars[i] for i in order], p["E_ch"], p["W_conv"],
@@ -520,7 +526,7 @@ def _decode_group(model, oseqs):
     order = np.argsort(np.arange(lens.sum()) - np.repeat(starts, lens), kind="stable")
     active = (lens > np.arange(lens[0])[:, None]).sum(axis=1)
     bounds = np.concatenate(([0], np.cumsum(active)))
-    x = _unlabeled_inputs(model, oseqs, order)
+    x = _unlabeled_inputs(model, oseqs, lens, order)
 
     # Each variant: the label-free input term of the layer that sees labels
     # (biases included) and that layer's label table.
@@ -576,9 +582,9 @@ def tag_greedy_batch(model: TaggerModel, seqs) -> list:
     groups of at most DECODE_GROUP. Distributions agree with a
     position-by-position greedy pass up to rounding, which can depend on the
     group a sentence falls in, so labels equal its labels unless two labels
-    tie within rounding. A model that reads word classes needs every
-    sequence's class column."""
-    require_classes(seqs, model)
+    tie within rounding. A model that reads word classes or chars needs them
+    in every sequence."""
+    require_inputs(seqs, model)
     outs = [None] * len(seqs)
     by_length = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
     for g in range(0, len(by_length), DECODE_GROUP):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import CHUNK_MODES, decode_labels, require_classes
+from .corpus import CHUNK_MODES, decode_labels, require_inputs
 from .errors import ConfigError, DataError, ShapeError, TrainingDivergedError
 from .layers import _weight_grad
 from .mathcore import new_rng
@@ -39,6 +39,10 @@ from .models import (
     tag_bidirectional_batch,
     tag_greedy_batch,
 )
+
+
+_LAYER_SIZES = ("embed_size", "hidden_size", "hidden_size_all_inputs", "first_level_size",
+                "char_embed_size", "conv_size")
 
 
 @dataclass
@@ -90,6 +94,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1)")
         if self.lambda_l2 < 0 or self.lambda_l2_bidir < 0:
             raise ConfigError("L2 coefficients must be non-negative")
+        for name in _LAYER_SIZES:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d_w < 0 or self.d_c < 0 or self.d_l < 1:
             raise ConfigError("window sizes must satisfy d_w >= 0, d_c >= 0, d_l >= 1")
         if self.epochs_fwd_bwd < 1 or self.epochs_bidir < 0:
@@ -119,22 +128,24 @@ class TrainConfig:
         return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
     @classmethod
-    def from_kv(cls, text: str, base=None) -> "TrainConfig":
+    def from_kv(cls, text: str, base=None, source=None) -> "TrainConfig":
         """Parse key=value lines; keys they do not set keep base's values, or
-        the defaults without a base."""
+        the defaults without a base. An error names source, or the line of
+        the config text without one."""
         known = {f.name: f.type for f in fields(cls)}
         values = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
+            where = source or f"config line {lineno}"
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
+                raise ConfigError(f"{where}: expected key=value, got {line!r}")
             key, raw = line.split("=", 1)
             key = key.strip()
             raw = raw.strip()
             if key not in known:
-                raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+                raise ConfigError(f"{where}: unknown key {key!r}")
             default = getattr(cls(), key)
             try:
                 if isinstance(default, bool):
@@ -147,7 +158,7 @@ class TrainConfig:
                 else:
                     values[key] = raw
             except (KeyError, ValueError):
-                raise ConfigError(f"config line {lineno}: bad value for {key}: {raw!r}") from None
+                raise ConfigError(f"{where}: bad value for {key}: {raw!r}") from None
         return cls(**values) if base is None else replace(base, **values)
 
 
@@ -389,7 +400,7 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
     """Full training of one directional tagger; returns (dev-best model, log)."""
     config.validate()
     _require_training_set(train_seqs)
-    require_classes([*train_seqs, *dev_seqs], config)
+    require_inputs([*train_seqs, *dev_seqs], config)
     if rng is None:
         rng = new_rng(config.seed)
     model = build_model(
@@ -433,7 +444,7 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     if fwd.direction != DIR_FWD:
         raise ConfigError("first model must be the forward one")
     _require_training_set(train_seqs)
-    require_classes([*train_seqs, *dev_seqs], fwd, bwd)
+    require_inputs([*train_seqs, *dev_seqs], fwd, bwd)
     if rng is None:
         rng = new_rng(config.seed)
     fwd, bwd = copy.deepcopy(fwd), copy.deepcopy(bwd)

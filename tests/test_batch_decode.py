@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from labelrnn import models
-from labelrnn.corpus import Sentence, build_vocabulary, encode
+from labelrnn.corpus import (CLASS_BOS_ID, CLASS_EOS_ID, WORD_BOS_ID, WORD_EOS_ID, Sentence,
+                             build_vocabulary, encode)
 from labelrnn.errors import DataError
+from labelrnn.layers import embed_concat, window_indices
 from labelrnn.mathcore import new_rng
 from labelrnn.models import (
     DIRECTIONS,
@@ -138,3 +140,31 @@ def test_a_classes_model_rejects_sentences_without_the_class_column(small_model_
     with pytest.raises(DataError, match="reads word classes, but a sentence has no class"):
         tag_bidirectional_batch(model, small_model_factory("irnn", "bwd", use_classes=True),
                                 seqs)
+
+
+def test_a_chars_model_rejects_sentences_encoded_without_chars(small_model_factory,
+                                                               tiny_vocab):
+    sentences = [Sentence(words=["show", "flights"]), Sentence(words=["to", "boston"])]
+    seqs = [encode(s, tiny_vocab, with_labels=False) for s in sentences]
+    seqs[1] = encode(sentences[1], tiny_vocab, small_model_factory("irnn"), with_labels=False)
+    model = small_model_factory("irnn-gru", use_chars=True)
+    with pytest.raises(DataError, match="reads characters, but a sentence was encoded without"):
+        tag_greedy_batch(model, seqs)
+    with pytest.raises(DataError, match="reads characters, but a sentence was encoded without"):
+        tag_bidirectional_batch(model, small_model_factory("irnn-gru", "bwd", use_chars=True),
+                                seqs)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_window_gather_equals_window_indices(task, count):
+    vocab, seqs = task
+    model = _model(vocab, "irnn", "fwd", seed=27, use_classes=True)
+    group = sorted(seqs[:count], key=len, reverse=True)
+    lens = np.array([len(s) for s in group])
+    order = np.random.default_rng(3).permutation(lens.sum())
+    x = models._unlabeled_inputs(model, group, lens, order)
+    for name, field, bos, eos, table in (("w", "words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
+                                         ("c", "classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")):
+        idx = np.concatenate([window_indices(getattr(s, field), np.arange(len(s)), model.d_w,
+                                             bos, eos) for s in group])
+        assert np.array_equal(x[name], embed_concat(model.params[table], idx[order]))

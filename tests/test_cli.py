@@ -7,7 +7,8 @@ from labelrnn.cli import _resolve_config, build_parser, main
 from labelrnn.corpus import (Sentence, Vocabulary, decode_labels, encode, load_column_file,
                              write_column_file)
 from labelrnn.pretrain import load_external_embeddings
-from labelrnn.models import load_model, save_model, tag_greedy
+from labelrnn.models import (DECODE_GROUP, load_model, save_model, tag_bidirectional,
+                             tag_greedy)
 from labelrnn.training import TrainConfig
 import numpy as np
 
@@ -44,6 +45,14 @@ def test_generate_size_zero_fails_cleanly(tmp_path, capsys):
     rc = main(["generate", "--out-dir", str(tmp_path), "--size", "0"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_generate_negative_seed_fails_before_it_writes(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    rc = main(["generate", "--out-dir", str(out), "--size", "5", "--seed", "-1"])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == ["error: seed must be >= 0, got -1"]
+    assert not out.exists()
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -157,6 +166,14 @@ def test_pretrain_zero_epochs_fails_cleanly(corpus_dir, tmp_path, capsys):
         "error: NNLM training needs at least one epoch, got 0"]
 
 
+def test_pretrain_negative_seed_fails_before_it_writes(corpus_dir, tmp_path, capsys):
+    rc = main(["pretrain", "--train", str(corpus_dir / "train.txt"), "--target", "words",
+               "--out", str(tmp_path / "w.emb"), "--seed", "-1"])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == ["error: seed must be >= 0, got -1"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pretrain_missing_file_fails(tmp_path, capsys):
     rc = main(["pretrain", "--train", str(tmp_path / "nope.txt"),
                "--target", "words", "--out", str(tmp_path / "o.emb")])
@@ -227,7 +244,10 @@ def test_train_bad_set_syntax(corpus_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("setting,problem", [
     ("chunk_mode=bogus", "unknown chunk mode 'bogus'"),
-    ("use_chars=ture", "config line 1: bad value for use_chars: 'ture'"),
+    ("use_chars=ture", "--set use_chars=ture: bad value for use_chars: 'ture'"),
+    ("seed=-5", "seed must be >= 0, got -5"),
+    ("hidden_size=-1", "hidden_size must be >= 1, got -1"),
+    ("embed_size=0", "embed_size must be >= 1, got 0"),
 ])
 def test_train_rejects_a_bad_setting_before_it_writes(corpus_dir, tmp_path, capsys, setting,
                                                       problem):
@@ -379,6 +399,40 @@ def test_tag_labels_equal_library_tag_greedy(trained_model, corpus_dir, tmp_path
     for sent, out in zip(load_column_file(corpus_dir / "test.txt"), load_column_file(tagged)):
         seq = encode(sent, vocab, with_labels=False)
         assert decode_labels(tag_greedy(model, seq).labels, vocab) == out.labels
+
+
+@pytest.fixture(scope="module")
+def trained_bwd_model(corpus_dir, trained_model):
+    out = trained_model.parent / "bwd.bin"
+    rc = main(["train", "--variant", "irnn-gru", "--direction", "bwd",
+               "--train", str(corpus_dir / "train.txt"), "--dev", str(corpus_dir / "dev.txt"),
+               "--seed", "5", "--out", str(out)] + SMALL_TRAIN_OVERRIDES)
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("bidir", [False, True])
+def test_tag_over_several_groups_writes_input_order(trained_model, trained_bwd_model,
+                                                    corpus_dir, tmp_path, bidir):
+    sentences = load_column_file(corpus_dir / "train.txt")
+    sentences = sentences + sentences[::-1] + sentences[:9]
+    lengths = [len(s) for s in sentences]
+    assert len(sentences) > DECODE_GROUP and lengths != sorted(lengths, reverse=True)
+    source, tagged = tmp_path / "in.txt", tmp_path / "tagged.txt"
+    write_column_file(sentences, source)
+    models = (["--fwd-model", str(trained_model), "--bwd-model", str(trained_bwd_model)]
+              if bidir else ["--model", str(trained_model)])
+    rc = main(["tag", *models, "--vocab", f"{trained_model}.vocab",
+               "--input", str(source), "--output", str(tagged)])
+    assert rc == 0
+    fwd, bwd = load_model(trained_model), load_model(trained_bwd_model)
+    vocab = Vocabulary.load(f"{trained_model}.vocab")
+    written = load_column_file(tagged)
+    assert [(s.words, s.classes) for s in written] == [(s.words, s.classes) for s in sentences]
+    for sent, out in zip(sentences, written):
+        seq = encode(sent, vocab, with_labels=False)
+        expected = tag_bidirectional(fwd, bwd, seq) if bidir else tag_greedy(fwd, seq)
+        assert decode_labels(expected.labels, vocab) == out.labels
 
 
 def test_tag_rejects_truncated_vocab(trained_model, corpus_dir, tmp_path, capsys):

@@ -17,6 +17,7 @@ from labelrnn.corpus import (
     write_column_file,
 )
 from labelrnn.errors import DataError, ParseError
+from labelrnn.training import TrainConfig
 
 
 # -- column files ---------------------------------------------------------
@@ -113,6 +114,24 @@ def test_encode_round_trip_and_oov(tiny_vocab):
     assert seq.words[3] == WORD_UNK_ID
     assert decode_labels(seq.labels, tiny_vocab) == sent.labels
     assert [len(c) for c in seq.chars] == [len(w) for w in sent.words]
+
+
+def test_encode_leaves_out_the_fields_no_reader_uses(tiny_vocab, small_model_factory):
+    sent = Sentence(words=["Show", "flights", "from", "zanzibar"],
+                    classes=["-", "-", "-", "city"], labels=["O", "O", "O", "O"])
+    full = encode(sent, tiny_vocab)
+    assert full.classes is not None and full.chars is not None
+    words_only = small_model_factory("irnn")
+    for readers in [(words_only,), (TrainConfig(),), (words_only, TrainConfig())]:
+        seq = encode(sent, tiny_vocab, *readers)
+        assert (seq.classes, seq.chars) == (None, None)
+        assert np.array_equal(seq.words, full.words)
+        assert np.array_equal(seq.labels, full.labels)
+    seq = encode(sent, tiny_vocab, words_only, small_model_factory("irnn", use_classes=True))
+    assert np.array_equal(seq.classes, full.classes) and seq.chars is None
+    seq = encode(sent, tiny_vocab, TrainConfig(use_chars=True), with_labels=False)
+    assert seq.classes is None and seq.labels is None
+    assert [c.tolist() for c in seq.chars] == [c.tolist() for c in full.chars]
 
 
 def test_unknown_gold_label_raises(tiny_vocab):
@@ -238,3 +257,15 @@ def test_invalid_continuations_counts():
     assert invalid_continuations(["X-B", "X-I", "O"]) == 0
     assert invalid_continuations(["O", "X-I", "Y-I", "Y-I"]) == 2
     assert invalid_continuations(["X-B", "Y-I"]) == 1
+
+
+def test_invalid_continuations_plain_mode_has_none():
+    assert invalid_continuations(["A", "O"], "plain") == 0
+    assert invalid_continuations(["X-I", "Y-I"], "plain") == 0
+
+
+def test_invalid_continuations_rejects_an_unknown_mode():
+    with pytest.raises(DataError, match="unknown BIO mode 'bogus'"):
+        invalid_continuations(["O", "O"], "bogus")
+    with pytest.raises(DataError, match="unknown BIO mode 'bogus'"):
+        invalid_continuations([], "bogus")

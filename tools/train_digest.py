@@ -16,9 +16,11 @@ Everything runs on generate_corpus(40, seed=11), with one BLAS thread:
 - words only, and words with classes and chars;
 - irnn, irnn-gru and irnn-deep, each trained fwd and bwd for two epochs, then
   fine-tuned as a bidirectional pair for one;
-- greedy tag of the test split with every fwd and bwd model, and
-  bidirectional tag with every fine-tuned pair, each scored by eval against
-  the test split: its --out report and its stdout;
+- greedy tag of the test and the train split with every fwd and bwd model,
+  and bidirectional tag of both with every fine-tuned pair, each scored by
+  eval against its split: its --out report and its stdout. The 4-sentence
+  test split is one decode group and the 40-sentence train split two, so a
+  change in how tag groups sentences shows;
 - the gradient-check reports of every fine-tuned pair, on the first test
   sentence;
 - a word NNLM pretrained for two epochs at desk sizes.
@@ -65,12 +67,14 @@ def _run(*argv):
     return out.getvalue()
 
 
-def _tag_and_eval(gold, output, *models):
-    """Tags gold with models into output, then writes eval's --out report to
-    output.eval.kv and its stdout to output.eval.txt."""
-    _run("tag", *models, "--input", gold, "--output", output)
-    printed = _run("eval", "--gold", gold, "--pred", output, "--out", f"{output}.eval.kv")
-    Path(f"{output}.eval.txt").write_text(printed, encoding="utf-8")
+def _tag_and_eval(data, output, *models):
+    """Tags the test split with models into output and the train split into
+    output.train, then writes eval's --out report of each to <file>.eval.kv
+    and its stdout to <file>.eval.txt."""
+    for gold, tagged in ((data["test"], output), (data["train"], f"{output}.train")):
+        _run("tag", *models, "--input", gold, "--output", tagged)
+        printed = _run("eval", "--gold", gold, "--pred", tagged, "--out", f"{tagged}.eval.kv")
+        Path(f"{tagged}.eval.txt").write_text(printed, encoding="utf-8")
 
 
 def _write_gradient_checks(pair, seq, path):
@@ -99,11 +103,11 @@ def build(out: Path):
                 for direction in ("fwd", "bwd"):
                     model = f"{base}.{direction}"
                     _run("train", *common, "--direction", direction, "--out", model)
-                    _tag_and_eval(data["test"], f"{model}.tagged", "--model", model)
+                    _tag_and_eval(data, f"{model}.tagged", "--model", model)
                 _run("train", *common, "--direction", "bidir", "--fwd-model", f"{base}.fwd",
                      "--bwd-model", f"{base}.bwd", "--out", f"{base}.bidir")
                 pair = (f"{base}.bidir.fwd", f"{base}.bidir.bwd")
-                _tag_and_eval(data["test"], f"{base}.bidir.tagged", "--fwd-model", pair[0],
+                _tag_and_eval(data, f"{base}.bidir.tagged", "--fwd-model", pair[0],
                               "--bwd-model", pair[1], "--vocab", f"{base}.bidir.vocab")
                 seq = encode(test_sentence, Vocabulary.load(f"{base}.bidir.vocab"))
                 _write_gradient_checks(pair, seq, f"{base}.bidir.gradcheck")
