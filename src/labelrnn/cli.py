@@ -14,6 +14,7 @@ import time
 from . import __version__
 from .corpus import (
     CHUNK_MODES,
+    DEFAULT_CHUNK_MODE,
     LABEL_BOL_ID,
     WORD_BOS_ID,
     Sentence,
@@ -80,6 +81,14 @@ def cmd_generate(args) -> int:
 # -- pretrain ------------------------------------------------------------------
 
 def cmd_pretrain(args) -> int:
+    # The flags go through the training config's checks before any file is read.
+    config = TrainConfig(embed_size=args.embed_size, hidden_size=args.hidden_size,
+                         lr0=args.lr0, nnlm_context=args.context, seed=args.seed)
+    epochs_field = "epochs_nnlm_word" if args.target == "words" else "epochs_nnlm_label"
+    if args.epochs is not None:
+        setattr(config, epochs_field, args.epochs)
+    config.validate()
+    epochs = getattr(config, epochs_field)
     sentences = load_column_file(args.train)
     if not sentences:
         raise ConfigError(f"training file {args.train} is empty")
@@ -87,16 +96,13 @@ def cmd_pretrain(args) -> int:
     if args.target == "words":
         sequences = [[vocab.word_id(w) for w in s.words] for s in sentences]
         size, pad, id_to_token = vocab.n_words, WORD_BOS_ID, vocab.id_to_word
-        default_epochs = TrainConfig.epochs_nnlm_word
     else:
         sequences = [[vocab.label_id(l) for l in s.labels] for s in sentences]
         size, pad, id_to_token = vocab.n_labels, LABEL_BOL_ID, vocab.id_to_label
-        default_epochs = TrainConfig.epochs_nnlm_label
-    epochs = args.epochs if args.epochs is not None else default_epochs
     table, losses = train_nnlm(
-        sequences, size, pad, context=args.context, embed_size=args.embed_size,
-        hidden_size=args.hidden_size, epochs=epochs, lr0=args.lr0,
-        rng=new_rng(args.seed),
+        sequences, size, pad, context=config.nnlm_context, embed_size=config.embed_size,
+        hidden_size=config.hidden_size, epochs=epochs, lr0=config.lr0,
+        rng=new_rng(config.seed),
     )
     save_embeddings(table, id_to_token, args.out)
     _info(f"{args.target} NNLM: {epochs} epochs, loss {losses[0]:.4f} -> {losses[-1]:.4f}")
@@ -107,10 +113,7 @@ def cmd_pretrain(args) -> int:
 # -- train --------------------------------------------------------------------
 
 def _resolve_config(args) -> TrainConfig:
-    if args.preset == "media-like":
-        config = TrainConfig.media_like()
-    else:
-        config = TrainConfig.atis_like()
+    config = TrainConfig.media_like() if args.preset == "media-like" else TrainConfig()
     if args.config:
         config = TrainConfig.from_kv("".join(read_lines(args.config)), base=config)
     for item in args.set or []:
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a predicted column file against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--chunk-mode", choices=CHUNK_MODES, default="bio-suffix")
+    p.add_argument("--chunk-mode", choices=CHUNK_MODES, default=DEFAULT_CHUNK_MODE)
     p.add_argument("--out", help="also write a key=value report file")
     p.set_defaults(func=cmd_eval)
     return parser

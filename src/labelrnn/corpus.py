@@ -8,7 +8,7 @@ lines separating sentences, "-" in the class column meaning "no class".
 import os
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,8 +39,10 @@ CLASS_BOS_ID = 0
 CLASS_EOS_ID = 1
 CHAR_PAD_ID = 0
 
-# Label schemes of chunks_from_labels, and the label forms of the BIO ones.
-CHUNK_MODES = ("bio-suffix", "bio-prefix", "plain")
+# Label schemes of chunk_spans, the default one, and the label forms of the
+# BIO ones.
+DEFAULT_CHUNK_MODE = "bio-suffix"
+CHUNK_MODES = (DEFAULT_CHUNK_MODE, "bio-prefix", "plain")
 _BIO_FORMS = {"bio-suffix": "'X-B', 'X-I' or 'O'", "bio-prefix": "'B-X', 'I-X' or 'O'"}
 
 
@@ -67,15 +69,6 @@ class EncodedSequence:
 
     def __len__(self):
         return len(self.words)
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A labeled span; start/end are inclusive token positions."""
-
-    label: str
-    start: int
-    end: int
 
 
 class Vocabulary:
@@ -339,10 +332,6 @@ def encode(sentence: Sentence, vocab: Vocabulary, *readers,
     return EncodedSequence(words=words, classes=classes, chars=chars, labels=labels)
 
 
-def decode_words(seq: EncodedSequence, vocab: Vocabulary) -> list:
-    return [vocab.id_to_word[i] for i in seq.words]
-
-
 def decode_labels(label_ids, vocab: Vocabulary) -> list:
     return [vocab.id_to_label[int(i)] for i in label_ids]
 
@@ -360,11 +349,20 @@ def _split_bio(label: str, mode: str):
     raise DataError(f"malformed BIO label {label!r} (expected {_BIO_FORMS[mode]})")
 
 
-def _chunk_spans(labels, mode: str, split: dict) -> list:
-    """chunks_from_labels as (concept, start, end) tuples. split caches the
-    (concept, tag) of each label across the calls it is passed to."""
+def chunk_spans(labels, mode: str, split=None) -> list:
+    """Maximal concept spans of a label sequence as (concept, start, end)
+    tuples, start and end inclusive token positions.
+
+    Modes: 'bio-suffix' ("X-B"/"X-I"), 'bio-prefix' ("B-X"/"I-X"), and
+    'plain' where maximal runs of an identical non-O label form one chunk.
+    A continuation without a matching begin starts a new chunk (repair rule).
+    A dict passed as split caches the (concept, tag) of each label across
+    the calls it is passed to.
+    """
     if mode not in CHUNK_MODES:
         raise DataError(f"unknown BIO mode {mode!r}")
+    if split is None:
+        split = {}
     spans = []
     open_label = None
     start = None
@@ -388,17 +386,7 @@ def _chunk_spans(labels, mode: str, split: dict) -> list:
     return spans
 
 
-def chunks_from_labels(labels, mode: str = "bio-suffix") -> list:
-    """Extract maximal concept spans from a label string sequence.
-
-    Modes: 'bio-suffix' ("X-B"/"X-I"), 'bio-prefix' ("B-X"/"I-X"), and
-    'plain' where maximal runs of an identical non-O label form one chunk.
-    A continuation without a matching begin starts a new chunk (repair rule).
-    """
-    return [Chunk(*span) for span in _chunk_spans(labels, mode, {})]
-
-
-def invalid_continuations(labels, mode: str = "bio-suffix") -> int:
+def invalid_continuations(labels, mode: str = DEFAULT_CHUNK_MODE) -> int:
     """Count 'X-I' positions whose previous label is neither X-B nor X-I;
     plain labels have no continuation tag, so none is invalid there."""
     if mode not in CHUNK_MODES:

@@ -9,7 +9,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import eq
 
-from .corpus import _chunk_spans
+from .corpus import DEFAULT_CHUNK_MODE, chunk_spans
 from .errors import DataError
 
 
@@ -66,12 +66,7 @@ def edit_distance(ref, hyp) -> int:
     return prev[m]
 
 
-def concept_sequence(labels, mode: str = "bio-suffix") -> list:
-    """In-order concept names of the chunks in a label sequence (O excluded)."""
-    return [span[0] for span in _chunk_spans(labels, mode, {})]
-
-
-def evaluate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
+def evaluate(gold_seqs, pred_seqs, mode: str = DEFAULT_CHUNK_MODE) -> EvalReport:
     """Chunk precision/recall/F1 with per-label counts, CER (WER-style over the
     aligned concept sequences) and token accuracy, from one pass that chunks
     each sentence once; a prediction equal to its gold is not chunked at all."""
@@ -80,7 +75,7 @@ def evaluate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
     split = {}
     hits = total = errors = 0
     for gold, pred in zip(gold_seqs, pred_seqs):
-        gold_spans = _chunk_spans(gold, mode, split)
+        gold_spans = chunk_spans(gold, mode, split)
         total += len(gold)
         for concept, _, _ in gold_spans:
             reference[concept] += 1
@@ -90,7 +85,7 @@ def evaluate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
                 hypothesized[concept] += 1
                 correct[concept] += 1
             continue
-        pred_spans = _chunk_spans(pred, mode, split)
+        pred_spans = chunk_spans(pred, mode, split)
         gold_set = set(gold_spans)
         for span in pred_spans:
             hypothesized[span[0]] += 1
@@ -113,13 +108,3 @@ def evaluate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
                       cer=100.0 * errors / max(1, n_ref),
                       token_accuracy=100.0 * hits / total if total else 0.0,
                       per_label=per_label)
-
-
-def f1_chunks(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> EvalReport:
-    """The evaluate report, read for its chunk precision/recall/F1."""
-    return evaluate(gold_seqs, pred_seqs, mode)
-
-
-def concept_error_rate(gold_seqs, pred_seqs, mode: str = "bio-suffix") -> float:
-    """The evaluate report's CER."""
-    return evaluate(gold_seqs, pred_seqs, mode).cer

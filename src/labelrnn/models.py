@@ -134,23 +134,21 @@ def _is_bias(name: str) -> bool:
     return name.startswith("b_") or name.startswith("Fb_")
 
 
-def build_model(variant, direction, vocab, rng, *, d_w=5, d_l=5, d_c=0,
-                embed_size=200, hidden_size=200, first_level_size=200,
-                char_embed_size=30, conv_size=50, use_classes=False,
-                use_chars=False, ablate_label_context=False,
-                gru_words_only=False) -> TaggerModel:
-    """Create a model with Xavier-initialized parameters in a fixed order."""
+def build_model(variant, direction, vocab, rng, config) -> TaggerModel:
+    """Create a model with Xavier-initialized parameters in a fixed order.
+    Its sizes and input flags come from config, a training.TrainConfig, and
+    its hidden size from config.resolved_hidden_size()."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
     model = TaggerModel(
-        variant=variant, direction=direction, d_w=d_w, d_l=d_l, d_c=d_c,
-        embed_size=embed_size, hidden_size=hidden_size,
-        first_level_size=first_level_size, char_embed_size=char_embed_size,
-        conv_size=conv_size, use_classes=use_classes, use_chars=use_chars,
-        ablate_label_context=ablate_label_context,
-        gru_words_only=gru_words_only,
+        variant=variant, direction=direction, d_w=config.d_w, d_l=config.d_l, d_c=config.d_c,
+        embed_size=config.embed_size, hidden_size=config.resolved_hidden_size(),
+        first_level_size=config.first_level_size, char_embed_size=config.char_embed_size,
+        conv_size=config.conv_size, use_classes=config.use_classes, use_chars=config.use_chars,
+        ablate_label_context=config.ablate_label_context,
+        gru_words_only=config.gru_words_only,
         n_words=vocab.n_words, n_labels=vocab.n_labels,
         n_classes=vocab.n_classes, n_chars=vocab.n_chars,
         vocab_hash=vocab.hash(),
@@ -290,17 +288,17 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
         cache["x_ch"] = x_ch
         cache["ch_cache"] = ch_cache
 
-    pieces = [cache[f"x_{name}"] for name, _ in model.input_pieces()]
-    x = np.concatenate(pieces, axis=-1)
-    cache["x"] = x
+    if model.variant != VARIANT_DEEP:  # the deep layers read each piece apart
+        pieces = [cache[f"x_{name}"] for name, _ in model.input_pieces()]
+        cache["x"] = np.concatenate(pieces, axis=-1)
 
     if model.variant == VARIANT_IRNN:
-        h, pre = relu_hidden_forward(p["H"], p["b_h"], x)
+        h, pre = relu_hidden_forward(p["H"], p["b_h"], cache["x"])
         cache["pre"] = pre
     elif model.variant == VARIANT_GRU:
         if h_prev is None:
             h_prev = np.zeros(model.hidden_size)
-        h, gcache = gru_forward(model.gru_params(), x, h_prev)
+        h, gcache = gru_forward(model.gru_params(), cache["x"], h_prev)
         cache["gcache"] = gcache
     else:
         feats = []
@@ -322,14 +320,19 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     return y, cache
 
 
-def _scatter_input_grad(model, cache, dx, grads):
-    """Route gradient on the concatenated input back to embedding tables
-    (and through the char convolution)."""
+def _split_input_grad(model, dx):
+    """The gradient on the concatenated input, split into one array per
+    input piece."""
+    ends = np.cumsum([dim for _, dim in model.input_pieces()])
+    return np.split(dx, ends[:-1], axis=-1)
+
+
+def _scatter_input_grad(model, cache, dx_pieces, grads):
+    """Route the gradient on each input piece, one array per piece in
+    input_pieces order, back to embedding tables (and through the char
+    convolution)."""
     masks = cache["masks"]
-    offset = 0
-    for name, dim in model.input_pieces():
-        piece = dx[..., offset : offset + dim]
-        offset += dim
+    for (name, _), piece in zip(model.input_pieces(), dx_pieces):
         if name == "ch":
             dW, db, rows = char_conv_backward(cache["ch_cache"], model.params["W_conv"], piece)
             grads.add_factors("W_conv", *dW)
@@ -363,7 +366,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
         dH, db_h, dx = relu_hidden_backward(p["H"], cache["x"], cache["pre"], dh)
         grads.add_factors("H", *dH)
         grads.add("b_h", db_h)
-        _scatter_input_grad(model, cache, dx, grads)
+        _scatter_input_grad(model, cache, _split_input_grad(model, dx), grads)
         return None
     if model.variant == VARIANT_GRU:
         if dh_next is not None:
@@ -374,7 +377,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
                 grads.add(name, g)
             else:
                 grads.add_factors(name, *g)
-        _scatter_input_grad(model, cache, dx, grads)
+        _scatter_input_grad(model, cache, _split_input_grad(model, dx), grads)
         return dh_prev
 
     dH2, db_2, dhcat = relu_hidden_backward(p["H2"], cache["hcat"], cache["pre2"], dh)
@@ -391,7 +394,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
         grads.add_factors(f"F_{name}", *dF)
         grads.add(f"Fb_{name}", dFb)
         dx_pieces.append(dxp)
-    _scatter_input_grad(model, cache, np.concatenate(dx_pieces, axis=-1), grads)
+    _scatter_input_grad(model, cache, dx_pieces, grads)
     return None
 
 

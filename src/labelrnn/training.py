@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import CHUNK_MODES, decode_labels, require_inputs
+from .corpus import CHUNK_MODES, DEFAULT_CHUNK_MODE, decode_labels, require_inputs
 from .errors import ConfigError, DataError, ShapeError, TrainingDivergedError
 from .layers import _weight_grad
 from .mathcore import new_rng
@@ -82,11 +82,11 @@ class TrainConfig:
     freeze_embeddings_bidir: bool = False
     max_grad_norm: float = 0.0  # 0 disables clipping
     predicted_label_prob: float = 0.0
-    chunk_mode: str = "bio-suffix"
+    chunk_mode: str = DEFAULT_CHUNK_MODE
 
     def validate(self):
-        if not 0.0 < self.lr0:
-            raise ConfigError("lr0 must be positive")
+        if not 0.0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
         for name in ("dropout_hidden", "dropout_embed", "predicted_label_prob"):
@@ -103,6 +103,11 @@ class TrainConfig:
             raise ConfigError("window sizes must satisfy d_w >= 0, d_c >= 0, d_l >= 1")
         if self.epochs_fwd_bwd < 1 or self.epochs_bidir < 0:
             raise ConfigError("epochs_fwd_bwd must be >= 1 and epochs_bidir >= 0")
+        for epochs in (self.epochs_nnlm_word, self.epochs_nnlm_label):
+            if epochs < 1:
+                raise ConfigError(f"NNLM training needs at least one epoch, got {epochs}")
+        if self.nnlm_context < 1:
+            raise ConfigError(f"NNLM context length must be >= 1, got {self.nnlm_context}")
         if self.dev_metric not in ("accuracy", "f1"):
             raise ConfigError(f"unknown dev metric {self.dev_metric!r}")
         if self.chunk_mode not in CHUNK_MODES:
@@ -113,10 +118,6 @@ class TrainConfig:
         if self.use_classes and self.use_chars:
             return self.hidden_size_all_inputs
         return self.hidden_size
-
-    @classmethod
-    def atis_like(cls, **overrides) -> "TrainConfig":
-        return cls(**overrides)
 
     @classmethod
     def media_like(cls, **overrides) -> "TrainConfig":
@@ -403,16 +404,7 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
     require_inputs([*train_seqs, *dev_seqs], config)
     if rng is None:
         rng = new_rng(config.seed)
-    model = build_model(
-        variant, direction, vocab, rng,
-        d_w=config.d_w, d_l=config.d_l, d_c=config.d_c,
-        embed_size=config.embed_size, hidden_size=config.resolved_hidden_size(),
-        first_level_size=config.first_level_size,
-        char_embed_size=config.char_embed_size, conv_size=config.conv_size,
-        use_classes=config.use_classes, use_chars=config.use_chars,
-        ablate_label_context=config.ablate_label_context,
-        gru_words_only=config.gru_words_only,
-    )
+    model = build_model(variant, direction, vocab, rng, config)
     for table, init in (("E_w", init_word_emb), ("E_l", init_label_emb)):
         if init is not None:
             if init.shape != model.params[table].shape:

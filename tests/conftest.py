@@ -5,6 +5,7 @@ import pytest
 from labelrnn.corpus import Sentence, build_vocabulary, encode
 from labelrnn.mathcore import new_rng
 from labelrnn.models import build_model
+from labelrnn.training import TrainConfig
 
 
 TINY_SENTENCES = [
@@ -41,11 +42,13 @@ def small_model_factory(tiny_vocab):
     """Build a small model of any variant over the tiny vocabulary."""
 
     def factory(variant, direction="fwd", seed=0, **kwargs):
-        defaults = dict(
+        sizes = dict(
             d_w=2, d_l=3, d_c=1, embed_size=6, hidden_size=10,
             first_level_size=7, char_embed_size=4, conv_size=5,
         )
-        defaults.update(kwargs)
-        return build_model(variant, direction, tiny_vocab, new_rng(seed), **defaults)
+        sizes.update(kwargs)
+        # With classes and chars too, the hidden layer stays at hidden_size.
+        config = TrainConfig(hidden_size_all_inputs=sizes["hidden_size"], **sizes)
+        return build_model(variant, direction, tiny_vocab, new_rng(seed), config)
 
     return factory

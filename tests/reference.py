@@ -7,15 +7,15 @@
   the formulas as first stated, one numpy expression each, so that the
   library's leaner cell can be held to its rounding bit for bit.
 - The three-pass scorer: chunk F1, CER and token accuracy each in a pass of
-  their own, chunking every sentence once per pass into Chunk objects, as
-  the library's one-pass evaluate must score bit for bit.
+  their own, chunking every sentence once per pass into (concept, start,
+  end) tuples, as the library's one-pass evaluate must score bit for bit.
 """
 
 from collections import defaultdict
 
 import numpy as np
 
-from labelrnn.corpus import Chunk, _split_bio
+from labelrnn.corpus import _split_bio
 from labelrnn.metrics import EvalReport, _check_lengths, edit_distance
 from labelrnn.models import VARIANT_GRU, position_forward, predict_label
 
@@ -106,8 +106,9 @@ def reference_gru_backward(params, cache, dh):
 # -- the three-pass scorer -------------------------------------------------------
 
 def reference_chunks(labels, mode="bio-suffix"):
-    """Maximal concept spans as Chunk objects, with the repair rule: a
-    continuation without a matching begin starts a new chunk."""
+    """Maximal concept spans as (concept, start, end) tuples, with the
+    repair rule: a continuation without a matching begin starts a new
+    chunk."""
     chunks = []
     if mode == "plain":
         start = None
@@ -115,10 +116,10 @@ def reference_chunks(labels, mode="bio-suffix"):
         for t, label in enumerate(labels):
             if label != current:
                 if current is not None and current != "O":
-                    chunks.append(Chunk(current, start, t - 1))
+                    chunks.append((current, start, t - 1))
                 current, start = label, t
         if current is not None and current != "O":
-            chunks.append(Chunk(current, start, len(labels) - 1))
+            chunks.append((current, start, len(labels) - 1))
         return chunks
 
     open_label = None
@@ -127,12 +128,12 @@ def reference_chunks(labels, mode="bio-suffix"):
         concept, tag = _split_bio(label, mode)
         continues = tag == "I" and open_label == concept
         if open_label is not None and not continues:
-            chunks.append(Chunk(open_label, start, t - 1))
+            chunks.append((open_label, start, t - 1))
             open_label = None
         if tag in ("B", "I") and not continues:
             open_label, start = concept, t
     if open_label is not None:
-        chunks.append(Chunk(open_label, start, len(labels) - 1))
+        chunks.append((open_label, start, len(labels) - 1))
     return chunks
 
 
@@ -144,12 +145,12 @@ def reference_f1_chunks(gold_seqs, pred_seqs, mode="bio-suffix"):
     for gold, pred in zip(gold_seqs, pred_seqs):
         gold_chunks = set(reference_chunks(gold, mode))
         pred_chunks = set(reference_chunks(pred, mode))
-        for chunk in gold_chunks:
-            reference[chunk.label] += 1
+        for concept, _, _ in gold_chunks:
+            reference[concept] += 1
         for chunk in pred_chunks:
-            hypothesized[chunk.label] += 1
+            hypothesized[chunk[0]] += 1
             if chunk in gold_chunks:
-                correct[chunk.label] += 1
+                correct[chunk[0]] += 1
     n_correct = sum(correct.values())
     n_hyp = sum(hypothesized.values())
     n_ref = sum(reference.values())
@@ -168,8 +169,8 @@ def reference_concept_error_rate(gold_seqs, pred_seqs, mode="bio-suffix"):
     errors = 0
     total_ref = 0
     for gold, pred in zip(gold_seqs, pred_seqs):
-        ref = [chunk.label for chunk in reference_chunks(gold, mode)]
-        hyp = [chunk.label for chunk in reference_chunks(pred, mode)]
+        ref = [concept for concept, _, _ in reference_chunks(gold, mode)]
+        hyp = [concept for concept, _, _ in reference_chunks(pred, mode)]
         errors += edit_distance(ref, hyp)
         total_ref += len(ref)
     return 100.0 * errors / max(1, total_ref)

@@ -18,7 +18,7 @@ from labelrnn.corpus import (
     invalid_continuations,
 )
 from labelrnn.mathcore import new_rng
-from labelrnn.metrics import concept_error_rate, edit_distance, evaluate, f1_chunks
+from labelrnn.metrics import edit_distance, evaluate
 from labelrnn.models import (
     build_model,
     combine_bidirectional,
@@ -91,14 +91,18 @@ def deep_results(synthetic_task):
 
 # -- 1. gradient fidelity ---------------------------------------------------------
 
+# Tiny sizes with every input type; hidden_size_all_inputs keeps the hidden
+# layer at hidden_size.
+TINY_ALL_INPUTS = TrainConfig(d_w=2, d_l=3, d_c=1, embed_size=6, hidden_size=8,
+                              hidden_size_all_inputs=8, first_level_size=6, char_embed_size=4,
+                              conv_size=5, use_classes=True, use_chars=True)
+
+
 def test_gradient_fidelity_all_variants(tiny_vocab, tiny_seqs):
     start = time.monotonic()
     worst = {}
     for variant in ("irnn", "irnn-gru", "irnn-deep"):
-        model = build_model(variant, "fwd", tiny_vocab, new_rng(17),
-                            d_w=2, d_l=3, d_c=1, embed_size=6, hidden_size=8,
-                            first_level_size=6, char_embed_size=4, conv_size=5,
-                            use_classes=True, use_chars=True)
+        model = build_model(variant, "fwd", tiny_vocab, new_rng(17), TINY_ALL_INPUTS)
         report = gradient_check(model, tiny_seqs[1], epsilon=1e-5,
                                 rng=new_rng(23), samples_per_tensor=50)
         worst[variant] = max(report.values())
@@ -114,10 +118,7 @@ def test_bidirectional_gradient_fidelity_all_variants(tiny_vocab, tiny_seqs):
     start = time.monotonic()
     worst = {}
     for variant in ("irnn", "irnn-gru", "irnn-deep"):
-        fwd, bwd = (build_model(variant, direction, tiny_vocab, new_rng(seed),
-                                d_w=2, d_l=3, d_c=1, embed_size=6, hidden_size=8,
-                                first_level_size=6, char_embed_size=4, conv_size=5,
-                                use_classes=True, use_chars=True)
+        fwd, bwd = (build_model(variant, direction, tiny_vocab, new_rng(seed), TINY_ALL_INPUTS)
                     for direction, seed in (("fwd", 17), ("bwd", 19)))
         report = bidirectional_gradient_check(fwd, bwd, tiny_seqs[1], epsilon=1e-5,
                                               rng=new_rng(23), samples_per_tensor=30)
@@ -194,7 +195,7 @@ def test_oracle_equivalence():
         n = int(rng.integers(1, 15))
         gold_seqs.append([alphabet[i] for i in rng.integers(len(alphabet), size=n)])
         pred_seqs.append([alphabet[i] for i in rng.integers(len(alphabet), size=n)])
-    report = f1_chunks(gold_seqs, pred_seqs)
+    report = evaluate(gold_seqs, pred_seqs)
     precision, recall, f1 = _oracle_f1(gold_seqs, pred_seqs)
     assert report.precision == precision
     assert report.recall == recall
@@ -208,7 +209,7 @@ def test_oracle_equivalence():
         assert edit_distance(ref, hyp) == _oracle_edit_distance(ref, hyp)
         mismatches += 1
     # spot-check the aggregated CER against the oracle pieces
-    cer = concept_error_rate(gold_seqs[:50], pred_seqs[:50])
+    cer = evaluate(gold_seqs[:50], pred_seqs[:50]).cer
     assert cer >= 0.0
     elapsed = time.monotonic() - start
     assert elapsed < 60

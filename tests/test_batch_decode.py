@@ -25,6 +25,7 @@ from labelrnn.models import (
     tag_greedy_batch,
 )
 from labelrnn.synthetic import generate_corpus
+from labelrnn.training import TrainConfig
 from reference import reference_forward
 
 RTOL, ATOL = 1e-10, 1e-12  # float64: only the summation order differs
@@ -48,9 +49,9 @@ def task():
 
 def _model(vocab, variant, direction, seed, **kwargs):
     rng = new_rng(seed)
-    model = build_model(variant, direction, vocab, rng, d_w=2, d_l=3, embed_size=6,
-                        hidden_size=10, first_level_size=7, char_embed_size=4, conv_size=5,
-                        **kwargs)
+    config = TrainConfig(d_w=2, d_l=3, embed_size=6, hidden_size=10, hidden_size_all_inputs=10,
+                         first_level_size=7, char_embed_size=4, conv_size=5, **kwargs)
+    model = build_model(variant, direction, vocab, rng, config)
     for value in model.params.values():  # biases start at zero; make them count
         if not value.any():
             value += rng.normal(scale=0.3, size=value.shape)

@@ -174,6 +174,32 @@ def test_pretrain_negative_seed_fails_before_it_writes(corpus_dir, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags,problem", [
+    (["--lr0", "0"], "lr0 must be positive and finite, got 0.0"),
+    (["--lr0", "nan"], "lr0 must be positive and finite, got nan"),
+    (["--lr0", "inf"], "lr0 must be positive and finite, got inf"),
+    (["--embed-size", "0"], "embed_size must be >= 1, got 0"),
+    (["--hidden-size", "-1"], "hidden_size must be >= 1, got -1"),
+    (["--context", "0"], "NNLM context length must be >= 1, got 0"),
+    (["--target", "labels", "--epochs", "0"], "NNLM training needs at least one epoch, got 0"),
+])
+def test_pretrain_rejects_a_bad_flag_before_it_writes(corpus_dir, tmp_path, capsys, flags,
+                                                      problem):
+    rc = main(["pretrain", "--train", str(corpus_dir / "train.txt"), "--target", "words",
+               "--out", str(tmp_path / "w.emb")] + flags)
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [f"error: {problem}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pretrain_checks_its_flags_before_it_reads_the_corpus(tmp_path, capsys):
+    rc = main(["pretrain", "--train", str(tmp_path / "nope.txt"), "--target", "words",
+               "--out", str(tmp_path / "w.emb"), "--lr0", "0"])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: lr0 must be positive and finite, got 0.0"]
+
+
 def test_pretrain_missing_file_fails(tmp_path, capsys):
     rc = main(["pretrain", "--train", str(tmp_path / "nope.txt"),
                "--target", "words", "--out", str(tmp_path / "o.emb")])

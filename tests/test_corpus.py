@@ -3,14 +3,12 @@ import pytest
 
 from labelrnn.corpus import (
     BOL,
-    Chunk,
     Sentence,
     Vocabulary,
     WORD_UNK_ID,
     build_vocabulary,
-    chunks_from_labels,
+    chunk_spans,
     decode_labels,
-    decode_words,
     encode,
     invalid_continuations,
     load_column_file,
@@ -110,7 +108,7 @@ def test_encode_round_trip_and_oov(tiny_vocab):
         labels=["O", "O", "O", "from-city-B"],
     )
     seq = encode(sent, tiny_vocab)
-    assert decode_words(seq, tiny_vocab)[:3] == ["show", "flights", "from"]
+    assert [tiny_vocab.id_to_word[i] for i in seq.words[:3]] == ["show", "flights", "from"]
     assert seq.words[3] == WORD_UNK_ID
     assert decode_labels(seq.labels, tiny_vocab) == sent.labels
     assert [len(c) for c in seq.chars] == [len(w) for w in sent.words]
@@ -200,44 +198,38 @@ def test_non_utf8_files_name_the_line(tmp_path):
 
 def test_chunks_suffix_example():
     labels = ["Answer-B", "BDObject-B", "BDObject-I"]
-    assert chunks_from_labels(labels) == [Chunk("Answer", 0, 0), Chunk("BDObject", 1, 2)]
+    assert chunk_spans(labels, "bio-suffix") == [("Answer", 0, 0), ("BDObject", 1, 2)]
 
 
 def test_all_o_gives_no_chunks():
-    assert chunks_from_labels(["O", "O", "O"]) == []
+    assert chunk_spans(["O", "O", "O"], "bio-suffix") == []
 
 
 def test_repair_rule_continuation_without_begin():
-    assert chunks_from_labels(["X-I", "X-I"]) == [Chunk("X", 0, 1)]
+    assert chunk_spans(["X-I", "X-I"], "bio-suffix") == [("X", 0, 1)]
 
 
 def test_adjacent_begins_split_chunks():
     labels = ["X-B", "X-B", "X-I", "O", "Y-I"]
-    assert chunks_from_labels(labels) == [
-        Chunk("X", 0, 0), Chunk("X", 1, 2), Chunk("Y", 4, 4),
-    ]
+    assert chunk_spans(labels, "bio-suffix") == [("X", 0, 0), ("X", 1, 2), ("Y", 4, 4)]
 
 
 def test_prefix_mode():
     labels = ["B-city", "I-city", "O", "B-date"]
-    assert chunks_from_labels(labels, "bio-prefix") == [
-        Chunk("city", 0, 1), Chunk("date", 3, 3),
-    ]
+    assert chunk_spans(labels, "bio-prefix") == [("city", 0, 1), ("date", 3, 3)]
 
 
 def test_plain_mode_groups_runs():
     labels = ["city", "city", "O", "date", "city"]
-    assert chunks_from_labels(labels, "plain") == [
-        Chunk("city", 0, 1), Chunk("date", 3, 3), Chunk("city", 4, 4),
-    ]
+    assert chunk_spans(labels, "plain") == [("city", 0, 1), ("date", 3, 3), ("city", 4, 4)]
 
 
 def test_malformed_label_raises():
     with pytest.raises(DataError):
-        chunks_from_labels(["notbio"])
+        chunk_spans(["notbio"], "bio-suffix")
     for labels in (["X-B"], ["O", "O"], []):
         with pytest.raises(DataError, match="unknown BIO mode 'no-such-mode'"):
-            chunks_from_labels(labels, mode="no-such-mode")
+            chunk_spans(labels, mode="no-such-mode")
 
 
 def test_chunks_partition_non_o_positions():
@@ -246,9 +238,9 @@ def test_chunks_partition_non_o_positions():
     for _ in range(200):
         labels = [alphabet[i] for i in rng.integers(len(alphabet), size=12)]
         covered = []
-        for chunk in chunks_from_labels(labels):
-            assert chunk.start <= chunk.end
-            covered.extend(range(chunk.start, chunk.end + 1))
+        for _, start, end in chunk_spans(labels, "bio-suffix"):
+            assert start <= end
+            covered.extend(range(start, end + 1))
         assert sorted(covered) == [t for t, l in enumerate(labels) if l != "O"]
         assert len(covered) == len(set(covered))  # no overlaps
 

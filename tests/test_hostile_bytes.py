@@ -18,6 +18,7 @@ from labelrnn.mathcore import new_rng
 from labelrnn.models import build_model, load_model, save_model
 from labelrnn.pretrain import load_external_embeddings, save_embeddings
 from labelrnn.synthetic import Grammar, default_grammar, generate_corpus
+from labelrnn.training import TrainConfig
 
 HOSTILE = settings(max_examples=200, deadline=None)
 
@@ -43,9 +44,10 @@ def valid(tmp_path_factory):
     train, _, _ = generate_corpus(4, seed=1)
     write_column_file(train, d / "corpus.txt")
     vocab = build_vocabulary(train)
-    model = build_model("irnn-deep", "fwd", vocab, new_rng(0), d_w=1, d_l=2, d_c=1, embed_size=2,
-                        hidden_size=3, first_level_size=2, char_embed_size=2, conv_size=2,
-                        use_classes=True, use_chars=True)
+    config = TrainConfig(d_w=1, d_l=2, d_c=1, embed_size=2, hidden_size=3,
+                         hidden_size_all_inputs=3, first_level_size=2, char_embed_size=2,
+                         conv_size=2, use_classes=True, use_chars=True)
+    model = build_model("irnn-deep", "fwd", vocab, new_rng(0), config)
     save_model(model, d / "model.bin")
     save_embeddings(np.arange(6.0).reshape(3, 2) / 7, {0: "a", 1: "b", 2: "c"}, d / "emb.txt")
     grammar = default_grammar()

@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from labelrnn.corpus import CHUNK_MODES, chunks_from_labels
+from labelrnn.corpus import CHUNK_MODES, chunk_spans
 from labelrnn.errors import DataError
-from labelrnn.metrics import (
-    concept_error_rate,
-    concept_sequence,
-    edit_distance,
-    evaluate,
-    f1_chunks,
-)
-from reference import reference_chunks, reference_concept_error_rate, reference_evaluate
+from labelrnn.metrics import edit_distance, evaluate
+from reference import reference_chunks, reference_evaluate
 
 
 # -- chunk F1 -----------------------------------------------------------------
 
 def test_perfect_predictions():
     gold = [["X-B", "X-I", "O"], ["Y-B"]]
-    report = f1_chunks(gold, gold)
+    report = evaluate(gold, gold)
     assert report.precision == report.recall == report.f1 == 100.0
 
 
@@ -26,7 +20,7 @@ def test_hand_counted_half_credit():
     # gold chunks {(A,0,1),(B,3,3)}, predicted {(A,0,1),(B,2,3)}
     gold = [["A-B", "A-I", "O", "B-B"]]
     pred = [["A-B", "A-I", "B-B", "B-I"]]
-    report = f1_chunks(gold, pred)
+    report = evaluate(gold, pred)
     assert report.precision == 50.0
     assert report.recall == 50.0
     assert report.f1 == 50.0
@@ -35,14 +29,14 @@ def test_hand_counted_half_credit():
 def test_no_predicted_chunks():
     gold = [["X-B", "O"]]
     pred = [["O", "O"]]
-    report = f1_chunks(gold, pred)
+    report = evaluate(gold, pred)
     assert report.precision == 0.0 and report.recall == 0.0 and report.f1 == 0.0
 
 
 def test_per_label_counts():
     gold = [["A-B", "O", "B-B"]]
     pred = [["A-B", "O", "A-B"]]
-    report = f1_chunks(gold, pred)
+    report = evaluate(gold, pred)
     assert report.per_label["A"] == (1, 2, 1)
     assert report.per_label["B"] == (0, 0, 1)
 
@@ -50,16 +44,16 @@ def test_per_label_counts():
 def test_f1_invariant_under_sentence_reordering():
     gold = [["A-B", "O"], ["B-B", "B-I"], ["O", "A-B"]]
     pred = [["A-B", "A-I"], ["B-B", "O"], ["O", "A-B"]]
-    a = f1_chunks(gold, pred)
-    b = f1_chunks(gold[::-1], pred[::-1])
+    a = evaluate(gold, pred)
+    b = evaluate(gold[::-1], pred[::-1])
     assert (a.precision, a.recall, a.f1) == (b.precision, b.recall, b.f1)
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(DataError):
-        f1_chunks([["O"]], [["O"], ["O"]])
+        evaluate([["O"]], [["O"], ["O"]])
     with pytest.raises(DataError):
-        f1_chunks([["O", "O"]], [["O"]])
+        evaluate([["O", "O"]], [["O"]])
 
 
 # -- edit distance and CER ---------------------------------------------------------
@@ -80,25 +74,26 @@ def test_edit_distance_symmetry_and_triangle():
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
-def test_concept_sequence_excludes_o():
-    assert concept_sequence(["O", "A-B", "A-I", "O", "B-B"]) == ["A", "B"]
+def test_chunk_concepts_exclude_o():
+    spans = chunk_spans(["O", "A-B", "A-I", "O", "B-B"], "bio-suffix")
+    assert [concept for concept, _, _ in spans] == ["A", "B"]
 
 
 def test_cer_identical():
     gold = [["A-B", "O", "B-B"]]
-    assert concept_error_rate(gold, gold) == 0.0
+    assert evaluate(gold, gold).cer == 0.0
 
 
 def test_cer_one_substitution_of_four():
     gold = [["A-B", "B-B", "C-B", "D-B"]]
     pred = [["A-B", "X-B", "C-B", "D-B"]]
-    assert concept_error_rate(gold, pred) == 25.0
+    assert evaluate(gold, pred).cer == 25.0
 
 
 def test_cer_all_deletions():
     gold = [["A-B", "B-B", "C-B", "D-B"]]
     pred = [["O", "O", "O", "O"]]
-    assert concept_error_rate(gold, pred) == 100.0
+    assert evaluate(gold, pred).cer == 100.0
 
 
 # -- token accuracy ---------------------------------------------------------------
@@ -179,11 +174,8 @@ def test_evaluate_equals_the_three_pass_reference(data):
     mode = data.draw(st.sampled_from(CHUNK_MODES))
     gold, pred = data.draw(corpora(st.sampled_from(LABELS[mode])))
     assert evaluate(gold, pred, mode) == reference_evaluate(gold, pred, mode)
-    assert concept_error_rate(gold, pred, mode) == reference_concept_error_rate(gold, pred, mode)
     for labels in gold + pred:
-        expected = reference_chunks(labels, mode)
-        assert chunks_from_labels(labels, mode) == expected
-        assert concept_sequence(labels, mode) == [chunk.label for chunk in expected]
+        assert chunk_spans(labels, mode) == reference_chunks(labels, mode)
 
 
 @PROPERTY
@@ -194,7 +186,7 @@ def test_evaluate_raises_the_reference_error_on_malformed_labels(data):
     expected = _outcome(reference_evaluate, gold, pred, mode)
     assert _outcome(evaluate, gold, pred, mode) == expected
     for labels in gold + pred:
-        assert (_outcome(chunks_from_labels, labels, mode)
+        assert (_outcome(chunk_spans, labels, mode)
                 == _outcome(reference_chunks, labels, mode))
 
 

@@ -15,13 +15,32 @@ from labelrnn.models import (
     tag_bidirectional,
     tag_greedy,
 )
+from labelrnn.training import TrainConfig
 
 
 def test_unknown_variant_and_direction(tiny_vocab):
     with pytest.raises(ConfigError):
-        build_model("no-such", "fwd", tiny_vocab, new_rng(0))
+        build_model("no-such", "fwd", tiny_vocab, new_rng(0), TrainConfig())
     with pytest.raises(ConfigError):
-        build_model("irnn", "sideways", tiny_vocab, new_rng(0))
+        build_model("irnn", "sideways", tiny_vocab, new_rng(0), TrainConfig())
+
+
+def test_default_config_builds_the_published_structure(tiny_vocab):
+    model = build_model("irnn", "fwd", tiny_vocab, new_rng(0), TrainConfig())
+    assert (model.d_w, model.d_l, model.d_c) == (5, 5, 0)
+    assert (model.embed_size, model.hidden_size, model.first_level_size) == (200, 200, 200)
+    assert (model.char_embed_size, model.conv_size) == (30, 50)
+    assert not (model.use_classes or model.use_chars or model.ablate_label_context
+                or model.gru_words_only)
+    assert model.params["H"].shape == (200, 11 * 200 + 5 * 200)
+
+
+def test_all_input_types_resolve_the_hidden_size_to_256(tiny_vocab):
+    config = TrainConfig(use_classes=True, use_chars=True)
+    model = build_model("irnn", "fwd", tiny_vocab, new_rng(0), config)
+    assert model.hidden_size == 256
+    assert model.params["H"].shape == (256, 2 * 11 * 200 + 5 * 200 + 50)
+    assert model.params["W_conv"].shape == (50, 30)
 
 
 def test_variant_parameter_sets(small_model_factory):
@@ -74,7 +93,7 @@ def _forcing_model_and_vocab(direction="fwd"):
     sents = [Sentence(words=["w", "w", "w"], labels=["B", "I", "I"])]
     vocab = build_vocabulary(sents)
     model = build_model("irnn", direction, vocab, new_rng(0),
-                        d_w=0, d_l=1, embed_size=3, hidden_size=3)
+                        TrainConfig(d_w=0, d_l=1, embed_size=3, hidden_size=3))
     p = model.params
     p["E_w"][:] = 0.0
     p["E_l"][:] = np.eye(3)[: vocab.n_labels]  # BOL, B, I one-hot rows
@@ -126,13 +145,13 @@ def test_label_context_is_live(small_model_factory, tiny_seqs):
 def test_deep_structural_equivalence(tiny_vocab, tiny_seqs):
     f = 5
     deep = build_model("irnn-deep", "fwd", tiny_vocab, new_rng(5),
-                       d_w=1, d_l=2, embed_size=4, hidden_size=2 * f,
-                       first_level_size=f)
+                       TrainConfig(d_w=1, d_l=2, embed_size=4, hidden_size=2 * f,
+                                   first_level_size=f))
     deep.params["H2"] = np.eye(2 * f)
     deep.params["b_2"][:] = 0.0
 
     flat = build_model("irnn", "fwd", tiny_vocab, new_rng(6),
-                       d_w=1, d_l=2, embed_size=4, hidden_size=2 * f)
+                       TrainConfig(d_w=1, d_l=2, embed_size=4, hidden_size=2 * f))
     word_dim = flat.word_input_dim
     flat.params["E_w"] = deep.params["E_w"].copy()
     flat.params["E_l"] = deep.params["E_l"].copy()

@@ -4,7 +4,7 @@ import pytest
 
 from labelrnn.corpus import (
     build_vocabulary,
-    chunks_from_labels,
+    chunk_spans,
     invalid_continuations,
     load_column_file,
 )
@@ -48,9 +48,9 @@ def test_labels_never_trigger_repair_rule():
 def test_some_slot_spans_at_least_three_words():
     train, _, _ = generate_corpus(200, seed=4)
     longest = max(
-        chunk.end - chunk.start + 1
+        end - start + 1
         for sent in train
-        for chunk in chunks_from_labels(sent.labels)
+        for _, start, end in chunk_spans(sent.labels, "bio-suffix")
     )
     assert longest >= 3
 
@@ -83,8 +83,8 @@ def test_phrase_slots_emit_b_then_i():
     rng = new_rng(7)
     for _ in range(50):
         sent = generate_sentence(grammar, rng)
-        for chunk in chunks_from_labels(sent.labels):
-            assert sent.labels[chunk.start].endswith("-B")
+        for _, start, _ in chunk_spans(sent.labels, "bio-suffix"):
+            assert sent.labels[start].endswith("-B")
 
 
 def test_grammar_from_json(tmp_path):

@@ -85,6 +85,18 @@ def test_config_rejects_zero_tagger_epochs():
     TrainConfig(epochs_bidir=0).validate()
 
 
+@pytest.mark.parametrize("setting,problem", [
+    (dict(epochs_nnlm_word=0), "NNLM training needs at least one epoch, got 0"),
+    (dict(epochs_nnlm_label=-1), "NNLM training needs at least one epoch, got -1"),
+    (dict(nnlm_context=0), "NNLM context length must be >= 1, got 0"),
+    (dict(lr0=float("nan")), "lr0 must be positive and finite, got nan"),
+    (dict(lr0=float("inf")), "lr0 must be positive and finite, got inf"),
+])
+def test_config_rejects_bad_nnlm_settings_and_learning_rates(setting, problem):
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        TrainConfig(**setting).validate()
+
+
 def test_config_kv_round_trip():
     config = small_config(use_chars=True, chunk_mode="bio-prefix")
     again = TrainConfig.from_kv(config.to_kv())
