@@ -31,10 +31,10 @@ from .errors import ConfigError, DataError, LabelRnnError
 from .mathcore import new_rng, xavier_init
 from .metrics import evaluate
 from .models import (
-    DECODE_GROUP,
     DIR_BWD,
     DIR_FWD,
     VARIANTS,
+    decode_groups,
     load_model,
     save_model,
     tag_bidirectional_batch,
@@ -235,16 +235,13 @@ def cmd_tag(args) -> int:
 
     sentences = _load_sentences(args.input, *models)
     # The output is opened before any decoding. The whole input is decoded
-    # longest first in groups of DECODE_GROUP, the groups tag_greedy_batch
-    # forms over the whole input, so that a group steps to the length of
-    # sentences close to its own. The encoded sentences and the output
-    # distributions of only one group are held at once; the labels of every
-    # sentence are kept and written in input order after the last group.
-    by_length = sorted(range(len(sentences)), key=lambda i: -len(sentences[i]))
+    # in the decode_groups that tag_greedy_batch would form over it. The
+    # encoded sentences and the output distributions of only one group are
+    # held at once; the labels of every sentence are kept and written in
+    # input order after the last group.
     labels = [None] * len(sentences)
     with open(args.output, "w", encoding="utf-8") as out:
-        for start in range(0, len(by_length), DECODE_GROUP):
-            group = by_length[start : start + DECODE_GROUP]
+        for group in decode_groups(sentences):
             seqs = [encode(sentences[i], vocab, *models, with_labels=False) for i in group]
             for i, decoded in zip(group, tagger(*models, seqs)):
                 labels[i] = decode_labels(decoded.labels, vocab)

@@ -89,8 +89,6 @@ class Vocabulary:
     def _rebuild_inverse(self):
         self.id_to_word = {i: w for w, i in self.words.items()}
         self.id_to_label = {i: l for l, i in self.labels.items()}
-        self.id_to_class = {i: c for c, i in self.classes.items()}
-        self.id_to_char = {i: c for c, i in self.chars.items()}
 
     # -- sizes ---------------------------------------------------------
     @property
@@ -337,15 +335,14 @@ def decode_labels(label_ids, vocab: Vocabulary) -> list:
 
 
 def _split_bio(label: str, mode: str):
-    """Return (concept, tag) where tag is 'B', 'I' or 'O'."""
+    """Return (concept, tag) of a 'bio-suffix' or 'bio-prefix' label, where
+    tag is 'B', 'I' or 'O'."""
     if label == "O":
         return None, "O"
     if mode == "bio-suffix" and label[-2:] in ("-B", "-I"):
         return label[:-2], label[-1]
     if mode == "bio-prefix" and label[:2] in ("B-", "I-"):
         return label[2:], label[0]
-    if mode not in _BIO_FORMS:
-        raise DataError(f"unknown BIO mode {mode!r}")
     raise DataError(f"malformed BIO label {label!r} (expected {_BIO_FORMS[mode]})")
 
 
@@ -384,20 +381,3 @@ def chunk_spans(labels, mode: str, split=None) -> list:
     if open_label is not None:
         spans.append((open_label, start, len(labels) - 1))
     return spans
-
-
-def invalid_continuations(labels, mode: str = DEFAULT_CHUNK_MODE) -> int:
-    """Count 'X-I' positions whose previous label is neither X-B nor X-I;
-    plain labels have no continuation tag, so none is invalid there."""
-    if mode not in CHUNK_MODES:
-        raise DataError(f"unknown BIO mode {mode!r}")
-    if mode == "plain":
-        return 0
-    count = 0
-    prev_concept = None
-    for label in labels:
-        concept, tag = _split_bio(label, mode)
-        if tag == "I" and prev_concept != concept:
-            count += 1
-        prev_concept = concept if tag in ("B", "I") else None
-    return count

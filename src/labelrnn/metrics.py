@@ -1,4 +1,5 @@
-"""Chunk-level precision/recall/F1, Concept Error Rate and token accuracy.
+"""Chunk-level precision/recall/F1, Concept Error Rate, token accuracy and
+the BIO invalid-continuation rate.
 
 All metrics are computed over label strings, micro-averaged corpus-wide. A
 predicted chunk counts as correct only when concept, start and end all match
@@ -20,6 +21,7 @@ class EvalReport:
     f1: float = 0.0
     cer: float = 0.0
     token_accuracy: float = 0.0
+    invalid_rate: float = 0.0  # % of tokens that open a chunk with a continuation tag
     per_label: dict = field(default_factory=dict)  # label -> (correct, hyp, ref)
 
     def to_text(self) -> str:
@@ -29,6 +31,7 @@ class EvalReport:
             f"F1:        {self.f1:6.2f}%",
             f"CER:       {self.cer:6.2f}%",
             f"token acc: {self.token_accuracy:6.2f}%",
+            f"invalid:   {self.invalid_rate:6.2f}%",
         ]
         for label in sorted(self.per_label):
             c, h, r = self.per_label[label]
@@ -40,6 +43,7 @@ class EvalReport:
             f"precision={self.precision:.4f}\nrecall={self.recall:.4f}\n"
             f"f1={self.f1:.4f}\ncer={self.cer:.4f}\n"
             f"token_accuracy={self.token_accuracy:.4f}\n"
+            f"invalid_rate={self.invalid_rate:.4f}\n"
         )
 
 
@@ -68,12 +72,16 @@ def edit_distance(ref, hyp) -> int:
 
 def evaluate(gold_seqs, pred_seqs, mode: str = DEFAULT_CHUNK_MODE) -> EvalReport:
     """Chunk precision/recall/F1 with per-label counts, CER (WER-style over the
-    aligned concept sequences) and token accuracy, from one pass that chunks
-    each sentence once; a prediction equal to its gold is not chunked at all."""
+    aligned concept sequences), token accuracy and the invalid-continuation
+    rate, from one pass that chunks each sentence once; a prediction equal to
+    its gold is not chunked at all. The repair rule opens a chunk at each
+    invalid 'X-I', so the rate counts chunks that start with a continuation."""
     _check_lengths(gold_seqs, pred_seqs)
     correct, hypothesized, reference = defaultdict(int), defaultdict(int), defaultdict(int)
     split = {}
-    hits = total = errors = 0
+    hits = total = errors = invalid = 0
+    # chunk_spans splits a plain label as a continuation of its own concept.
+    continuation = None if mode == "plain" else "I"
     for gold, pred in zip(gold_seqs, pred_seqs):
         gold_spans = chunk_spans(gold, mode, split)
         total += len(gold)
@@ -81,9 +89,11 @@ def evaluate(gold_seqs, pred_seqs, mode: str = DEFAULT_CHUNK_MODE) -> EvalReport
             reference[concept] += 1
         if pred == gold:
             hits += len(gold)
-            for concept, _, _ in gold_spans:
+            for concept, start, _ in gold_spans:
                 hypothesized[concept] += 1
                 correct[concept] += 1
+                if split[gold[start]][1] == continuation:
+                    invalid += 1
             continue
         pred_spans = chunk_spans(pred, mode, split)
         gold_set = set(gold_spans)
@@ -91,6 +101,8 @@ def evaluate(gold_seqs, pred_seqs, mode: str = DEFAULT_CHUNK_MODE) -> EvalReport
             hypothesized[span[0]] += 1
             if span in gold_set:
                 correct[span[0]] += 1
+            if split[pred[span[1]]][1] == continuation:
+                invalid += 1
         errors += edit_distance([span[0] for span in gold_spans],
                                 [span[0] for span in pred_spans])
         hits += sum(map(eq, gold, pred))
@@ -107,4 +119,5 @@ def evaluate(gold_seqs, pred_seqs, mode: str = DEFAULT_CHUNK_MODE) -> EvalReport
     return EvalReport(precision=precision, recall=recall, f1=f1,
                       cer=100.0 * errors / max(1, n_ref),
                       token_accuracy=100.0 * hits / total if total else 0.0,
+                      invalid_rate=100.0 * invalid / total if total else 0.0,
                       per_label=per_label)

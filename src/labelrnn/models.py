@@ -462,6 +462,13 @@ def make_position_masks(model, p_embed, p_hidden, rng, n):
 DECODE_GROUP = 32
 
 
+def decode_groups(items) -> list:
+    """Indices of items longest first, in groups of at most DECODE_GROUP, so
+    that each group the decoders step in lockstep holds lengths close together."""
+    by_length = sorted(range(len(items)), key=lambda i: -len(items[i]))
+    return [by_length[g : g + DECODE_GROUP] for g in range(0, len(by_length), DECODE_GROUP)]
+
+
 def _label_table(model, W):
     """Row k * n_labels + y is E_l[y] @ W_k.T, where W_k holds the columns of
     W that see label slot k and W's label columns come first."""
@@ -581,17 +588,15 @@ def _decode_group(model, oseqs):
 
 def tag_greedy_batch(model: TaggerModel, seqs) -> list:
     """Greedy decode of each sequence; the label context holds the model's
-    own predictions. Sentences are sorted by length and decoded in lockstep
-    groups of at most DECODE_GROUP. Distributions agree with a
-    position-by-position greedy pass up to rounding, which can depend on the
-    group a sentence falls in, so labels equal its labels unless two labels
-    tie within rounding. A model that reads word classes or chars needs them
-    in every sequence."""
+    own predictions. Sentences are decoded in lockstep in the groups of
+    decode_groups. Distributions agree with a position-by-position greedy
+    pass up to rounding, which can depend on the group a sentence falls in,
+    so labels equal its labels unless two labels tie within rounding. A model
+    that reads word classes or chars needs them in every sequence."""
     require_inputs(seqs, model)
     outs = [None] * len(seqs)
-    by_length = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
-    for g in range(0, len(by_length), DECODE_GROUP):
-        members = [i for i in by_length[g : g + DECODE_GROUP] if len(seqs[i])]
+    for group in decode_groups(seqs):
+        members = [i for i in group if len(seqs[i])]
         if not members:
             break
         decoded = _decode_group(model, [orient(seqs[i], model.direction) for i in members])

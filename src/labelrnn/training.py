@@ -92,8 +92,9 @@ class TrainConfig:
         for name in ("dropout_hidden", "dropout_embed", "predicted_label_prob"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        if self.lambda_l2 < 0 or self.lambda_l2_bidir < 0:
-            raise ConfigError("L2 coefficients must be non-negative")
+        for name in ("lambda_l2", "lambda_l2_bidir", "max_grad_norm"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in _LAYER_SIZES:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

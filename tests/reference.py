@@ -9,6 +9,8 @@
 - The three-pass scorer: chunk F1, CER and token accuracy each in a pass of
   their own, chunking every sentence once per pass into (concept, start,
   end) tuples, as the library's one-pass evaluate must score bit for bit.
+  The invalid-continuation rate comes from a count of its own, position by
+  position, that never chunks.
 """
 
 from collections import defaultdict
@@ -187,8 +189,26 @@ def reference_token_accuracy(gold_seqs, pred_seqs):
     return 100.0 * hits / total
 
 
+def reference_invalid_continuations(labels, mode="bio-suffix"):
+    """Count 'X-I' positions whose previous label is neither X-B nor X-I;
+    plain labels have no continuation tag, so none is invalid there."""
+    if mode == "plain":
+        return 0
+    count = 0
+    prev_concept = None
+    for label in labels:
+        concept, tag = _split_bio(label, mode)
+        if tag == "I" and prev_concept != concept:
+            count += 1
+        prev_concept = concept if tag in ("B", "I") else None
+    return count
+
+
 def reference_evaluate(gold_seqs, pred_seqs, mode="bio-suffix"):
     report = reference_f1_chunks(gold_seqs, pred_seqs, mode)
     report.cer = reference_concept_error_rate(gold_seqs, pred_seqs, mode)
     report.token_accuracy = reference_token_accuracy(gold_seqs, pred_seqs)
+    total = sum(len(p) for p in pred_seqs)
+    invalid = sum(reference_invalid_continuations(p, mode) for p in pred_seqs)
+    report.invalid_rate = 100.0 * invalid / total if total else 0.0
     return report

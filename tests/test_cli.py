@@ -3,12 +3,13 @@ import warnings
 
 import pytest
 
+from labelrnn import cli, models
 from labelrnn.cli import _resolve_config, build_parser, main
 from labelrnn.corpus import (Sentence, Vocabulary, decode_labels, encode, load_column_file,
                              write_column_file)
 from labelrnn.pretrain import load_external_embeddings
-from labelrnn.models import (DECODE_GROUP, load_model, save_model, tag_bidirectional,
-                             tag_greedy)
+from labelrnn.models import (DECODE_GROUP, decode_groups, load_model, save_model,
+                             tag_bidirectional, tag_greedy, tag_greedy_batch)
 from labelrnn.training import TrainConfig
 import numpy as np
 
@@ -274,6 +275,12 @@ def test_train_bad_set_syntax(corpus_dir, tmp_path, capsys):
     ("seed=-5", "seed must be >= 0, got -5"),
     ("hidden_size=-1", "hidden_size must be >= 1, got -1"),
     ("embed_size=0", "embed_size must be >= 1, got 0"),
+    ("lambda_l2=nan", "lambda_l2 must be finite and >= 0, got nan"),
+    ("lambda_l2=inf", "lambda_l2 must be finite and >= 0, got inf"),
+    ("lambda_l2=-0.1", "lambda_l2 must be finite and >= 0, got -0.1"),
+    ("lambda_l2_bidir=nan", "lambda_l2_bidir must be finite and >= 0, got nan"),
+    ("max_grad_norm=nan", "max_grad_norm must be finite and >= 0, got nan"),
+    ("max_grad_norm=-1", "max_grad_norm must be finite and >= 0, got -1.0"),
 ])
 def test_train_rejects_a_bad_setting_before_it_writes(corpus_dir, tmp_path, capsys, setting,
                                                       problem):
@@ -459,6 +466,24 @@ def test_tag_over_several_groups_writes_input_order(trained_model, trained_bwd_m
         seq = encode(sent, vocab, with_labels=False)
         expected = tag_bidirectional(fwd, bwd, seq) if bidir else tag_greedy(fwd, seq)
         assert decode_labels(expected.labels, vocab) == out.labels
+
+
+def test_tag_decodes_in_the_groups_of_decode_groups(trained_model, corpus_dir, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(models, "DECODE_GROUP", 4)
+    calls = []
+
+    def recording(model, seqs):
+        calls.append([len(seq) for seq in seqs])
+        return tag_greedy_batch(model, seqs)
+
+    monkeypatch.setattr(cli, "tag_greedy_batch", recording)
+    rc = main(["tag", "--model", str(trained_model), "--input", str(corpus_dir / "train.txt"),
+               "--output", str(tmp_path / "tagged.txt")])
+    assert rc == 0
+    sentences = load_column_file(corpus_dir / "train.txt")
+    assert calls == [[len(sentences[i]) for i in group] for group in decode_groups(sentences)]
+    assert len(calls) > 1 and max(map(len, calls)) == 4
 
 
 def test_tag_rejects_truncated_vocab(trained_model, corpus_dir, tmp_path, capsys):

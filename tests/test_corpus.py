@@ -10,11 +10,11 @@ from labelrnn.corpus import (
     chunk_spans,
     decode_labels,
     encode,
-    invalid_continuations,
     load_column_file,
     write_column_file,
 )
 from labelrnn.errors import DataError, ParseError
+from labelrnn.metrics import evaluate
 from labelrnn.training import TrainConfig
 
 
@@ -245,19 +245,24 @@ def test_chunks_partition_non_o_positions():
         assert len(covered) == len(set(covered))  # no overlaps
 
 
+def _invalid_rate(labels, mode="bio-suffix"):
+    """evaluate's invalid-continuation rate of one predicted sentence."""
+    return evaluate([labels], [labels], mode).invalid_rate
+
+
 def test_invalid_continuations_counts():
-    assert invalid_continuations(["X-B", "X-I", "O"]) == 0
-    assert invalid_continuations(["O", "X-I", "Y-I", "Y-I"]) == 2
-    assert invalid_continuations(["X-B", "Y-I"]) == 1
+    assert _invalid_rate(["X-B", "X-I", "O"]) == 0.0
+    assert _invalid_rate(["O", "X-I", "Y-I", "Y-I"]) == 50.0  # 2 of 4 tokens
+    assert _invalid_rate(["X-B", "Y-I"]) == 50.0  # 1 of 2 tokens
 
 
 def test_invalid_continuations_plain_mode_has_none():
-    assert invalid_continuations(["A", "O"], "plain") == 0
-    assert invalid_continuations(["X-I", "Y-I"], "plain") == 0
+    assert _invalid_rate(["A", "O"], "plain") == 0.0
+    assert _invalid_rate(["X-I", "Y-I"], "plain") == 0.0
 
 
 def test_invalid_continuations_rejects_an_unknown_mode():
     with pytest.raises(DataError, match="unknown BIO mode 'bogus'"):
-        invalid_continuations(["O", "O"], "bogus")
+        _invalid_rate(["O", "O"], "bogus")
     with pytest.raises(DataError, match="unknown BIO mode 'bogus'"):
-        invalid_continuations([], "bogus")
+        _invalid_rate([], "bogus")

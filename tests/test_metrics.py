@@ -119,7 +119,7 @@ def test_evaluate_full_report():
     text = report.to_text()
     assert "precision" in text and "CER" in text
     kv = dict(line.split("=") for line in report.to_kv().strip().splitlines())
-    assert set(kv) == {"precision", "recall", "f1", "cer", "token_accuracy"}
+    assert set(kv) == {"precision", "recall", "f1", "cer", "token_accuracy", "invalid_rate"}
 
 
 def test_unknown_mode_rejected_for_all_o_sentences():

@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import replace
 
@@ -10,9 +11,12 @@ from labelrnn.errors import (ConfigError, DataError, LabelRnnError, ShapeError,
                              TrainingDivergedError)
 from labelrnn.mathcore import dropout_mask, new_rng
 from labelrnn.models import (
+    VARIANTS,
     Grads,
     combine_bidirectional,
     make_position_masks,
+    orient,
+    sentence_pass,
     sequence_grads,
     tag_bidirectional,
     tag_greedy,
@@ -180,7 +184,7 @@ def test_embedding_rows_updated_sparsely(small_model_factory):
     assert np.array_equal(untouched, np.delete(table0, 2, axis=0))
 
 
-def test_frozen_embeddings_do_not_move(small_model_factory):
+def test_frozen_embeddings_do_not_move(small_model_factory, tiny_seqs):
     model = small_model_factory("irnn")
     opt = SgdMomentum(model, momentum=0.0, lam=0.0, freeze_embeddings=True)
     table0 = model.params["E_w"].copy()
@@ -188,6 +192,41 @@ def test_frozen_embeddings_do_not_move(small_model_factory):
     grads.add_rows("E_w", [(1, np.ones(model.embed_size))])
     opt.step(grads, lr=0.1)
     assert np.array_equal(model.params["E_w"], table0)
+    # A whole sentence's gradient, with L2 on every tensor and clipping on:
+    # every table stays bit for bit while every other tensor moves.
+    for variant in VARIANTS:
+        model = small_model_factory(variant, use_classes=True, use_chars=True)
+        before = copy.deepcopy(model.params)
+        grads = Grads()
+        oseq = orient(tiny_seqs[1], model.direction)
+        sentence_pass(model, oseq, oseq.labels, grads)
+        assert set(grads.rows) == {name for name in before if name.startswith("E_")}
+        SgdMomentum(model, momentum=0.5, lam=0.1, l2_include_all=True, max_grad_norm=1.0,
+                    freeze_embeddings=True).step(grads, lr=0.1)
+        for name, value in before.items():
+            assert np.array_equal(model.params[name], value) == name.startswith("E_"), name
+
+
+def test_bidirectional_fine_tuning_freezes_the_embeddings_of_both_models(
+        tiny_vocab, tiny_seqs, small_model_factory, monkeypatch):
+    optimizers = []
+
+    class Recording(SgdMomentum):
+        def __init__(self, model, *args, **kwargs):
+            super().__init__(model, *args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(training, "SgdMomentum", Recording)
+    fwd, bwd = small_model_factory("irnn", "fwd", seed=1), small_model_factory("irnn", "bwd", seed=2)
+    config = small_config(epochs_bidir=1, freeze_embeddings_bidir=True)
+    train_bidirectional(fwd, bwd, tiny_seqs, tiny_seqs, tiny_vocab, config)
+    assert [opt.freeze_embeddings for opt in optimizers] == [True, True]
+    # Dev selection may return the untouched pair, so the optimizers' own
+    # models, the fine-tuned copies, are the ones checked.
+    for opt, model in zip(optimizers, (fwd, bwd)):
+        assert opt.model.direction == model.direction and opt.model is not model
+        for name, value in model.params.items():
+            assert np.array_equal(opt.model.params[name], value) == name.startswith("E_"), name
 
 
 def test_bad_gradient_shape_rejected(small_model_factory):
