@@ -1,8 +1,8 @@
 """Differentiable building blocks with hand-derived backward passes.
 
 Each forward returns whatever the matching backward needs as a cache.
-Gradients w.r.t. embedding tables are reported as (row, vector) pairs so
-callers can update touched rows sparsely.
+Gradients w.r.t. an embedding table are reported per window slot, as the
+arrays (ids, block); merge_rows sums them into the touched rows.
 
 Every layer takes a stack of rows, one per position, and positions are an
 index array. A weight gradient summed over the rows is the product
@@ -53,19 +53,23 @@ def embed_concat(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 
 def embed_concat_backward(dvec: np.ndarray, indices: np.ndarray, dim: int):
-    """Split the gradients over the concatenations back into (row, vector)
-    pairs, each table row once, its vector a row of one new array.
+    """Split the gradients over the concatenations back into slots: (ids,
+    block), block row k the gradient on the table row ids[k], in slot order."""
+    return np.ravel(indices), dvec.reshape(-1, dim)
 
-    The slot gradients are summed per table row by one flat np.bincount over
-    (row, coordinate) bins. It adds them one by one in slot order from zero,
-    so each sum is the sequential one, bit for bit; a pairwise sum such as
-    np.add.reduceat's rounds differently where a row fills three or more
-    slots.
-    """
-    rows, inverse = np.unique(np.ravel(indices), return_inverse=True)
-    bins = (inverse[:, None] * dim + np.arange(dim)).ravel()
-    summed = np.bincount(bins, weights=np.ravel(dvec))
-    return list(zip(rows.tolist(), summed.reshape(len(rows), dim)))
+
+def merge_rows(ids: np.ndarray, block: np.ndarray):
+    """(rows, summed): the distinct ids, ascending, and a new array whose row
+    k sums the block rows of id rows[k]. One flat np.bincount over (row,
+    coordinate) bins adds them one by one in slot order from zero, so each
+    sum is the sequential one, bit for bit; a pairwise sum such as
+    np.add.reduceat's rounds differently where a row fills three or more slots."""
+    inverse = np.bincount(ids)  # the counts, then each row's place in rows
+    rows = inverse.nonzero()[0]
+    inverse[rows] = np.arange(len(rows))
+    dim = block.shape[1]
+    bins = (inverse[ids] * dim)[:, None] + np.arange(dim)
+    return rows, np.bincount(bins.ravel(), weights=block.ravel()).reshape(len(rows), dim)
 
 
 def _weight_grad(d, x, out=None):
@@ -227,12 +231,12 @@ def char_conv_forward(words, E_ch: np.ndarray, W: np.ndarray,
 
 
 def char_conv_backward(cache: dict, W: np.ndarray, dout: np.ndarray):
-    """Returns (dW, db, embedding row grads), dW a factor pair; gradient
-    flows only through the argmax column of each output coordinate."""
+    """Returns (dW, db, (ids, block)), dW a factor pair and (ids, block) as
+    embed_concat_backward's; gradient flows only through each argmax column."""
     dcols = np.zeros((len(cache["x"]), W.shape[0]))
     dcols[cache["best"], np.arange(W.shape[0])] = dout
-    row_grads = embed_concat_backward(dcols @ W, cache["idx"], cache["dim"])
-    return (dcols, cache["x"]), dout.sum(axis=0), row_grads
+    slots = embed_concat_backward(dcols @ W, cache["idx"], cache["dim"])
+    return (dcols, cache["x"]), dout.sum(axis=0), slots
 
 
 # -- softmax output layer ---------------------------------------------------

@@ -80,9 +80,10 @@ def dropout_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
     keep_prob is one probability, or one per column (the last axis), so
     masks of different rates can come from one draw."""
     keep = np.asarray(keep_prob, dtype=np.float64)
-    if np.any(keep <= 0.0) or np.any(keep > 1.0):
+    lo, hi = keep.min(), keep.max()
+    if not 0.0 < lo <= hi <= 1.0:  # false for NaN too
         raise ConfigError(f"dropout keep probability must be in (0, 1], got {keep_prob}")
-    if np.all(keep == 1.0):
+    if lo == 1.0:
         return np.ones(shape)
     return (rng.random(shape) < keep) / keep
 

@@ -12,6 +12,7 @@ window, label-context window, optional character-convolution feature):
 A backward-direction model is the same machinery run on reversed sequences.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .layers import (
     gru_forward,
     gru_step,
     label_context_indices,
+    merge_rows,
     output_backward,
     output_forward,
     relu_hidden_backward,
@@ -186,9 +188,9 @@ def _param_shapes(model) -> list:
 # -- gradient accumulation -------------------------------------------------
 
 class Grads:
-    """Accumulates gradients: dense arrays (biases, or a weight gradient
-    given whole), weight gradients as layer factor pairs (d, x) whose product
-    d.T @ x is never formed, and sparse embedding-row grads."""
+    """Accumulates gradients: dense arrays (biases, or a weight gradient given
+    whole), weight gradients as factor pairs (d, x) whose product d.T @ x is
+    never formed, and embedding slot gradients unmerged, as rows[table]."""
 
     def __init__(self):
         self.dense = {}
@@ -212,29 +214,26 @@ class Grads:
             d, x = np.concatenate((d0, d)), np.concatenate((x0, x))
         self.factors[name] = (d, x)
 
-    def add_rows(self, table, pairs):
-        """Add each (row, vector) pair to the gradient of that table row. A
-        vector is kept, not copied, and never written to: a repeated row is
-        summed into a new array."""
-        bucket = self.rows.setdefault(table, {})
-        for row, vec in pairs:
-            if row in bucket:
-                bucket[row] = bucket[row] + vec
-            else:
-                bucket[row] = vec
+    def add_rows(self, table, ids, block):
+        """Add block row k to the gradient of table row ids[k], for every k;
+        the arrays are kept as given, never written to, and a second pair for
+        table is stacked under the first."""
+        if table in self.rows:
+            old = self.rows[table]
+            ids, block = np.concatenate((old["ids"], ids)), np.concatenate((old["grad"], block))
+        self.rows[table] = {"ids": ids, "grad": block}
 
     def scale(self, factor: float):
         for g in self.dense.values():
             g *= factor
         for name, (d, x) in self.factors.items():
             self.factors[name] = (d * factor, x)
-        for bucket in self.rows.values():
-            for row in bucket:
-                bucket[row] = bucket[row] * factor
+        for slots in self.rows.values():
+            slots["grad"] = slots["grad"] * factor
 
     def to_dense(self, model) -> dict:
         """Full gradient dict with zeros for untouched parameters; each
-        factor pair is multiplied out."""
+        factor pair is multiplied out and each table's slots merged."""
         out = {}
         for name, value in model.params.items():
             if name in self.dense:
@@ -243,9 +242,9 @@ class Grads:
                 out[name] = _weight_grad(*self.factors[name])
             else:
                 out[name] = np.zeros_like(value)
-        for table, bucket in self.rows.items():
-            for row, vec in bucket.items():
-                out[table][row] += vec
+        for table, slots in self.rows.items():
+            rows, summed = merge_rows(slots["ids"], slots["grad"])
+            out[table][rows] += summed
         return out
 
 
@@ -323,28 +322,24 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
 def _split_input_grad(model, dx):
     """The gradient on the concatenated input, split into one array per
     input piece."""
-    ends = np.cumsum([dim for _, dim in model.input_pieces()])
-    return np.split(dx, ends[:-1], axis=-1)
+    dims = [dim for _, dim in model.input_pieces()]
+    return [dx[:, end - dim : end] for dim, end in zip(dims, np.cumsum(dims).tolist())]
 
 
 def _scatter_input_grad(model, cache, dx_pieces, grads):
     """Route the gradient on each input piece, one array per piece in
     input_pieces order, back to embedding tables (and through the char
     convolution)."""
-    masks = cache["masks"]
     for (name, _), piece in zip(model.input_pieces(), dx_pieces):
         if name == "ch":
-            dW, db, rows = char_conv_backward(cache["ch_cache"], model.params["W_conv"], piece)
+            dW, db, slots = char_conv_backward(cache["ch_cache"], model.params["W_conv"], piece)
             grads.add_factors("W_conv", *dW)
             grads.add("b_conv", db)
-            grads.add_rows("E_ch", rows)
+            grads.add_rows("E_ch", *slots)
             continue
-        mask = masks.get(name)
-        if mask is not None:
-            piece = piece * mask
-        table = {"w": "E_w", "c": "E_c", "l": "E_l"}[name]
-        idxs = cache[{"w": "widx", "c": "cidx", "l": "lidx"}[name]]
-        grads.add_rows(table, embed_concat_backward(piece, idxs, model.embed_size))
+        piece = _masked(piece, cache["masks"].get(name))
+        idxs = cache[f"{name}idx"]  # widx, cidx or lidx, rows of table E_w, E_c or E_l
+        grads.add_rows(f"E_{name}", *embed_concat_backward(piece, idxs, model.embed_size))
 
 
 def position_backward(model, cache, delta, grads, dh_next=None):
@@ -430,25 +425,25 @@ def make_position_masks(model, p_embed, p_hidden, rng, n):
     stream of one draw per mask per position. A mask whose keep probability
     rounds to 1 is left out, as multiplying by it would change nothing.
     """
-    pieces = []
-    keep = 1.0 - p_embed
-    if keep < 1.0:
-        pieces.append(("w", model.word_input_dim, keep))
-        if model.use_classes:
-            pieces.append(("c", model.word_input_dim, keep))
-        pieces.append(("l", model.label_input_dim, keep))
-    keep = 1.0 - p_hidden
-    if keep < 1.0:
-        pieces.append(("h", model.hidden_size, keep))
-    if not pieces:
+    spans, keeps = _mask_layout(model.word_input_dim, model.use_classes, model.label_input_dim,
+                                model.hidden_size, p_embed, p_hidden)
+    if not spans:
         return {}
-    keeps = np.concatenate([np.full(dim, k) for _, dim, k in pieces])
     drawn = dropout_mask((n, len(keeps)), keeps, rng)
-    masks, start = {}, 0
-    for key, dim, _ in pieces:
-        masks[key] = drawn[:, start : start + dim]
-        start += dim
-    return masks
+    return {key: drawn[:, lo:hi] for key, lo, hi in spans}
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_layout(word_dim, use_classes, label_dim, hidden, p_embed, p_hidden):
+    """The (key, first column, end column) of each make_position_masks mask
+    in one drawn row, and the read-only keep probability of each column."""
+    pieces = [("w", word_dim, p_embed), ("c", word_dim if use_classes else 0, p_embed),
+              ("l", label_dim, p_embed), ("h", hidden, p_hidden)]
+    pieces = [(key, dim, 1.0 - p) for key, dim, p in pieces if dim and 1.0 - p < 1.0]
+    ends = np.cumsum([dim for _, dim, _ in pieces], dtype=np.intp).tolist()
+    keeps = np.repeat([keep for _, _, keep in pieces], [dim for _, dim, _ in pieces])
+    keeps.flags.writeable = False
+    return tuple((key, end - dim, end) for (key, dim, _), end in zip(pieces, ends)), keeps
 
 
 # -- greedy decoding ---------------------------------------------------------

@@ -71,7 +71,7 @@ def nnlm_backward(p: NnlmParams, cache, delta, grads: Grads):
     grads.add("b_o", db_o)
     grads.add_factors("H", *dH)
     grads.add("b_h", db_h)
-    grads.add_rows("E_tok", embed_concat_backward(dx, cache["idxs"], w["E_tok"].shape[1]))
+    grads.add_rows("E_tok", *embed_concat_backward(dx, cache["idxs"], w["E_tok"].shape[1]))
 
 
 def nnlm_sequence_pass(p: NnlmParams, tokens, grads=None, scale: float = 1.0) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import CHUNK_MODES, DEFAULT_CHUNK_MODE, decode_labels, require_inputs
 from .errors import ConfigError, DataError, ShapeError, TrainingDivergedError
-from .layers import _weight_grad
+from .layers import _weight_grad, merge_rows
 from .mathcore import new_rng
 from .metrics import evaluate
 from .models import (
@@ -213,11 +213,11 @@ def _factor_norm(d, x):
 class SgdMomentum:
     """v <- mu*v - lr*(grad + lam*w); w <- w + v for weights and biases.
 
-    Embedding tables are updated plainly on touched rows only; a decaying
-    velocity over a mostly-untouched table is ill-defined, so embeddings get
-    no momentum (and no L2 unless l2_include_all). With max_grad_norm > 0 a
-    weight gradient is clipped to that norm per tensor, an embedding
-    gradient per row.
+    Embedding tables are updated plainly on touched rows only (merge_rows);
+    a decaying velocity over a mostly-untouched table is ill-defined, so
+    embeddings get no momentum (and no L2 unless l2_include_all). With
+    max_grad_norm > 0 a weight gradient is clipped to that norm per tensor,
+    an embedding gradient per row.
 
     The step runs in place. A dense gradient in grads serves as its own
     scratch. A factor pair (d, x) is multiplied out one block of about
@@ -287,11 +287,10 @@ class SgdMomentum:
             self._update_blocks(w, self.velocity[name], d, x, rows, rate, wd)
         if self.freeze_embeddings:
             return
-        for table, bucket in grads.rows.items():
+        for table, slots in grads.rows.items():
             w = self.model.params[table]
-            rows = np.fromiter(bucket, dtype=np.intp, count=len(bucket))
-            g = np.array(list(bucket.values()))
-            if self.max_grad_norm > 0.0:
+            rows, g = merge_rows(slots["ids"], slots["grad"])
+            if clip:
                 g *= self._clip_scale(np.linalg.norm(g, axis=1))[:, None]
             if self.l2_include_all and self.lam > 0.0:
                 g += self.lam * w[rows]

@@ -197,19 +197,21 @@ def _step_factors_whole_and_textbook(model, n, lam, l2_include_all, max_grad_nor
         for name, (d, x) in factors.items():
             grads.add_factors(name, d, x)
             grads_whole.add(name, _weight_grad(d, x))
-        given = {table: [vec.copy() for _, vec in pairs] for table, pairs in rows.items()}
-        for table, pairs in rows.items():
-            grads.add_rows(table, pairs)
-            grads_whole.add_rows(table, pairs)
-        # add_rows keeps a vector it is given; a repeated row is summed into a new array
-        assert grads.rows["E_w"][7] is rows["E_w"][1][1]
-        assert all(grads.rows["E_w"][4] is not vec for _, vec in rows["E_w"])
+        slots = {table: (np.array([row for row, _ in pairs]), np.array([vec for _, vec in pairs]))
+                 for table, pairs in rows.items()}
+        given = {table: (ids.copy(), block.copy()) for table, (ids, block) in slots.items()}
+        for table, (ids, block) in slots.items():
+            grads.add_rows(table, ids, block)
+            grads_whole.add_rows(table, ids, block)
+        # add_rows keeps the arrays it is given
+        assert grads.rows["E_w"]["ids"] is slots["E_w"][0]
+        assert grads.rows["E_w"]["grad"] is slots["E_w"][1]
         lr = 0.3 - 0.05 * step
         opt.step(grads, lr)
         opt_whole.step(grads_whole, lr)
-        for table, pairs in rows.items():  # neither step wrote to a vector it was given
-            for (_, vec), copy_before in zip(pairs, given[table]):
-                assert np.array_equal(vec, copy_before), table
+        for table, (ids, block) in slots.items():  # neither step wrote to an array it was given
+            assert np.array_equal(ids, given[table][0]), table
+            assert np.array_equal(block, given[table][1]), table
         full = {**dense, **{name: _weight_grad(d, x) for name, (d, x) in factors.items()}}
         _textbook_step(params, velocity, {"dense": full, "rows": rows}, lr,
                        0.7, lam, l2_names, l2_include_all, max_grad_norm, freeze)
@@ -243,6 +245,55 @@ def test_in_place_step_matches_textbook(small_model_factory, monkeypatch, lam, l
     model = small_model_factory("irnn-deep", seed=15, use_chars=True, hidden_size=1,
                                 first_level_size=1, conv_size=1)
     _step_factors_whole_and_textbook(model, 3, lam, l2_include_all, max_grad_norm, freeze)
+
+
+def _spread_block(rng, n, dim):
+    """Slot gradients whose magnitudes span many orders, so that the order
+    in which a row's slots are added shows in the rounding."""
+    return rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-6, 7, size=(n, dim))
+
+
+def test_two_add_rows_calls_sum_each_row_in_call_then_slot_order(small_model_factory):
+    """Two add_rows calls for one table with overlapping ids: to_dense and
+    the step merge them into the sum of each row's slots added one by one
+    from zero, the first call's slots first, bit for bit."""
+    model = small_model_factory("irnn", seed=19)
+    rng, dim = new_rng(20), model.embed_size
+    calls = [(np.array([4, 7, 4, 1, 4]), _spread_block(rng, 5, dim)),
+             (np.array([7, 4, 4, 2]), _spread_block(rng, 4, dim))]
+    expected = np.zeros_like(model.params["E_w"])
+    for ids, block in calls:
+        for row, vec in zip(ids.tolist(), block):
+            expected[row] += vec
+    grads = Grads()
+    for ids, block in calls:
+        grads.add_rows("E_w", ids, block)
+    assert np.array_equal(grads.to_dense(model)["E_w"], expected)
+    before = model.params["E_w"].copy()
+    SgdMomentum(model, momentum=0.9, lam=0.0).step(grads, lr=0.5)
+    assert np.array_equal(model.params["E_w"], before - 0.5 * expected)
+
+
+def test_step_with_clipping_and_l2_writes_into_no_given_block(small_model_factory):
+    """With clipping and L2 on the tables, the step clips and decays a merged
+    copy: every ids array and block it was given stays as it was, whether its
+    rows repeat or not, while the tables move."""
+    model = small_model_factory("irnn", seed=21, use_classes=True)
+    rng, dim = new_rng(22), model.embed_size
+    given = {"E_w": (np.array([3, 5, 3]), rng.normal(size=(3, dim)) * 10.0),
+             "E_c": (np.array([1, 2]), rng.normal(size=(2, dim)) * 10.0),  # no repeated row
+             "E_l": (np.array([1]), rng.normal(size=(1, dim)) * 1e-3)}  # below the clip norm
+    grads = Grads()
+    for table, (ids, block) in given.items():
+        grads.add_rows(table, ids, block)
+    copies = copy.deepcopy(given)
+    before = copy.deepcopy(model.params)
+    SgdMomentum(model, momentum=0.5, lam=0.1, l2_include_all=True,
+                max_grad_norm=1.0).step(grads, lr=0.3)
+    for table, (ids, block) in given.items():
+        assert np.array_equal(ids, copies[table][0]), table
+        assert np.array_equal(block, copies[table][1]), table
+        assert not np.array_equal(model.params[table], before[table]), table
 
 
 @pytest.mark.parametrize("variant,direction", itertools.product(VARIANTS, DIRECTIONS))

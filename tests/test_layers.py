@@ -14,6 +14,7 @@ from labelrnn.layers import (
     gru_forward,
     gru_step,
     label_context_indices,
+    merge_rows,
     output_backward,
     output_forward,
     relu_hidden_backward,
@@ -79,16 +80,24 @@ def test_embed_concat_position_stability():
 
 def test_embed_concat_backward_splits_by_slot():
     dvec = np.arange(6.0)[None]
-    pairs = embed_concat_backward(dvec, np.array([[2, 2, 9]]), 2)
+    ids, block = embed_concat_backward(dvec, np.array([[2, 2, 9]]), 2)
+    assert ids.tolist() == [2, 2, 9]
+    assert np.array_equal(block, np.arange(6.0).reshape(3, 2))
+    rows, summed = merge_rows(ids, block)
     # row 2 gets slots 0 and 1, [0, 1] + [2, 3]; row 9 gets slot 2
-    assert [p[0] for p in pairs] == [2, 9]
-    assert np.array_equal(pairs[0][1], np.array([2.0, 4.0]))
-    assert np.array_equal(pairs[1][1], np.array([4.0, 5.0]))
+    assert rows.tolist() == [2, 9]
+    assert np.array_equal(summed[0], np.array([2.0, 4.0]))
+    assert np.array_equal(summed[1], np.array([4.0, 5.0]))
+
+
+def test_merge_rows_of_no_slots_is_empty():
+    rows, summed = merge_rows(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
+    assert rows.shape == (0,) and summed.shape == (0, 3)
 
 
 @pytest.mark.parametrize("dim", [24, 200])
 def test_embed_concat_backward_sums_each_row_in_slot_order(dim):
-    """Each row's vector equals, bit for bit, the sum of its slot gradients
+    """Each merged row equals, bit for bit, the sum of its slot gradients
     added one by one in slot order from zero. The windows put a row in three
     or more slots: BOS/EOS padding around a short sentence, and one label
     filling the label context. A pairwise or otherwise reordered sum, such
@@ -109,9 +118,9 @@ def test_embed_concat_backward_sums_each_row_in_slot_order(dim):
             acc = expected.setdefault(row, np.zeros(dim))
             acc += vec
         assert max(np.unique(indices, return_counts=True)[1]) >= 3
-        pairs = embed_concat_backward(dvec, indices, dim)
-        assert [row for row, _ in pairs] == sorted(expected)
-        for row, vec in pairs:
+        rows, summed = merge_rows(*embed_concat_backward(dvec, indices, dim))
+        assert rows.tolist() == sorted(expected)
+        for row, vec in zip(rows.tolist(), summed):
             assert np.array_equal(vec, expected[row]), row
 
 
@@ -334,11 +343,11 @@ def test_char_conv_gradient_finite_differences():
     v = rng.normal(size=(1, 4))
 
     out, cache = char_conv_forward(chars, E, W, b, d_c=1, pad_id=CPAD)
-    dW, db, rows = char_conv_backward(cache, W, v)
+    dW, db, (ids, block) = char_conv_backward(cache, W, v)
     dW = _weight_grad(*dW)
     dE = np.zeros_like(E)
-    for row, vec in rows:
-        dE[row] += vec
+    rows, summed = merge_rows(ids, block)
+    dE[rows] += summed
     eps = 1e-6
 
     def loss():

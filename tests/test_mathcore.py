@@ -176,6 +176,10 @@ def test_dropout_invalid_keep_prob():
         dropout_mask(10, 0.0, new_rng(0))
     with pytest.raises(ConfigError):
         dropout_mask(10, 1.5, new_rng(0))
+    # one probability per column: any bad column, NaN included, is rejected
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ConfigError):
+            dropout_mask((2, 3), np.array([0.8, bad, 1.0]), new_rng(0))
 
 
 # -- hashing -------------------------------------------------------------

@@ -1,9 +1,18 @@
 """The benchmark's traced run wraps every name in perfbench/run.py's TRACED
-tuple with getattr, so each one must still resolve in the package."""
+tuple with getattr, so each one must still resolve in the package, and its
+byte counters read the gradients each traced call is given."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
+
+from labelrnn.mathcore import new_rng
+from labelrnn.models import VARIANTS, Grads, orient, sentence_pass
+from labelrnn.pretrain import build_nnlm, nnlm_sequence_pass
+from labelrnn.training import SgdMomentum
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -30,3 +39,33 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(name)
     assert not missing, f"traced names that no longer resolve: {missing}"
+
+
+def _load_run_py(monkeypatch):
+    """perfbench/run.py as a module; it imports its tracer from its own directory."""
+    monkeypatch.syspath_prepend(str(RUN_PY.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_bytes_reads_a_sentence_gradient(monkeypatch, small_model_factory, tiny_seqs,
+                                              variant):
+    run = _load_run_py(monkeypatch)
+    model = small_model_factory(variant, use_classes=True, use_chars=True)
+    oseq = orient(tiny_seqs[0], model.direction)
+    grads = Grads()
+    sentence_pass(model, oseq, oseq.labels, grads)
+    got = run._step_bytes((SgdMomentum(model, 0.5, 0.0), grads))
+    assert isinstance(got, int) and got > 0
+
+
+def test_step_bytes_reads_an_nnlm_gradient(monkeypatch):
+    run = _load_run_py(monkeypatch)
+    p = build_nnlm(9, pad_id=0, context=2, embed_size=4, hidden_size=5, rng=new_rng(3))
+    grads = Grads()
+    nnlm_sequence_pass(p, [3, 1, 4, 1, 5], grads)
+    got = run._step_bytes((SgdMomentum(p, 0.5, 0.0), grads))
+    assert isinstance(got, int) and got > 0

@@ -176,7 +176,7 @@ def test_embedding_rows_updated_sparsely(small_model_factory):
     vec = np.ones(model.embed_size)
     for _ in range(2):
         grads = Grads()
-        grads.add_rows("E_w", [(2, vec)])
+        grads.add_rows("E_w", np.array([2]), vec[None])
         opt.step(grads, lr=0.1)
     # no momentum, no L2 on embeddings: two plain steps on row 2 only
     assert np.allclose(model.params["E_w"][2], table0[2] - 0.2)
@@ -189,7 +189,7 @@ def test_frozen_embeddings_do_not_move(small_model_factory, tiny_seqs):
     opt = SgdMomentum(model, momentum=0.0, lam=0.0, freeze_embeddings=True)
     table0 = model.params["E_w"].copy()
     grads = Grads()
-    grads.add_rows("E_w", [(1, np.ones(model.embed_size))])
+    grads.add_rows("E_w", np.array([1]), np.ones((1, model.embed_size)))
     opt.step(grads, lr=0.1)
     assert np.array_equal(model.params["E_w"], table0)
     # A whole sentence's gradient, with L2 on every tensor and clipping on:
@@ -382,6 +382,23 @@ def test_sentence_masks_are_the_per_position_draws(small_model_factory, p_embed,
     for key in expected:
         assert np.array_equal(got[key], expected[key])
     assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("p_embed,p_hidden", [(1.0, 0.4), (0.3, 1.0), (0.3, 1.5)])
+def test_sentence_masks_reject_a_keep_probability_outside_0_1(small_model_factory, p_embed,
+                                                               p_hidden):
+    """The keep vector is built once per model shape and dropout rates; a
+    bad rate raises every time, also right after a valid call on the same
+    model, whose masks are still the per-position draws."""
+    model = small_model_factory("irnn", use_classes=True)
+    config = small_config(dropout_embed=0.3, dropout_hidden=0.4)
+    for _ in range(2):
+        got = make_position_masks(model, 0.3, 0.4, new_rng(32), 4)
+        expected = _per_position_masks(model, config, new_rng(32), 4)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[key], expected[key]) for key in expected)
+        with pytest.raises(ConfigError):
+            make_position_masks(model, p_embed, p_hidden, new_rng(0), 4)
 
 
 @pytest.mark.parametrize("variant", ["irnn", "irnn-deep"])
