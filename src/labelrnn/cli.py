@@ -23,7 +23,7 @@ from .corpus import (
     decode_labels,
     encode,
     load_column_file,
-    read_lines,
+    read_text,
     require_inputs,
     write_column_file,
 )
@@ -115,7 +115,7 @@ def cmd_pretrain(args) -> int:
 def _resolve_config(args) -> TrainConfig:
     config = TrainConfig.media_like() if args.preset == "media-like" else TrainConfig()
     if args.config:
-        config = TrainConfig.from_kv("".join(read_lines(args.config)), base=config)
+        config = TrainConfig.from_kv(read_text(args.config), base=config)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -253,10 +253,23 @@ def cmd_tag(args) -> int:
 
 # -- eval ------------------------------------------------------------------------
 
+def _check_words(gold, pred, path):
+    """DataError at the first word of pred that is not gold's word at its
+    place, in sentences that gold and pred number alike."""
+    if len(gold) != len(pred):
+        return
+    for i, (g, p) in enumerate(zip(gold, pred)):
+        if g.words != p.words:
+            for j, (gw, pw) in enumerate(zip(g.words, p.words)):
+                if gw != pw:
+                    raise DataError(f"{path}: sentence {i}, token {j}: word mismatch, "
+                                    f"{pw!r} where gold has {gw!r}")
+
+
 def cmd_eval(args) -> int:
-    gold = [s.labels for s in load_column_file(args.gold)]
-    pred = [s.labels for s in load_column_file(args.pred)]
-    report = evaluate(gold, pred, mode=args.chunk_mode)
+    gold, pred = load_column_file(args.gold), load_column_file(args.pred)
+    _check_words(gold, pred, args.pred)
+    report = evaluate([s.labels for s in gold], [s.labels for s in pred], mode=args.chunk_mode)
     print(report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,6 +6,7 @@ lines separating sentences, "-" in the class column meaning "no class".
 """
 
 import os
+import re
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -145,7 +146,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        text = "".join(read_lines(path))
+        text = read_text(path)
         try:
             return cls.deserialize(text)
         except ParseError as exc:
@@ -194,63 +195,76 @@ class Vocabulary:
         return vocab
 
 
+# A column file's shape. A blank line holds only whitespace (tabs included);
+# any other line holds one tab fewer than the file's field count, which its
+# first non-blank line sets. Possessive repeats keep a match from growing a
+# backtracking stack with the file.
+_BLANK_LINES = re.compile(r"(?:[^\S\n]*+\n)*+")
+_SHAPE = {n: re.compile(rf"(?:(?:[^\t\n]*+(?:\t[^\t\n]*+){{{n - 1}}}|[^\S\n]*+)\n)*+")
+          for n in (2, 3)}
+# The end of a sentence's last line and the blank lines after it.
+_SENTENCE_BREAK = re.compile(r"\n(?:[^\S\n]*+\n)++")
+
+
 def load_column_file(path) -> list:
     """Parse a tab-separated column file into Sentence records.
 
     Every non-blank line must have the same field count (2 or 3) across the
     whole file; violations raise ParseError with the line number.
     """
+    # Two more line breaks end a last line that lacks one and add a blank
+    # line, so that the text ends in a sentence break.
+    text = read_text(path) + "\n\n"
+    start = _BLANK_LINES.match(text).end()
+    if start == len(text):
+        return []
+    n_fields = text.count("\t", start, text.index("\n", start)) + 1
+    shape = _SHAPE.get(n_fields)
+    bad = shape.match(text, start).end() if shape else start
+    if bad < len(text):
+        lineno = text.count("\n", 0, bad) + 1
+        got = text.count("\t", bad, text.index("\n", bad)) + 1
+        if got not in _SHAPE:
+            raise ParseError(f"{path}:{lineno}: expected 2 or 3 fields, got {got}")
+        raise ParseError(
+            f"{path}:{lineno}: inconsistent field count {got} (file uses {n_fields})")
     sentences = []
-    rows = []
-    n_fields = None
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            if rows:
-                sentences.append(_sentence_from_rows(rows))
-                rows = []
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise ParseError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
-        if n_fields is None:
-            n_fields = len(fields)
-        elif len(fields) != n_fields:
-            raise ParseError(
-                f"{path}:{lineno}: inconsistent field count {len(fields)} (file uses {n_fields})"
-            )
-        rows.append(fields)
-    if rows:
-        sentences.append(_sentence_from_rows(rows))
+    for chunk in _SENTENCE_BREAK.split(text[start:])[:-1]:
+        fields = chunk.replace("\n", "\t").split("\t")
+        classes = fields[1::3] if n_fields == 3 else None
+        sentences.append(Sentence(fields[::n_fields], classes, fields[n_fields - 1::n_fields]))
     return sentences
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with its line breaks read as "\\n". A byte
+    that is not UTF-8 raises ParseError naming its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+
+
 def read_lines(path):
-    """Yield the lines of a UTF-8 text file. A byte that is not UTF-8
-    raises ParseError naming its line."""
+    """Yield the lines of a UTF-8 text file, as read_text reads them."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield from fh
     except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-            where = ""
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            where = f":{line}: byte 0x{data[exc.start]:02x} is"
-        raise ParseError(f"{path}{where} not UTF-8 text") from None
+        _raise_not_utf8(path)
 
 
-def _sentence_from_rows(rows):
-    if len(rows[0]) == 2:
-        return Sentence(words=[r[0] for r in rows], labels=[r[1] for r in rows])
-    return Sentence(
-        words=[r[0] for r in rows],
-        classes=[r[1] for r in rows],
-        labels=[r[2] for r in rows],
-    )
+def _raise_not_utf8(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+        where = ""
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        where = f":{line}: byte 0x{data[exc.start]:02x} is"
+    raise ParseError(f"{path}{where} not UTF-8 text") from None
 
 
 def write_column_file(sentences, out):
@@ -259,13 +273,10 @@ def write_column_file(sentences, out):
     is_path = isinstance(out, (str, os.PathLike))
     with open(out, "w", encoding="utf-8") if is_path else nullcontext(out) as fh:
         for sent in sentences:
-            for i, word in enumerate(sent.words):
-                fields = [word]
-                if sent.classes is not None:
-                    fields.append(sent.classes[i])
-                fields.append(sent.labels[i])
-                fh.write("\t".join(fields) + "\n")
-            fh.write("\n")
+            columns = (sent.words, sent.labels) if sent.classes is None else (
+                sent.words, sent.classes, sent.labels)
+            rows = "\n".join(map("\t".join, zip(*columns)))
+            fh.write(rows + "\n\n" if rows else "\n")
 
 
 def require_inputs(sentences, *readers):

@@ -686,16 +686,20 @@ def bidirectional_pass(fwd, bwd, seq, grads_f=None, grads_b=None, masks=(None, N
 
 def tag_bidirectional_batch(fwd: TaggerModel, bwd: TaggerModel, seqs) -> list:
     """Bidirectional decode of each sequence: the greedy outputs of both
-    models combined per position, then the argmax of the combination."""
+    models combined per position, then the argmax of the combination. Both
+    act on each row alone, so they run once over the rows of all sequences."""
     if fwd.direction != DIR_FWD or bwd.direction != DIR_BWD:
         raise ConfigError("tag_bidirectional requires a forward and a backward model")
     if fwd.vocab_hash != bwd.vocab_hash:
         raise ConfigError("forward and backward models use different vocabularies")
-    outs = []
-    for of, ob in zip(tag_greedy_batch(fwd, seqs), tag_greedy_batch(bwd, seqs)):
-        dists = combine_bidirectional(of.dists, ob.dists)
-        outs.append(TaggerOutput(labels=predict_label(dists), dists=dists))
-    return outs
+    if not seqs:
+        return []
+    fwd_dists, bwd_dists = (np.concatenate([out.dists for out in tag_greedy_batch(m, seqs)])
+                            for m in (fwd, bwd))
+    dists = combine_bidirectional(fwd_dists, bwd_dists)
+    cuts = np.cumsum([len(seq) for seq in seqs[:-1]])
+    return [TaggerOutput(labels=labels, dists=rows) for labels, rows
+            in zip(np.split(predict_label(dists), cuts), np.split(dists, cuts))]
 
 
 def tag_bidirectional(fwd: TaggerModel, bwd: TaggerModel, seq) -> TaggerOutput:

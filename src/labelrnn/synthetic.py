@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .corpus import NO_CLASS, Sentence, read_lines, write_column_file
+from .corpus import NO_CLASS, Sentence, read_text, write_column_file
 from .errors import ConfigError, ParseError
 from .mathcore import new_rng
 
@@ -50,7 +50,7 @@ class Grammar:
         spec holds SlotSpec fields with non-blank phrases or a pool of
         one-token strings. Anything else raises ParseError naming the file."""
         try:
-            raw = json.loads("".join(read_lines(path)))
+            raw = json.loads(read_text(path))
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ParseError(f"{path}: not JSON: {exc}") from None
         slots = raw.get("slots") if isinstance(raw, dict) else None

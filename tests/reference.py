@@ -11,13 +11,16 @@
   end) tuples, as the library's one-pass evaluate must score bit for bit.
   The invalid-continuation rate comes from a count of its own, position by
   position, that never chunks.
+- The line-by-line column-file reader that the whole-text load_column_file
+  must agree with: the same sentences, or a ParseError with the same message.
 """
 
 from collections import defaultdict
 
 import numpy as np
 
-from labelrnn.corpus import _split_bio
+from labelrnn.corpus import Sentence, _split_bio, read_lines
+from labelrnn.errors import ParseError
 from labelrnn.metrics import EvalReport, _check_lengths, edit_distance
 from labelrnn.models import VARIANT_GRU, position_forward, predict_label
 
@@ -212,3 +215,42 @@ def reference_evaluate(gold_seqs, pred_seqs, mode="bio-suffix"):
     invalid = sum(reference_invalid_continuations(p, mode) for p in pred_seqs)
     report.invalid_rate = 100.0 * invalid / total if total else 0.0
     return report
+
+
+# -- the line-by-line column-file reader -------------------------------------------
+
+def reference_load_column_file(path):
+    """Sentences of a column file, read one line at a time: a line of
+    whitespace only ends a sentence, any other line is split on tabs and
+    must have 2 or 3 fields, as many as the first such line."""
+    sentences, rows, n_fields = [], [], None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            if rows:
+                sentences.append(_sentence_from_rows(rows))
+                rows = []
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (2, 3):
+            raise ParseError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
+        if n_fields is None:
+            n_fields = len(fields)
+        elif len(fields) != n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: inconsistent field count {len(fields)} (file uses {n_fields})"
+            )
+        rows.append(fields)
+    if rows:
+        sentences.append(_sentence_from_rows(rows))
+    return sentences
+
+
+def _sentence_from_rows(rows):
+    if len(rows[0]) == 2:
+        return Sentence(words=[r[0] for r in rows], labels=[r[1] for r in rows])
+    return Sentence(
+        words=[r[0] for r in rows],
+        classes=[r[1] for r in rows],
+        labels=[r[2] for r in rows],
+    )

@@ -624,6 +624,18 @@ def test_eval_unequal_sentence_counts(corpus_dir, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_prediction_whose_words_differ_from_gold(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.txt", tmp_path / "pred.txt"
+    gold.write_text("a\tO\nb\tx-B\n\nc\tO\nd\tO\n")
+    pred.write_text("a\tO\nb\tx-B\n\nc\tO\nzz\tO\n")
+    rc = main(["eval", "--gold", str(gold), "--pred", str(pred)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        f"error: {pred}: sentence 1, token 1: word mismatch, 'zz' where gold has 'd'"]
+
+
 def test_saved_model_loads(trained_model):
     model = load_model(trained_model)
     assert model.variant == "irnn" and model.direction == "fwd"

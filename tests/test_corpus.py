@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labelrnn.corpus import (
     BOL,
@@ -16,6 +17,8 @@ from labelrnn.corpus import (
 from labelrnn.errors import DataError, ParseError
 from labelrnn.metrics import evaluate
 from labelrnn.training import TrainConfig
+
+from reference import reference_load_column_file
 
 
 # -- column files ---------------------------------------------------------
@@ -69,6 +72,68 @@ def test_write_then_load_round_trip(tmp_path):
     path = tmp_path / "rt.txt"
     write_column_file(sentences, path)
     assert load_column_file(path) == sentences
+
+
+# Field characters, whitespace that str.strip removes but that breaks no line,
+# and the line breaks that reading translates.
+FIELD_CHARS = ["a", "\u00e9", "-", " ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"]
+LINE_BREAKS = ["\r", "\r\n", "\n"]
+
+
+def _column_texts():
+    """Free text over every piece, or lines of tab-joined fields; each with
+    or without a final line break."""
+    free = st.lists(st.sampled_from(FIELD_CHARS + ["\t"] + LINE_BREAKS), max_size=40)
+    field = st.lists(st.sampled_from(FIELD_CHARS), max_size=3).map("".join)
+    line = st.tuples(st.lists(field, min_size=1, max_size=4).map("\t".join),
+                     st.sampled_from(LINE_BREAKS))
+    text = free.map("".join) | st.lists(line, max_size=12).map(
+        lambda lines: "".join(fields + brk for fields, brk in lines))
+    return st.tuples(text, st.booleans()).map(
+        lambda t: t[0] + "\n" if t[1] else t[0].rstrip("\r\n"))
+
+
+def _load_or_message(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def column_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("columns") / "c.txt"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_column_texts())
+def test_load_column_file_agrees_with_the_line_by_line_reader(column_path, text):
+    column_path.write_bytes(text.encode("utf-8"))
+    assert (_load_or_message(load_column_file, column_path)
+            == _load_or_message(reference_load_column_file, column_path))
+
+
+def _sentences(n_columns):
+    """Non-empty sentences whose fields hold no tab or line break; a word
+    that is not all whitespace keeps each row from reading as blank."""
+    field = st.text(st.sampled_from(FIELD_CHARS), max_size=3)
+    word = field.filter(lambda w: w.strip())
+    row = st.tuples(word, *[field] * (n_columns - 1))
+
+    def sentence(rows):
+        columns = [list(col) for col in zip(*rows)]
+        if n_columns == 2:
+            return Sentence(words=columns[0], labels=columns[1])
+        return Sentence(words=columns[0], classes=columns[1], labels=columns[2])
+
+    return st.lists(st.lists(row, min_size=1, max_size=5).map(sentence), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(_sentences))
+def test_write_then_load_round_trips_any_fields(column_path, sentences):
+    write_column_file(sentences, column_path)
+    assert load_column_file(column_path) == sentences
 
 
 # -- vocabulary -----------------------------------------------------------

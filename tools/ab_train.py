@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the benchmark's training calls of two labelrnn trees in one process.
+"""Time the benchmark's training and CLI calls of two labelrnn trees in one process.
 
     python3 tools/ab_train.py PARENT CHANGE --workload desk-train --rounds 40
 
@@ -9,7 +9,13 @@ round runs each operation once per tree, the two trees in turns, and swaps
 which tree goes first each round. The operations and their inputs are those
 of perfbench/run.py (read from this script's checkout, never written):
 training.train_tagger for irnn fwd, irnn-gru fwd and irnn-deep fwd and bwd,
-then training.train_bidirectional on the irnn-deep pair, one epoch each.
+then training.train_bidirectional on the irnn-deep pair, one epoch each;
+then the CLI calls on the workload's tag file: tag --model with the forward
+tagging model, tag --fwd-model/--bwd-model with the pair, and eval of the
+tag --model output against the file. The tagging models are those that
+perfbench's set-up trains through the CLI, or, for a workload without them,
+the round's irnn-deep pair. eval runs as many times per round as in
+perfbench, the trees in turns, and a round keeps each tree's median call.
 
 The host changes speed in phases that last longer than one benchmark run, so
 two separate runs cannot resolve a 10% change; interleaved calls in one
@@ -19,7 +25,6 @@ rounds CHANGE was faster. One warm-up round comes first and is not counted.
 """
 
 import argparse
-import dataclasses
 import importlib
 import importlib.util
 import shutil
@@ -57,11 +62,10 @@ class Side:
     """One tree's package and its copy of the workload's inputs."""
 
     def __init__(self, run, L, w, seed, work):
-        self.L = L
-        # Set-up without perfbench's CLI-trained tagging models: training
-        # reads only the generated corpus and the subsets cut from it.
-        self.prep = run.setup(L, dataclasses.replace(w, setup_train_sents=0), seed,
-                              run.Ledger(), work)
+        self.L, self.work, self.ledger = L, work, run.Ledger()
+        self.prep = run.setup(L, w, seed, self.ledger, work)
+        if self.ledger.failed:
+            sys.exit(f"error: perfbench's set-up failed with the tree under {work.name}")
         self.configs = {v: run._config(L, w, v) for v in ("irnn", "irnn-gru", "irnn-deep")}
 
     def train(self, variant, direction):
@@ -78,10 +82,27 @@ class Side:
                                             self.configs["irnn-deep"])
         return time.perf_counter() - t0
 
+    def tag_models(self, fwd, bwd):
+        """Paths of the set-up's tagging models, or of fwd and bwd saved."""
+        if self.prep.tag_models:
+            return self.prep.tag_models
+        paths = (str(self.work / "deep.fwd"), str(self.work / "deep.bwd"))
+        for model, path in zip((fwd, bwd), paths):
+            self.L.models.save_model(model, path)
+            self.prep.vocab.save(path + ".vocab")
+        return paths
 
-def _round(sides, order):
-    """Each operation once per side in the given order; returns
-    {metric: {side: tok/s}}."""
+    def cli(self, *argv):
+        """Seconds of one CLI call, timed as perfbench times it."""
+        err, seconds = self.ledger.cli(self.L, list(argv))
+        if err is None:
+            sys.exit(f"error: labelrnn {argv[0]} failed with the tree under {self.work.name}")
+        return seconds
+
+
+def _round(sides, order, eval_repeats):
+    """Each operation once per side in the given order, eval eval_repeats
+    times; returns {metric: {side: tok/s}}."""
     got, deep = {}, {}
     tokens = sides[order[0]].prep.train_tokens
     for variant in ("irnn", "irnn-gru"):
@@ -93,6 +114,24 @@ def _round(sides, order):
                                     for s in order}
     got["bidir_train_tok_s"] = {s: tokens / sides[s].bidir(deep[s][0][0], deep[s][1][0])
                                 for s in order}
+
+    models = {s: sides[s].tag_models(deep[s][0][0], deep[s][1][0]) for s in order}
+    tag_tokens = sides[order[0]].prep.tag_tokens
+    tag_file = {s: sides[s].prep.tag_file for s in order}
+    greedy = {s: str(sides[s].work / "greedy.txt") for s in order}
+    got["tag_tok_s.greedy"] = {s: tag_tokens / sides[s].cli(
+        "tag", "--model", models[s][0], "--input", tag_file[s], "--output", greedy[s])
+        for s in order}
+    got["tag_tok_s.bidir"] = {s: tag_tokens / sides[s].cli(
+        "tag", "--fwd-model", models[s][0], "--bwd-model", models[s][1], "--input", tag_file[s],
+        "--output", str(sides[s].work / "bidir.txt")) for s in order}
+    evals = {s: [] for s in order}
+    for _ in range(eval_repeats):
+        for s in order:
+            evals[s].append(tag_tokens / sides[s].cli(
+                "eval", "--gold", tag_file[s], "--pred", greedy[s],
+                "--out", str(sides[s].work / "eval.kv")))
+    got["eval_tok_s"] = {s: statistics.median(evals[s]) for s in order}
     return got
 
 
@@ -124,14 +163,16 @@ def main(argv=None):
             (tmp / side).mkdir()
             sides[side] = Side(run, _import_tree(tree, f"ab_{side}", tmp), w, args.seed,
                                tmp / side)
-        if sides["parent"].prep.train_tokens != sides["change"].prep.train_tokens:
-            sys.exit("error: the two trees cut different training subsets")
+        if any(getattr(sides["parent"].prep, n) != getattr(sides["change"].prep, n)
+               for n in ("train_tokens", "tag_tokens")):
+            sys.exit("error: the two trees cut different inputs")
         rounds = []
         for r in range(args.rounds + 1):
-            rounds.append(_round(sides, SIDES if r % 2 else SIDES[::-1]))
+            rounds.append(_round(sides, SIDES if r % 2 else SIDES[::-1], w.eval_repeats))
     rounds = rounds[1:]
-    print(f"{args.workload}: {args.rounds} rounds, "
-          f"{sides['parent'].prep.train_tokens} training tokens per call")
+    prep = sides["parent"].prep
+    print(f"{args.workload}: {args.rounds} rounds, {prep.train_tokens} training tokens per "
+          f"training call, {prep.tag_tokens} tokens per CLI call")
     print("tok/s: median [first quartile, third quartile] per tree; ratio of the medians, "
           "change over parent; wins: rounds in which change was faster")
     for metric in rounds[0]:
