@@ -229,7 +229,8 @@ def cmd_tag(args) -> int:
         raise ConfigError("tag requires --model, or --fwd-model plus --bwd-model")
     models = [load_model(path) for path in paths]
     vocab = Vocabulary.load(args.vocab or paths[0] + ".vocab")
-    if any(m.vocab_hash != vocab.hash() for m in models):
+    vocab_hash = vocab.hash()
+    if any(m.vocab_hash != vocab_hash for m in models):
         raise ConfigError("vocabulary hash mismatch between model and vocabulary file")
     tagger = tag_greedy_batch if len(models) == 1 else tag_bidirectional_batch
 
@@ -279,21 +280,15 @@ def cmd_eval(args) -> int:
 
 # -- parser -------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="labelrnn",
-        description="sequence-labeling taggers with label-embedding feedback",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic slot-filling corpus")
+def _generate_options(p):
     p.add_argument("--out-dir", required=True)
     p.add_argument("--size", type=int, required=True, help="training sentences; dev/test get size/10")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grammar", help="JSON grammar file (default: built-in flight grammar)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("pretrain", help="train an NNLM and export its embeddings")
+
+def _pretrain_options(p):
     p.add_argument("--train", required=True)
     p.add_argument("--target", choices=("words", "labels"), required=True)
     p.add_argument("--epochs", type=int, default=None,
@@ -308,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-lowercase", action="store_true")
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("train", help="train a tagger (fwd/bwd) or fine-tune a bidirectional pair")
+
+def _train_options(p):
     p.add_argument("--variant", choices=VARIANTS, default="irnn")
     p.add_argument("--direction", choices=("fwd", "bwd", "bidir"), default="fwd")
     p.add_argument("--train", required=True)
@@ -326,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("tag", help="label a column file with a trained model")
+
+def _tag_options(p):
     p.add_argument("--model")
     p.add_argument("--fwd-model")
     p.add_argument("--bwd-model")
@@ -335,18 +332,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_tag)
 
-    p = sub.add_parser("eval", help="score a predicted column file against gold")
+
+def _eval_options(p):
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--chunk-mode", choices=CHUNK_MODES, default=DEFAULT_CHUNK_MODE)
     p.add_argument("--out", help="also write a key=value report file")
     p.set_defaults(func=cmd_eval)
+
+
+# Each subcommand's help text and the function that adds its options.
+_SUBCOMMANDS = {
+    "generate": ("write a synthetic slot-filling corpus", _generate_options),
+    "pretrain": ("train an NNLM and export its embeddings", _pretrain_options),
+    "train": ("train a tagger (fwd/bwd) or fine-tune a bidirectional pair", _train_options),
+    "tag": ("label a column file with a trained model", _tag_options),
+    "eval": ("score a predicted column file against gold", _eval_options),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Given only, a subcommand name, it is
+    the one subcommand added, under the usage name of all of them; given
+    any other string, every subcommand is added without its options. Help,
+    usage and errors read as the full parser's for any argv whose first
+    item that is not an option is only."""
+    parser = argparse.ArgumentParser(
+        prog="labelrnn",
+        description="sequence-labeling taggers with label-embedding feedback",
+    )
+    chosen = only in _SUBCOMMANDS
+    # The usage name argparse gives the full set; set only when it is not the
+    # full set, as a metavar would also name the argument in a missing-command error.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if chosen else None)
+    for name, (text, add_options) in _SUBCOMMANDS.items():
+        if not chosen or name == only:
+            p = sub.add_parser(name, help=text)
+            if only is None or name == only:
+                add_options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option with a value, so the first item that is
+    # not an option names the subcommand; only its options are built.
+    chosen = next((item for item in argv if not item.startswith("-")), "")
+    args = build_parser(only=chosen).parse_args(argv)
     try:
         return args.func(args)
     except (LabelRnnError, OSError) as exc:

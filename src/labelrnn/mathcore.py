@@ -65,12 +65,17 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform init in [-sqrt(6/(rows+cols)), +sqrt(6/(rows+cols))]."""
+def xavier_init(rows: int, cols: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Uniform init in [-sqrt(6/(rows+cols)), +sqrt(6/(rows+cols))], into out
+    if given (a C-contiguous rows x cols float64 array). The values are
+    rng.uniform's: low + (high - low) * u from the same doubles u."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"xavier_init: dimensions must be >= 1, got {rows}x{cols}")
     bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
+    out = rng.random((rows, cols), out=out)
+    out *= 2.0 * bound
+    out -= bound
+    return out
 
 
 def dropout_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
@@ -85,7 +90,9 @@ def dropout_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
         raise ConfigError(f"dropout keep probability must be in (0, 1], got {keep_prob}")
     if lo == 1.0:
         return np.ones(shape)
-    return (rng.random(shape) < keep) / keep
+    drawn = rng.random(shape)
+    # (drawn < keep) / keep, as a product: a kept entry is 1.0 * (1.0 / keep)
+    return np.multiply(drawn < keep, 1.0 / keep, out=drawn)
 
 
 def fnv1a64(data: bytes) -> int:

@@ -14,8 +14,9 @@ A backward-direction model is the same machinery run on reversed sequences.
 
 import functools
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .layers import (
     gru_backward,
     gru_forward,
     gru_step,
-    label_context_indices,
     merge_rows,
     output_backward,
     output_forward,
@@ -71,6 +71,81 @@ class TaggerOutput:
     dists: np.ndarray
 
 
+# The embedding tables that share embed_size, stacked into one table in this
+# order; E_w comes first, so a word id is its row of the stacked table.
+STACKED = ("E_w", "E_c", "E_l")
+# The Grads.rows key of the stacked table, whose ids are its rows.
+STACKED_TABLE = "E_wcl"
+
+
+class ParamStore:
+    """A model's parameters as views into a few arrays:
+
+    - every tensor that is not an embedding table lies in the flat arena:
+      the weight matrices first, the n_weights elements that L2 applies
+      to, then the biases (1-D), each in the order given; slots[name] is
+      its (offset, shape) there;
+    - the tables of STACKED that the model has are row ranges of one
+      table, in STACKED's order, from row table_rows[name], so that one
+      gather reads a word, a class and a label window side by side;
+    - any other table (E_ch, E_tok) is an array of its own.
+
+    params maps each name to its view, in the order given. The values start
+    unset: whoever makes a store writes every tensor. copy.deepcopy would
+    copy each view apart; copy() copies the arrays and makes new views.
+    """
+
+    def __init__(self, shapes):
+        self.shapes = tuple(shapes)
+        own = {name: shape for name, shape in shapes if name.startswith("E_")}
+        stacked = [(name, own.pop(name)) for name in STACKED if name in own]
+        flat = sorted((item for item in shapes if not item[0].startswith("E_")),
+                      key=lambda item: len(item[1]) == 1)  # weights, then biases
+        sizes = [math.prod(shape) for _, shape in flat]
+        self.arena = np.empty(sum(sizes))
+        self.n_weights = sum(size for (_, shape), size in zip(flat, sizes) if len(shape) == 2)
+        self.slots, views, offset = {}, {}, 0
+        for (name, shape), size in zip(flat, sizes):
+            self.slots[name] = (offset, shape)
+            views[name] = self.arena[offset : offset + size].reshape(shape)
+            offset += size
+        self.table, self.table_rows = None, {}
+        if stacked:
+            self.table = np.empty((sum(shape[0] for _, shape in stacked), stacked[0][1][1]))
+            row = 0
+            for name, shape in stacked:
+                self.table_rows[name] = row
+                views[name] = self.table[row : row + shape[0]]
+                row += shape[0]
+        views.update((name, np.empty(shape)) for name, shape in own.items())
+        self.params = {name: views[name] for name, _ in shapes}
+        self._views = dict(self.params)
+
+    def require_views(self):
+        """ConfigError unless params holds exactly the views this store made,
+        so that a step over the arena and the tables moves every tensor."""
+        if self.params.keys() != self._views.keys():
+            raise ConfigError(f"parameters {sorted(self.params)} are not the stored "
+                              f"{sorted(self._views)}")
+        for name, view in self._views.items():
+            if self.params[name] is not view:
+                raise ConfigError(f"parameter {name} was replaced; write into its view instead")
+
+    def copy(self) -> "ParamStore":
+        new = ParamStore(self.shapes)
+        new.copy_from(self)
+        return new
+
+    def copy_from(self, other):
+        """Copy the values of other, a store of the same shapes, into this one."""
+        np.copyto(self.arena, other.arena)
+        if self.table is not None:
+            np.copyto(self.table, other.table)
+        for name, _ in self.shapes:
+            if name.startswith("E_") and name not in self.table_rows:
+                np.copyto(self.params[name], other.params[name])
+
+
 @dataclass
 class TaggerModel:
     variant: str
@@ -92,7 +167,14 @@ class TaggerModel:
     n_classes: int
     n_chars: int
     vocab_hash: int
-    params: dict = field(default_factory=dict)
+    store: ParamStore = None
+
+    @property
+    def params(self) -> dict:
+        return self.store.params
+
+    def __deepcopy__(self, memo):
+        return replace(self, store=self.store.copy())
 
     # -- structural dimensions ----------------------------------------
     @property
@@ -102,6 +184,11 @@ class TaggerModel:
     @property
     def label_input_dim(self):
         return self.d_l * self.embed_size
+
+    @property
+    def window_dim(self):
+        """Width of the stacked gather: the word, class and label windows."""
+        return (2 if self.use_classes else 1) * self.word_input_dim + self.label_input_dim
 
     def input_pieces(self):
         """Ordered (name, dim) of the concatenated input at each position."""
@@ -155,8 +242,12 @@ def build_model(variant, direction, vocab, rng, config) -> TaggerModel:
         n_classes=vocab.n_classes, n_chars=vocab.n_chars,
         vocab_hash=vocab.hash(),
     )
-    for name, shape in _param_shapes(model):
-        model.params[name] = np.zeros(shape) if len(shape) == 1 else xavier_init(*shape, rng)
+    shapes = _param_shapes(model)
+    model.store = ParamStore(shapes)
+    model.store.arena[model.store.n_weights :] = 0.0  # the biases
+    for name, shape in shapes:
+        if len(shape) == 2:
+            xavier_init(*shape, rng, out=model.params[name])
     return model
 
 
@@ -233,25 +324,69 @@ class Grads:
 
     def to_dense(self, model) -> dict:
         """Full gradient dict with zeros for untouched parameters; each
-        factor pair is multiplied out and each table's slots merged."""
-        out = {}
+        factor pair is multiplied out and each table's slots merged. The
+        stacked tables' gradients are views of one array, as the tables are."""
+        out, store = {}, model.store
+        if store.table is not None:
+            stacked = np.zeros_like(store.table)
+            out = {name: stacked[row : row + len(model.params[name])]
+                   for name, row in store.table_rows.items()}
+            out[STACKED_TABLE] = stacked
         for name, value in model.params.items():
             if name in self.dense:
                 out[name] = self.dense[name]
             elif name in self.factors:
                 out[name] = _weight_grad(*self.factors[name])
-            else:
+            elif name not in out:
                 out[name] = np.zeros_like(value)
         for table, slots in self.rows.items():
             rows, summed = merge_rows(slots["ids"], slots["grad"])
             out[table][rows] += summed
+        out.pop(STACKED_TABLE, None)
         return out
 
 
 # -- forward/backward over a stack of positions -------------------------------
 
-def _masked(vec, mask):
-    return vec if mask is None else vec * mask
+@functools.lru_cache(maxsize=256)
+def _window_plan(d_w, d_l, use_classes, class_row, label_row, n):
+    """What _table_windows needs for one model shape and sentence length n:
+    the pads of each segment of the padded id array, shifted to rows of the
+    stacked table, and the offset in that array of each gathered column at
+    position 0."""
+    pads = [np.full(d_w, WORD_BOS_ID), np.full(d_w, WORD_EOS_ID)]
+    if use_classes:
+        pads += [np.full(d_w, class_row + CLASS_BOS_ID), np.full(d_w, class_row + CLASS_EOS_ID)]
+    pads.append(np.full(d_l, label_row + LABEL_BOL_ID))
+    windows = [2 * d_w + 1] * (2 if use_classes else 1) + [d_l]
+    offsets = np.concatenate([np.arange(k) + s * (n + 2 * d_w) for s, k in enumerate(windows)])
+    for a in (*pads, offsets):
+        a.flags.writeable = False
+    return pads, offsets
+
+
+def _table_windows(model, seq, t, history):
+    """Rows of the stacked table at the positions in the index array t: the
+    word window, the class window and the label context side by side, the
+    ids window_indices and label_context_indices give, each shifted to its
+    table's rows.
+
+    One padded array holds a segment per window type, n + 2 * d_w ids each
+    for words and classes and then the label context's BOLs and history, so
+    slot k of a window at position t reads its segment at t + k.
+    """
+    rows = model.store.table_rows
+    pads, offsets = _window_plan(model.d_w, model.d_l, model.use_classes, rows.get("E_c", 0),
+                                 rows["E_l"], len(seq))
+    parts = [pads[0], seq.words, pads[1]]
+    if model.use_classes:
+        parts += [pads[2], seq.classes + rows["E_c"], pads[3]]
+    if model.ablate_label_context:  # every context is the first position's, all BOL
+        labels = np.full(len(history), rows["E_l"] + LABEL_BOL_ID)
+    else:
+        labels = np.asarray(history, dtype=np.intp) + rows["E_l"]
+    padded = np.concatenate(parts + [pads[-1], labels])
+    return padded[np.add.outer(t, offsets)]
 
 
 def position_forward(model, seq, t, history, masks=None, h_prev=None):
@@ -260,36 +395,33 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
 
     Row k of y, of every cached array and of every mask belongs to position
     t[k]. masks is None at inference, or a dict of inverted-dropout masks
-    with keys 'w', 'c', 'l' (embedding concatenations) and 'h' (hidden
-    activation). The GRU runs the rows as consecutive steps from h_prev, so
-    its positions are consecutive: np.arange(n), or one position.
+    with keys 'e' (the word, class and label windows side by side, as the
+    stacked table is gathered) and 'h' (hidden activation). The GRU runs the
+    rows as consecutive steps from h_prev, so its positions are consecutive:
+    np.arange(n), or one position.
     """
     p = model.params
     masks = masks or {}
-    cache = {"masks": masks}
-
-    widx = window_indices(seq.words, t, model.d_w, WORD_BOS_ID, WORD_EOS_ID)
-    cache["widx"] = widx
-    cache["x_w"] = _masked(embed_concat(p["E_w"], widx), masks.get("w"))
-    if model.use_classes:
-        cidx = window_indices(seq.classes, t, model.d_w, CLASS_BOS_ID, CLASS_EOS_ID)
-        cache["cidx"] = cidx
-        cache["x_c"] = _masked(embed_concat(p["E_c"], cidx), masks.get("c"))
-    # An ablated label context is the all-BOL context of the first position.
-    lt = 0 * t if model.ablate_label_context else t
-    lidx = label_context_indices(history, lt, model.d_l, LABEL_BOL_ID)
-    cache["lidx"] = lidx
-    cache["x_l"] = _masked(embed_concat(p["E_l"], lidx), masks.get("l"))
-    if model.use_chars:
-        x_ch, ch_cache = char_conv_forward(
-            [seq.chars[i] for i in t], p["E_ch"], p["W_conv"], p["b_conv"], model.d_c, CHAR_PAD_ID
-        )
-        cache["x_ch"] = x_ch
-        cache["ch_cache"] = ch_cache
+    idx = _table_windows(model, seq, t, history)
+    x_e = embed_concat(model.store.table, idx)
+    if "e" in masks:
+        x_e *= masks["e"]
+    cache = {"masks": masks, "idx": idx}
+    x = {}  # each input piece, the windows as column ranges of x_e
+    start = 0
+    for name, dim in model.input_pieces():
+        if name == "ch":
+            x["ch"], cache["ch_cache"] = char_conv_forward(
+                [seq.chars[i] for i in t], p["E_ch"], p["W_conv"], p["b_conv"], model.d_c,
+                CHAR_PAD_ID)
+        else:
+            x[name] = x_e[:, start : start + dim]
+            start += dim
+    cache["x_pieces"] = x
 
     if model.variant != VARIANT_DEEP:  # the deep layers read each piece apart
-        pieces = [cache[f"x_{name}"] for name, _ in model.input_pieces()]
-        cache["x"] = np.concatenate(pieces, axis=-1)
+        used = x_e if start == x_e.shape[1] else x_e[:, :start]
+        cache["x"] = np.concatenate((used, x["ch"]), axis=1) if "ch" in x else used
 
     if model.variant == VARIANT_IRNN:
         h, pre = relu_hidden_forward(p["H"], p["b_h"], cache["x"])
@@ -302,8 +434,7 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     else:
         feats = []
         for name, _ in model.input_pieces():
-            f, pre = relu_hidden_forward(p[f"F_{name}"], p[f"Fb_{name}"], cache[f"x_{name}"])
-            cache[f"f_{name}"] = f
+            f, pre = relu_hidden_forward(p[f"F_{name}"], p[f"Fb_{name}"], x[name])
             cache[f"fpre_{name}"] = pre
             feats.append(f)
         hcat = np.concatenate(feats, axis=-1)
@@ -312,34 +443,28 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
         cache["pre2"] = pre2
 
     cache["h"] = h
-    h_drop = _masked(h, masks.get("h"))
+    mask_h = masks.get("h")
+    h_drop = h if mask_h is None else h * mask_h
     cache["h_drop"] = h_drop
     y = output_forward(p["O"], p["b_o"], h_drop)
     cache["y"] = y
     return y, cache
 
 
-def _split_input_grad(model, dx):
-    """The gradient on the concatenated input, split into one array per
-    input piece."""
-    dims = [dim for _, dim in model.input_pieces()]
-    return [dx[:, end - dim : end] for dim, end in zip(dims, np.cumsum(dims).tolist())]
-
-
-def _scatter_input_grad(model, cache, dx_pieces, grads):
-    """Route the gradient on each input piece, one array per piece in
-    input_pieces order, back to embedding tables (and through the char
-    convolution)."""
-    for (name, _), piece in zip(model.input_pieces(), dx_pieces):
-        if name == "ch":
-            dW, db, slots = char_conv_backward(cache["ch_cache"], model.params["W_conv"], piece)
-            grads.add_factors("W_conv", *dW)
-            grads.add("b_conv", db)
-            grads.add_rows("E_ch", *slots)
-            continue
-        piece = _masked(piece, cache["masks"].get(name))
-        idxs = cache[f"{name}idx"]  # widx, cidx or lidx, rows of table E_w, E_c or E_l
-        grads.add_rows(f"E_{name}", *embed_concat_backward(piece, idxs, model.embed_size))
+def _scatter_input_grad(model, cache, dx_e, dx_ch, grads):
+    """Route the gradient on the input back: dx_e, on the leading columns of
+    the stacked gather that the input uses, to the stacked table in one
+    add_rows, and dx_ch, None without chars, through the char convolution."""
+    if dx_ch is not None:
+        dW, db, slots = char_conv_backward(cache["ch_cache"], model.params["W_conv"], dx_ch)
+        grads.add_factors("W_conv", *dW)
+        grads.add("b_conv", db)
+        grads.add_rows("E_ch", *slots)
+    mask = cache["masks"].get("e")
+    if mask is not None:
+        dx_e = dx_e * mask[:, : dx_e.shape[1]]
+    idx = cache["idx"][:, : dx_e.shape[1] // model.embed_size]
+    grads.add_rows(STACKED_TABLE, *embed_concat_backward(dx_e, idx, model.embed_size))
 
 
 def position_backward(model, cache, delta, grads, dh_next=None):
@@ -356,14 +481,13 @@ def position_backward(model, cache, delta, grads, dh_next=None):
     mask_h = cache["masks"].get("h")
     if mask_h is not None:
         dh = dh * mask_h
+    ch = "ch" in cache["x_pieces"]
 
     if model.variant == VARIANT_IRNN:
         dH, db_h, dx = relu_hidden_backward(p["H"], cache["x"], cache["pre"], dh)
         grads.add_factors("H", *dH)
         grads.add("b_h", db_h)
-        _scatter_input_grad(model, cache, _split_input_grad(model, dx), grads)
-        return None
-    if model.variant == VARIANT_GRU:
+    elif model.variant == VARIANT_GRU:
         if dh_next is not None:
             dh[-1] += dh_next
         ggrads, dx, dh_prev = gru_backward(model.gru_params(), cache["gcache"], dh)
@@ -372,24 +496,25 @@ def position_backward(model, cache, delta, grads, dh_next=None):
                 grads.add(name, g)
             else:
                 grads.add_factors(name, *g)
-        _scatter_input_grad(model, cache, _split_input_grad(model, dx), grads)
-        return dh_prev
+    if model.variant != VARIANT_DEEP:
+        end = dx.shape[1] - model.conv_size if ch else dx.shape[1]
+        _scatter_input_grad(model, cache, dx[:, :end], dx[:, end:] if ch else None, grads)
+        return dh_prev if model.variant == VARIANT_GRU else None
 
     dH2, db_2, dhcat = relu_hidden_backward(p["H2"], cache["hcat"], cache["pre2"], dh)
     grads.add_factors("H2", *dH2)
     grads.add("b_2", db_2)
-    offset = 0
     dx_pieces = []
-    for name, dim in model.input_pieces():
-        df = dhcat[..., offset : offset + model.first_level_size]
-        offset += model.first_level_size
+    for k, (name, _) in enumerate(model.input_pieces()):
+        df = dhcat[:, k * model.first_level_size : (k + 1) * model.first_level_size]
         dF, dFb, dxp = relu_hidden_backward(
-            p[f"F_{name}"], cache[f"x_{name}"], cache[f"fpre_{name}"], df
+            p[f"F_{name}"], cache["x_pieces"][name], cache[f"fpre_{name}"], df
         )
         grads.add_factors(f"F_{name}", *dF)
         grads.add(f"Fb_{name}", dFb)
         dx_pieces.append(dxp)
-    _scatter_input_grad(model, cache, dx_pieces, grads)
+    dx_ch = dx_pieces.pop() if ch else None
+    _scatter_input_grad(model, cache, np.concatenate(dx_pieces, axis=1), dx_ch, grads)
     return None
 
 
@@ -418,28 +543,65 @@ def predict_label(y: np.ndarray) -> np.ndarray:
 
 def make_position_masks(model, p_embed, p_hidden, rng, n):
     """Fresh inverted-dropout masks (training mode) for n positions, row t
-    for position t.
+    for position t: 'e' over the word, class and label windows side by
+    side, then 'h' over the hidden activation, all from one draw.
 
-    All masks come from one draw: per position the masks w, c, l and h, then
-    the next position. PCG64 hands out consecutive doubles, so this is the
-    stream of one draw per mask per position. A mask whose keep probability
-    rounds to 1 is left out, as multiplying by it would change nothing.
+    PCG64 hands out consecutive doubles, so this is the stream of one draw
+    per mask window per position. A mask whose keep probability rounds to 1
+    is left out, as multiplying by it would change nothing.
     """
-    spans, keeps = _mask_layout(model.word_input_dim, model.use_classes, model.label_input_dim,
-                                model.hidden_size, p_embed, p_hidden)
+    return draw_position_masks((model,), p_embed, p_hidden, rng, [n])[0][0]
+
+
+def draw_position_masks(models, p_embed, p_hidden, rng, lens) -> list:
+    """For each sentence length n in lens, in turn, the tuple of each
+    model's make_position_masks dict for n positions, drawn model after
+    model: the stream of one draw per sentence and model in that order.
+    Models of one mask layout share one dropout_mask call for all of lens;
+    otherwise each sentence and model draws on its own."""
+    layouts = [_mask_layout(m.window_dim, m.hidden_size, p_embed, p_hidden) for m in models]
+    if any(layout is not layouts[0] for layout in layouts):
+        return [tuple(draw_position_masks((m,), p_embed, p_hidden, rng, [n])[0][0] for m in models)
+                for n in lens]
+    spans, keeps = layouts[0]
     if not spans:
-        return {}
-    drawn = dropout_mask((n, len(keeps)), keeps, rng)
-    return {key: drawn[:, lo:hi] for key, lo, hi in spans}
+        return [({},) * len(models)] * len(lens)
+    drawn = dropout_mask((len(models) * sum(lens), len(keeps)), keeps, rng)
+    out, start = [], 0
+    for n in lens:
+        sentence = []
+        for _ in models:
+            rows = drawn[start : start + n]
+            sentence.append({key: rows[:, lo:hi] for key, lo, hi in spans})
+            start += n
+        out.append(tuple(sentence))
+    return out
+
+
+def stream_position_masks(models, p_embed, p_hidden, rng, chunk_bytes, lens):
+    """draw_position_masks for lens, yielded sentence by sentence and drawn
+    a chunk of consecutive sentences at a time: as many as keep the chunk's
+    masks within chunk_bytes, at least one. A chunk is drawn when its first
+    sentence's masks are asked for, so draws by the caller in between come
+    after the masks of the sentences it has been given."""
+    row_bytes = 8 * sum(len(_mask_layout(m.window_dim, m.hidden_size, p_embed, p_hidden)[1])
+                        for m in models)
+    start = size = 0
+    for end, n in enumerate(lens):
+        if end > start and size + n * row_bytes > chunk_bytes:
+            yield from draw_position_masks(models, p_embed, p_hidden, rng, lens[start:end])
+            start, size = end, 0
+        size += n * row_bytes
+    if start < len(lens):
+        yield from draw_position_masks(models, p_embed, p_hidden, rng, lens[start:])
 
 
 @functools.lru_cache(maxsize=64)
-def _mask_layout(word_dim, use_classes, label_dim, hidden, p_embed, p_hidden):
+def _mask_layout(window_dim, hidden, p_embed, p_hidden):
     """The (key, first column, end column) of each make_position_masks mask
     in one drawn row, and the read-only keep probability of each column."""
-    pieces = [("w", word_dim, p_embed), ("c", word_dim if use_classes else 0, p_embed),
-              ("l", label_dim, p_embed), ("h", hidden, p_hidden)]
-    pieces = [(key, dim, 1.0 - p) for key, dim, p in pieces if dim and 1.0 - p < 1.0]
+    pieces = [(key, dim, 1.0 - p) for key, dim, p in (("e", window_dim, p_embed),
+                                                      ("h", hidden, p_hidden)) if 1.0 - p < 1.0]
     ends = np.cumsum([dim for _, dim, _ in pieces], dtype=np.intp).tolist()
     keeps = np.repeat([keep for _, _, keep in pieces], [dim for _, dim, _ in pieces])
     keeps.flags.writeable = False
@@ -737,40 +899,45 @@ def save_model(model: TaggerModel, path):
 
 
 def load_model(path) -> TaggerModel:
+    """The model saved at path. Its header is read and checked first, then
+    each tensor's payload is read straight into the tensor's view."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return _parse_model(data)
-    except ModelIOError as exc:
-        raise ModelIOError(f"{path}: {exc}") from None
-    except (struct.error, IndexError, ValueError) as exc:
-        raise ModelIOError(f"corrupt or truncated model file {path}: {exc}") from None
+        try:
+            return _read_model(fh, os.fstat(fh.fileno()).st_size)
+        except ModelIOError as exc:
+            raise ModelIOError(f"{path}: {exc}") from None
+        except (struct.error, IndexError, ValueError) as exc:
+            raise ModelIOError(f"corrupt or truncated model file {path}: {exc}") from None
 
 
-def _parse_model(data: bytes) -> TaggerModel:
-    if data[:4] != MODEL_MAGIC:
+def _unpack(fh, fmt, size):
+    """struct.unpack of the next bytes of fh, a file of size bytes."""
+    n = struct.calcsize(fmt)
+    if fh.tell() + n > size:
+        raise ModelIOError(f"the file ends within its header ({size} bytes)")
+    return struct.unpack(fmt, fh.read(n))
+
+
+def _read_model(fh, size) -> TaggerModel:
+    if fh.read(4) != MODEL_MAGIC:
         raise ModelIOError("not a model file (bad magic bytes)")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = _unpack(fh, "<I", size)
     if version != MODEL_VERSION:
         raise ModelIOError(f"unsupported model format version {version}")
-    variant_b, direction_b, flags, vocab_hash, *ints = struct.unpack_from("<" + _HEADER, data, 8)
-    offset = 8 + struct.calcsize("<" + _HEADER)
+    variant_b, direction_b, flags, vocab_hash, *ints = _unpack(fh, "<" + _HEADER, size)
     kwargs = dict(zip(_INT_FIELDS, ints))
     kwargs.update((name, bool(flags >> i & 1)) for i, name in enumerate(_FLAG_FIELDS))
     model = TaggerModel(
         variant=VARIANTS[variant_b], direction=DIRECTIONS[direction_b],
         vocab_hash=vocab_hash, **kwargs,
     )
-    (n_tensors,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    (n_tensors,) = _unpack(fh, "<I", size)
     shapes = []
     for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        name = data[offset + 2 : offset + 2 + name_len].decode("utf-8")
-        offset += 2 + name_len
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        shapes.append((name, struct.unpack_from(f"<{ndim}I", data, offset + 4)))
-        offset += 4 + 4 * ndim
+        (name_len,) = _unpack(fh, "<H", size)
+        (name,) = _unpack(fh, f"<{name_len}s", size)
+        (ndim,) = _unpack(fh, "<I", size)
+        shapes.append((name.decode("utf-8"), _unpack(fh, f"<{ndim}I", size)))
     got, implied = dict(shapes), dict(_param_shapes(model))
     if len(got) != len(shapes):
         raise ModelIOError("a tensor name is repeated")
@@ -778,14 +945,16 @@ def _parse_model(data: bytes) -> TaggerModel:
         if got.get(name) != implied.get(name):
             raise ModelIOError(f"tensor {name} is {got.get(name, 'missing')}, "
                                f"the header implies {implied.get(name, 'no such tensor')}")
-    expected = offset + sum(8 * math.prod(s) for _, s in shapes)
-    if len(data) != expected:
-        raise ModelIOError(f"payload size mismatch: expected {expected} bytes, file has {len(data)}")
-    for name, shape in shapes:
-        count = math.prod(shape)
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
+    expected = fh.tell() + sum(8 * math.prod(s) for _, s in shapes)
+    if size != expected:
+        raise ModelIOError(f"payload size mismatch: expected {expected} bytes, file has {size}")
+    model.store = ParamStore(shapes)  # params in the file's order, as they are read
+    for name, _ in shapes:
+        tensor = model.params[name]
+        if fh.readinto(tensor) != tensor.nbytes:
+            raise ModelIOError(f"the file ends within tensor {name}")
+        if not np.little_endian:  # the payloads are little-endian
+            tensor.byteswap(inplace=True)
+        if not np.isfinite(tensor).all():
             raise ModelIOError(f"tensor {name} holds a non-finite value")
-        model.params[name] = arr.astype(np.float64)
-        offset += 8 * count
     return model

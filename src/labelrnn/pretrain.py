@@ -20,18 +20,23 @@ from .errors import ConfigError, ParseError
 from .layers import (embed_concat, embed_concat_backward, label_context_indices, output_backward,
                      output_forward, relu_hidden_backward, relu_hidden_forward)
 from .mathcore import new_rng, xavier_init
-from .models import Grads, _cross_entropy
+from .models import Grads, ParamStore, _cross_entropy
 from .training import SgdMomentum, TrainConfig, run_epochs
 
 
 @dataclass
 class NnlmParams:
-    """params, named as a tagger's: E_tok (the embedding table that is kept),
-    H and b_h (relu layer over the context), O and b_o (softmax output)."""
+    """The parameters in store (models.ParamStore), named as a tagger's:
+    E_tok (the embedding table that is kept), H and b_h (relu layer over
+    the context), O and b_o (softmax output)."""
 
-    params: dict
+    store: ParamStore
     context: int
     pad_id: int
+
+    @property
+    def params(self) -> dict:
+        return self.store.params
 
     def weight_matrix_names(self):
         return ["H", "O"]
@@ -44,10 +49,13 @@ def build_nnlm(vocab_size: int, pad_id: int, context: int = TrainConfig.nnlm_con
         raise ConfigError(f"NNLM context length must be >= 1, got {context}")
     if rng is None:
         rng = new_rng(0)
-    params = {"E_tok": xavier_init(vocab_size, embed_size, rng),
-              "H": xavier_init(hidden_size, context * embed_size, rng), "b_h": np.zeros(hidden_size),
-              "O": xavier_init(vocab_size, hidden_size, rng), "b_o": np.zeros(vocab_size)}
-    return NnlmParams(params=params, context=context, pad_id=pad_id)
+    store = ParamStore([("E_tok", (vocab_size, embed_size)),
+                        ("H", (hidden_size, context * embed_size)), ("b_h", (hidden_size,)),
+                        ("O", (vocab_size, hidden_size)), ("b_o", (vocab_size,))])
+    store.arena[store.n_weights :] = 0.0  # the biases
+    for name in ("E_tok", "H", "O"):
+        xavier_init(*store.params[name].shape, rng, out=store.params[name])
+    return NnlmParams(store=store, context=context, pad_id=pad_id)
 
 
 def nnlm_forward(p: NnlmParams, tokens, t: np.ndarray):

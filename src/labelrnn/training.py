@@ -13,6 +13,7 @@ that a pass returns when it is given no gradients.
 """
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
@@ -26,6 +27,7 @@ from .mathcore import new_rng
 from .metrics import evaluate
 from .models import (
     DIR_FWD,
+    STACKED_TABLE,
     Grads,
     VARIANT_GRU,
     bidirectional_pass,
@@ -36,6 +38,7 @@ from .models import (
     predict_label,
     sentence_pass,
     sequence_grads,
+    stream_position_masks,
     tag_bidirectional_batch,
     tag_greedy_batch,
 )
@@ -190,17 +193,23 @@ def lr_at(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0 * (1.0 - epoch / total_epochs)
 
 
-# Bytes of weight gradient the step forms at a time: one row block, sized to
-# stay in cache together with the rows of the weight and velocity it updates.
+# Bytes of weight gradient the step forms at a time: one block, sized to stay
+# in cache together with the weights and velocity it updates.
 _BLOCK_BYTES = 256 * 1024
 
+# Bytes of dropout masks drawn at a time: one draw covers the masks of as many
+# consecutive sentences of an epoch's permutation as fit, at least one.
+_MASK_CHUNK_BYTES = 256 * 1024
 
-def _update(w, v, g, mu, rate, decay):
-    """v <- mu*v - rate*g - decay*w; w <- w + v, in place, with g as scratch."""
+
+def _update(w, v, g, mu, decay, n_decay):
+    """v <- mu*v - g - decay*w, the decay term on the first n_decay elements
+    only; w <- w + v; in place, with g, the gradient times the rate, as
+    scratch."""
     v *= mu
-    v -= np.multiply(g, rate, out=g)
-    if decay:
-        v -= np.multiply(w, decay, out=g)
+    v -= g
+    if decay and n_decay:
+        v[:n_decay] -= np.multiply(w[:n_decay], decay, out=g[:n_decay])
     w += v
 
 
@@ -219,19 +228,25 @@ class SgdMomentum:
     max_grad_norm > 0 a weight gradient is clipped to that norm per tensor,
     an embedding gradient per row.
 
-    The step runs in place. A dense gradient in grads serves as its own
-    scratch. A factor pair (d, x) is multiplied out one block of about
-    _BLOCK_BYTES of rows of d.T @ x at a time, in one scratch buffer, and
-    each block is applied to the same rows of the weight and its velocity
-    while they are in cache, with the same element-wise operations in the
-    same order; a weight larger than one block never has its whole gradient
-    formed. So the step equals the whole-array step bit for bit wherever the
-    BLAS gives a block the values of the same rows of the whole product. The
-    clipping norm of a pair comes from its factors.
+    The step runs in place over the model's arena (models.ParamStore), and
+    the velocity is one array of the same layout. The tensors that grads
+    covers are walked in blocks of about _BLOCK_BYTES of the arena. Each
+    block's gradient is formed in one scratch buffer of the same layout:
+    each factor pair (d, x) multiplied out over the rows the block holds,
+    each dense gradient copied in. It is then scaled by the rate, per tensor
+    when clipping, and one _update applies it to the block's weights and
+    velocity while they are in cache. A factor pair's rows are cut as a
+    step over that tensor alone would cut them: about _BLOCK_BYTES of rows
+    at a time, and never a single row (see _blocks). So every value equals
+    the per-tensor step's bit for bit, and a weight larger than one block
+    never has its whole gradient formed. The clipping norm of a pair comes
+    from its factors.
     """
 
     def __init__(self, model, momentum: float, lam: float, l2_include_all: bool = False,
                  max_grad_norm: float = 0.0, freeze_embeddings: bool = False):
+        store = model.store
+        store.require_views()
         self.model = model
         self.momentum = momentum
         self.lam = lam
@@ -240,55 +255,122 @@ class SgdMomentum:
         self.freeze_embeddings = freeze_embeddings
         self.l2_names = set(model.weight_matrix_names())
         if l2_include_all:
-            self.l2_names = {n for n in model.params if not n.startswith("E_")}
-        self.velocity = {
-            name: np.zeros_like(value)
-            for name, value in model.params.items()
-            if not name.startswith("E_")
-        }
-        self._scratch = np.empty(0)
+            self.l2_names = set(store.slots)
+        self._l2_end = store.arena.size if l2_include_all else store.n_weights
+        self._velocity = np.zeros_like(store.arena)
+        self.velocity = {name: self._velocity[o : o + math.prod(shape)].reshape(shape)
+                         for name, (o, shape) in store.slots.items()}
+        self._tables = {name: w for name, w in model.params.items() if name.startswith("E_")}
+        if store.table is not None:
+            self._tables[STACKED_TABLE] = store.table
+        self._ids = list(map(id, model.params.values()))
+        self._plans = {}
 
     def _clip_scale(self, norm):
         """Factor that brings a gradient norm down to max_grad_norm, or 1."""
         return self.max_grad_norm / np.maximum(norm, self.max_grad_norm)
 
-    def _update_blocks(self, w, v, d, x, rows, rate, decay):
-        """_update with g = d.T @ x formed rows rows at a time in one scratch
-        buffer. No block has a single row: numpy would take it through a
-        matrix-vector product, whose sums round differently from the GEMM's."""
-        cols = w.shape[1]
-        if self._scratch.size < (rows + 1) * cols:
-            self._scratch = np.empty((rows + 1) * cols)
-        starts = range(0, max(len(w) - 1, 1), rows)  # a last single row joins the block before it
-        for lo in starts:
-            hi = len(w) if lo == starts[-1] else lo + rows
-            g = self._scratch[: (hi - lo) * cols].reshape(hi - lo, cols)
-            _update(w[lo:hi], v[lo:hi], _weight_grad(d[:, lo:hi], x, out=g), self.momentum, rate,
-                    decay)
+    def _blocks(self, dense, factors):
+        """The blocks of a step whose gradients are dense and factors, made
+        once per list of their names: (products, copies, pieces, w, v, g,
+        n_decay) each.
+
+        Each tensor the gradients cover is cut into row ranges of the arena:
+        a dense gradient's whole, a factor pair's about _BLOCK_BYTES each,
+        where a last single row joins the range before it (numpy would take
+        a one-row GEMM through a matrix-vector product, whose sums round
+        differently). Adjacent ranges form a block while it stays within
+        _BLOCK_BYTES. Of a block, products holds each factor range's (name,
+        rows, scratch), copies each run of adjacent dense gradients' (names,
+        scratch) and pieces each range's (name, scratch); w, v and g are its
+        weights, velocity and scratch, and their first n_decay elements lie
+        in the L2 segment.
+        """
+        key = (tuple(dense), tuple(factors))
+        blocks = self._plans.get(key)
+        if blocks is not None:
+            return blocks
+        store = self.model.store
+        unknown = sorted((dense.keys() | factors.keys()) - store.slots.keys())
+        if unknown:
+            raise ConfigError(f"no parameter {unknown[0]} to step")
+        both = sorted(dense.keys() & factors.keys())
+        if both:
+            raise ConfigError(f"the gradient of {both[0]} is both dense and factored")
+        groups = []  # blocks of (name, rows, arena start, arena end)
+        for name, (offset, shape) in store.slots.items():
+            if name in dense:
+                ranges = [(name, None, offset, offset + math.prod(shape))]
+            elif name in factors:
+                cols, step = shape[1], max(2, _BLOCK_BYTES // (8 * shape[1]))
+                starts = range(0, max(shape[0] - 1, 1), step)
+                ends = [*starts[1:], shape[0]]
+                ranges = [(name, None if len(starts) == 1 else slice(lo, hi), offset + lo * cols,
+                           offset + hi * cols) for lo, hi in zip(starts, ends)]
+            else:
+                continue
+            for r in ranges:
+                if groups and groups[-1][-1][3] == r[2] and r[3] - groups[-1][0][2] <= _BLOCK_BYTES // 8:
+                    groups[-1].append(r)
+                else:
+                    groups.append([r])
+        scratch = np.empty(max((g[-1][3] - g[0][2] for g in groups), default=0))
+        blocks = []
+        for group in groups:
+            start, end = group[0][2], group[-1][3]
+            products, copies, pieces = [], [], []
+            for name, rows, lo, hi in group:
+                piece = scratch[lo - start : hi - start]
+                pieces.append((name, piece))
+                if name in factors:
+                    products.append((name, rows, piece.reshape(-1, store.slots[name][1][1])))
+                elif copies and copies[-1][2] == lo:  # one copy for adjacent dense gradients
+                    copies[-1] = (copies[-1][0] + (name,), copies[-1][1], hi)
+                else:
+                    copies.append(((name,), lo, hi))
+            copies = [(names, scratch[lo - start : hi - start]) for names, lo, hi in copies]
+            n_decay = min(max(self._l2_end - start, 0), end - start)
+            blocks.append((products, copies, pieces, store.arena[start:end],
+                           self._velocity[start:end], scratch[: end - start], n_decay))
+        self._plans[key] = blocks
+        return blocks
 
     def step(self, grads: Grads, lr: float):
-        clip = self.max_grad_norm > 0.0
-        decay = lr * self.lam
-        for name, g in grads.dense.items():
-            w = self.model.params[name]
-            if g.shape != w.shape:
+        if list(map(id, self.model.params.values())) != self._ids:
+            self.model.store.require_views()
+            self._ids = list(map(id, self.model.params.values()))
+        dense, factors, slots = grads.dense, grads.factors, self.model.store.slots
+        blocks = self._blocks(dense, factors)
+        for name, g in dense.items():
+            if g.shape != slots[name][1]:
                 raise ShapeError(f"gradient shape {g.shape} does not match {name}")
-            scale = self._clip_scale(np.linalg.norm(g)) if clip else 1.0
-            _update(w, self.velocity[name], g, self.momentum, lr * scale,
-                    decay if name in self.l2_names else 0.0)
-        for name, (d, x) in grads.factors.items():
-            w = self.model.params[name]
-            if d.shape[1:] + x.shape[1:] != w.shape or len(d) != len(x):
+        for name, (d, x) in factors.items():
+            if d.shape[1:] + x.shape[1:] != slots[name][1] or len(d) != len(x):
                 raise ShapeError(f"gradient factors of shapes {d.shape} and {x.shape} "
                                  f"do not match {name}")
-            scale = self._clip_scale(_factor_norm(d, x)) if clip else 1.0
-            rate, wd = lr * scale, decay if name in self.l2_names else 0.0
-            rows = max(2, _BLOCK_BYTES // (8 * w.shape[1]))  # never one (see _update_blocks)
-            self._update_blocks(w, self.velocity[name], d, x, rows, rate, wd)
+        rates = None
+        if self.max_grad_norm > 0.0:
+            rates = {name: lr * self._clip_scale(np.linalg.norm(g)) for name, g in dense.items()}
+            rates.update((name, lr * self._clip_scale(_factor_norm(d, x)))
+                         for name, (d, x) in factors.items())
+        decay = lr * self.lam
+        for products, copies, pieces, w, v, g, n_decay in blocks:
+            for name, rows, out in products:
+                d, x = factors[name]
+                _weight_grad(d if rows is None else d[:, rows], x, out=out)
+            for names, out in copies:
+                np.concatenate([dense[name] for name in names], axis=None, out=out)
+            if rates is None:
+                g *= lr
+            else:
+                for name, piece in pieces:
+                    piece *= rates[name]
+            _update(w, v, g, self.momentum, decay, n_decay)
         if self.freeze_embeddings:
             return
+        clip = self.max_grad_norm > 0.0
         for table, slots in grads.rows.items():
-            w = self.model.params[table]
+            w = self._tables[table]
             rows, g = merge_rows(slots["ids"], slots["grad"])
             if clip:
                 g *= self._clip_scale(np.linalg.norm(g, axis=1))[:, None]
@@ -297,22 +379,28 @@ class SgdMomentum:
             w[rows] -= lr * g
 
 
-def run_epochs(seqs, epochs: int, lr0: float, rng, update):
+def run_epochs(seqs, epochs: int, lr0: float, rng, update, draw=None):
     """The epoch loop of every trainer. Each epoch calls update(seq, lr), which
     steps the model on one sequence and returns its summed loss, over seqs in
     a fresh permutation drawn from rng, at lr_at's rate and with numpy's
     overflow and invalid-value warnings off. It then yields (epoch, lr, loss
     per position), or raises TrainingDivergedError naming the epoch if the
-    loss is not finite. seqs must hold at least one position."""
+    loss is not finite. seqs must hold at least one position.
+
+    draw, if given, is called with the lengths of each epoch's sequences in
+    permutation order and returns an iterator of one tuple per sequence,
+    whose items update gets after lr; it may draw from rng as it goes."""
     n_positions = sum(len(s) for s in seqs)
     if not n_positions:
         raise DataError("the training sequences hold no positions")
     for epoch in range(epochs):
         lr = lr_at(epoch, epochs, lr0)
         total = 0.0
+        order = rng.permutation(len(seqs))
+        extras = itertools.repeat(()) if draw is None else draw([len(seqs[si]) for si in order])
         with np.errstate(over="ignore", invalid="ignore"):
-            for si in rng.permutation(len(seqs)):
-                total += update(seqs[si], lr)
+            for si, extra in zip(order, extras):
+                total += update(seqs[si], lr, *extra)
         if not math.isfinite(total):
             raise TrainingDivergedError(
                 f"training loss is {total} in epoch {epoch}; training diverged")
@@ -335,25 +423,45 @@ def _require_training_set(train_seqs):
             raise DataError(f"training sequence {i} is empty")
 
 
-def _select_on_dev(epochs, decode_dev, snapshot, dev_seqs, vocab, config):
+def _select_on_dev(epochs, last, models, decode_dev, dev_seqs, vocab, config, untouched=None):
     """Scores decode_dev() on dev_seqs after each of the epochs, run_epochs's
-    (epoch, lr, loss) triples, and takes snapshot() whenever the epoch is the
-    best_entry so far. Returns (best snapshot, log); an epoch numbered -1
-    stands for the model before training and stays out of the log."""
+    (epoch, lr, loss) triples, and keeps the models, a tuple of the models
+    being trained, whenever the epoch is the best_entry so far. An epoch
+    numbered -1 stands for the models before training, kept as untouched,
+    and stays out of the log. After epoch last the models are kept as they
+    are, as nothing trains them further; after any other, copied into
+    buffers made at most once per call. Returns (kept models, log)."""
     golds = [decode_labels(seq.labels, vocab) for seq in dev_seqs]
-    candidates, best = [], None
+    candidates, kept, buffers = [], None, None
     for epoch, lr, loss in epochs:
         preds = [decode_labels(out.labels, vocab) for out in decode_dev()]
         report = evaluate(golds, preds, config.chunk_mode)
         candidates.append(TrainLogEntry(epoch, lr, loss, report.token_accuracy, report.f1))
-        if best_entry(candidates, config.dev_metric) is candidates[-1]:
-            best = snapshot()
-    return best, [entry for entry in candidates if entry.epoch >= 0]
+        if best_entry(candidates, config.dev_metric) is not candidates[-1]:
+            continue
+        if epoch < 0:
+            kept = untouched
+        elif epoch == last:
+            kept = models
+        elif buffers is None:
+            kept = buffers = tuple(copy.deepcopy(m) for m in models)
+        else:
+            for buffer, model in zip(buffers, models):
+                buffer.store.copy_from(model.store)
+            kept = buffers
+    return kept, [entry for entry in candidates if entry.epoch >= 0]
 
 
 def _position_masks(model, config, rng, n):
     """make_position_masks for the config's dropout; empty when it is off."""
     return make_position_masks(model, config.dropout_embed, config.dropout_hidden, rng, n)
+
+
+def _mask_stream(models, config, rng):
+    """run_epochs's draw of the dropout masks of models trained together:
+    models.stream_position_masks in chunks of _MASK_CHUNK_BYTES."""
+    return functools.partial(stream_position_masks, models, config.dropout_embed,
+                             config.dropout_hidden, rng, _MASK_CHUNK_BYTES)
 
 
 def _sampled_history(model, oseq, config, rng):
@@ -375,7 +483,7 @@ def _sampled_history(model, oseq, config, rng):
     return history, {key: np.concatenate([m[key] for m in masks]) for key in masks[0]}
 
 
-def _train_sentence(model, opt, seq, lr, config, rng) -> float:
+def _train_sentence(model, opt, seq, lr, config, rng, masks=None) -> float:
     """One stochastic update from one sentence; returns the summed data loss.
 
     The whole sentence is one batched pass (models.sentence_pass), one row
@@ -383,13 +491,14 @@ def _train_sentence(model, opt, seq, lr, config, rng) -> float:
     window. The output error is divided by the sentence length, so the step
     applies the gradient averaged over positions, once: the GRU's gradient
     is backpropagated through time, the gradient that gradient_check checks.
+    masks are the sentence's dropout masks, None for none; under scheduled
+    sampling they are drawn here instead, position by position.
     """
     oseq = orient(seq, model.direction)
     n = len(oseq)
+    history = oseq.labels
     if config.predicted_label_prob > 0.0:
         history, masks = _sampled_history(model, oseq, config, rng)
-    else:
-        history, masks = oseq.labels, _position_masks(model, config, rng, n)
     grads = Grads()
     total = sentence_pass(model, oseq, history, grads, masks=masks, scale=1.0 / n)
     opt.step(grads, lr)
@@ -411,15 +520,20 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
                 raise ShapeError(
                     f"pretrained {table} has shape {init.shape}, model expects {model.params[table].shape}"
                 )
-            model.params[table] = init.copy()
+            model.params[table][...] = init
 
     opt = SgdMomentum(model, config.momentum, config.lambda_l2,
                       l2_include_all=config.l2_include_all,
                       max_grad_norm=config.max_grad_norm)
+    # Scheduled sampling draws each position's masks between its samples.
+    draw = None if config.predicted_label_prob > 0.0 else _mask_stream((model,), config, rng)
     epochs = run_epochs(train_seqs, config.epochs_fwd_bwd, config.lr0, rng,
-                        lambda seq, lr: _train_sentence(model, opt, seq, lr, config, rng))
-    return _select_on_dev(epochs, lambda: tag_greedy_batch(model, dev_seqs),
-                          lambda: copy.deepcopy(model), dev_seqs, vocab, config)
+                        lambda seq, lr, masks=None: _train_sentence(model, opt, seq, lr, config,
+                                                                    rng, masks), draw)
+    (best,), log = _select_on_dev(epochs, config.epochs_fwd_bwd - 1, (model,),
+                                  lambda: tag_greedy_batch(model, dev_seqs), dev_seqs, vocab,
+                                  config)
+    return best, log
 
 
 def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConfig, rng=None):
@@ -428,9 +542,10 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     The cross-entropy of the combined (renormalized) distribution has
     gradient (combined - onehot)/2 at each branch's pre-softmax layer, so
     each model receives half of the combined error signal. Updates happen
-    once per sentence, after both directional passes. The untouched pair is
-    the first candidate of dev selection (as epoch -1), so fine-tuning can
-    only improve the dev score.
+    once per sentence, after both directional passes, on copies of the
+    models. The given pair, untouched, is the first candidate of dev
+    selection (as epoch -1), so fine-tuning can only improve the dev score;
+    when it stays the best, it is what is returned.
     """
     config.validate()
     if fwd.direction != DIR_FWD:
@@ -439,6 +554,7 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     require_inputs([*train_seqs, *dev_seqs], fwd, bwd)
     if rng is None:
         rng = new_rng(config.seed)
+    given = (fwd, bwd)
     fwd, bwd = copy.deepcopy(fwd), copy.deepcopy(bwd)
     opt_f, opt_b = (SgdMomentum(m, config.momentum, config.lambda_l2_bidir,
                                 l2_include_all=config.l2_include_all,
@@ -446,20 +562,19 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
                                 freeze_embeddings=config.freeze_embeddings_bidir)
                     for m in (fwd, bwd))
 
-    def update(seq, lr):
+    def update(seq, lr, masks_f, masks_b):
         n = len(seq)
-        masks = (_position_masks(fwd, config, rng, n), _position_masks(bwd, config, rng, n))
         gf, gb = Grads(), Grads()
-        loss = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks, scale=1.0 / n)
+        loss = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=(masks_f, masks_b), scale=1.0 / n)
         opt_f.step(gf, lr)
         opt_b.step(gb, lr)
         return loss
 
-    epochs = run_epochs(train_seqs, config.epochs_bidir, config.lr0, rng, update)
-    best, log = _select_on_dev(itertools.chain([(-1, 0.0, 0.0)], epochs),
-                               lambda: tag_bidirectional_batch(fwd, bwd, dev_seqs),
-                               lambda: (copy.deepcopy(fwd), copy.deepcopy(bwd)),
-                               dev_seqs, vocab, config)
+    epochs = run_epochs(train_seqs, config.epochs_bidir, config.lr0, rng, update,
+                        _mask_stream((fwd, bwd), config, rng))
+    best, log = _select_on_dev(itertools.chain([(-1, 0.0, 0.0)], epochs), config.epochs_bidir - 1,
+                               (fwd, bwd), lambda: tag_bidirectional_batch(fwd, bwd, dev_seqs),
+                               dev_seqs, vocab, config, untouched=given)
     return best[0], best[1], log
 
 

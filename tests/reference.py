@@ -13,14 +13,19 @@
   position, that never chunks.
 - The line-by-line column-file reader that the whole-text load_column_file
   must agree with: the same sentences, or a ParseError with the same message.
+- The per-tensor optimizer step that the arena step must equal bit for bit:
+  one update per bias, one per row block of each weight, each with its own
+  rate, and one row update per embedding table.
 """
 
+import math
 from collections import defaultdict
 
 import numpy as np
 
 from labelrnn.corpus import Sentence, _split_bio, read_lines
-from labelrnn.errors import ParseError
+from labelrnn.errors import ParseError, ShapeError
+from labelrnn.layers import _weight_grad, merge_rows
 from labelrnn.metrics import EvalReport, _check_lengths, edit_distance
 from labelrnn.models import VARIANT_GRU, position_forward, predict_label
 
@@ -254,3 +259,68 @@ def _sentence_from_rows(rows):
         classes=[r[1] for r in rows],
         labels=[r[2] for r in rows],
     )
+
+
+# -- the per-tensor optimizer step ------------------------------------------------
+
+def _reference_update(w, v, g, mu, rate, decay):
+    """v <- mu*v - rate*g - decay*w; w <- w + v, in place, with g as scratch."""
+    v *= mu
+    v -= np.multiply(g, rate, out=g)
+    if decay:
+        v -= np.multiply(w, decay, out=g)
+    w += v
+
+
+class ReferenceSgdMomentum:
+    """SgdMomentum.step one tensor at a time. params maps every name to its
+    array and tables every Grads.rows key to its table; velocity holds one
+    array per tensor that is not a table. l2_names are the tensors L2 decays.
+    A dense gradient is its own scratch; a factor pair is multiplied out
+    about block_bytes of rows at a time, where a last single row joins the
+    rows before it, and each row block updated on its own."""
+
+    def __init__(self, params, tables, momentum, lam, l2_names, l2_include_all=False,
+                 max_grad_norm=0.0, freeze_embeddings=False, block_bytes=256 * 1024):
+        self.params, self.tables = params, tables
+        self.momentum, self.lam, self.l2_names = momentum, lam, set(l2_names)
+        self.l2_include_all, self.max_grad_norm = l2_include_all, max_grad_norm
+        self.freeze_embeddings, self.block_bytes = freeze_embeddings, block_bytes
+        self.velocity = {name: np.zeros_like(value) for name, value in params.items()
+                         if not name.startswith("E_")}
+
+    def _clip_scale(self, norm):
+        return self.max_grad_norm / np.maximum(norm, self.max_grad_norm)
+
+    def step(self, grads, lr):
+        clip = self.max_grad_norm > 0.0
+        decay = lr * self.lam
+        for name, g in grads.dense.items():
+            w = self.params[name]
+            if g.shape != w.shape:
+                raise ShapeError(f"gradient shape {g.shape} does not match {name}")
+            scale = self._clip_scale(np.linalg.norm(g)) if clip else 1.0
+            _reference_update(w, self.velocity[name], g, self.momentum, lr * scale,
+                              decay if name in self.l2_names else 0.0)
+        for name, (d, x) in grads.factors.items():
+            w, v = self.params[name], self.velocity[name]
+            if clip:
+                norm = math.sqrt(max(float(np.vdot(d @ d.T, x @ x.T)), 0.0))
+            rate = lr * (self._clip_scale(norm) if clip else 1.0)
+            wd = decay if name in self.l2_names else 0.0
+            rows = max(2, self.block_bytes // (8 * w.shape[1]))
+            starts = range(0, max(len(w) - 1, 1), rows)
+            for lo in starts:
+                hi = len(w) if lo == starts[-1] else lo + rows
+                g = _weight_grad(d[:, lo:hi], x)
+                _reference_update(w[lo:hi], v[lo:hi], g, self.momentum, rate, wd)
+        if self.freeze_embeddings:
+            return
+        for table, slots in grads.rows.items():
+            w = self.tables[table]
+            rows, g = merge_rows(slots["ids"], slots["grad"])
+            if clip:
+                g *= self._clip_scale(np.linalg.norm(g, axis=1))[:, None]
+            if self.l2_include_all and self.lam > 0.0:
+                g += self.lam * w[rows]
+            w[rows] -= lr * g

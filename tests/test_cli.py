@@ -639,3 +639,41 @@ def test_eval_rejects_a_prediction_whose_words_differ_from_gold(tmp_path, capsys
 def test_saved_model_loads(trained_model):
     model = load_model(trained_model)
     assert model.variant == "irnn" and model.direction == "fwd"
+
+
+# -- the parser of the chosen subcommand -----------------------------------------------
+
+_PARSER_CASES = [
+    ["--help"], [], ["bogus"],
+    *[[cmd, "--help"] for cmd in ("generate", "pretrain", "train", "tag", "eval")],
+    # a required flag missing, per subcommand
+    ["generate", "--size", "3"], ["pretrain", "--train", "t", "--out", "o"],
+    ["train", "--train", "t"], ["tag", "--input", "i"], ["eval", "--gold", "g"],
+    # a bad choice or value, per subcommand
+    ["generate", "--out-dir", "d", "--size", "x"],
+    ["pretrain", "--train", "t", "--target", "tokens", "--out", "o"],
+    ["train", "--variant", "lstm", "--train", "t", "--out", "o"],
+    ["tag", "--input", "i", "--output", "o", "--bogus"],
+    ["eval", "--gold", "g", "--pred", "p", "--chunk-mode", "iob"],
+    ["--bogus", "tag", "--input", "i", "--output", "o"],
+]
+
+
+def _exit_and_output(run, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, capsys):
+    """main builds the options of the chosen subcommand only; help, usage
+    and every argparse error read byte for byte as the full parser's."""
+    got = _exit_and_output(main, argv, capsys)
+    assert got == _exit_and_output(build_parser().parse_args, argv, capsys)
+    assert got[0] in (0, 2) and got[1] + got[2]
+    if argv == ["--help"]:
+        for cmd in ("generate", "pretrain", "train", "tag", "eval"):
+            assert cmd in got[1]
+        assert "label a column file with a trained model" in got[1]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,24 @@ def test_repeated_tensor_name_rejected(small_model_factory, tmp_path):
     path.write_bytes(path.read_bytes().replace(b"E_x", b"E_w", 1))
     with pytest.raises(ModelIOError, match="a tensor name is repeated"):
         load_model(path)
+
+
+def test_a_header_that_runs_past_the_end_of_the_file_is_rejected(small_model_factory, tmp_path):
+    """load_model reads the header field by field; a count that runs past
+    the end of the file stops it before it reads or allocates that much."""
+    model = small_model_factory("irnn")
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    first_name = 8 + struct.calcsize("<BBBQ12I") + 4  # after magic, version, header, count
+    name_len = struct.unpack_from("<H", data, first_name)[0]
+    cases = {
+        "name": data[: first_name] + struct.pack("<H", 60000) + data[first_name + 2 :],
+        "ndim": (data[: first_name + 2 + name_len] + struct.pack("<I", 2 ** 32 - 1)
+                 + data[first_name + 6 + name_len :]),
+        "cut": data[: first_name + 3],
+    }
+    for case, bad in cases.items():
+        path.write_bytes(bad)
+        with pytest.raises(ModelIOError, match="ends within its header"):
+            load_model(path)

@@ -11,6 +11,7 @@ from labelrnn.errors import (ConfigError, DataError, LabelRnnError, ShapeError,
                              TrainingDivergedError)
 from labelrnn.mathcore import dropout_mask, new_rng
 from labelrnn.models import (
+    STACKED_TABLE,
     VARIANTS,
     Grads,
     combine_bidirectional,
@@ -200,7 +201,8 @@ def test_frozen_embeddings_do_not_move(small_model_factory, tiny_seqs):
         grads = Grads()
         oseq = orient(tiny_seqs[1], model.direction)
         sentence_pass(model, oseq, oseq.labels, grads)
-        assert set(grads.rows) == {name for name in before if name.startswith("E_")}
+        # E_w, E_c and E_l are row ranges of the stacked table
+        assert set(grads.rows) == {STACKED_TABLE, "E_ch"}
         SgdMomentum(model, momentum=0.5, lam=0.1, l2_include_all=True, max_grad_norm=1.0,
                     freeze_embeddings=True).step(grads, lr=0.1)
         for name, value in before.items():
@@ -355,16 +357,18 @@ def test_training_step_applies_the_checked_gradient(small_model_factory, tiny_se
 
 
 def _per_position_masks(model, config, rng, n):
-    """Reference: one dropout_mask draw per mask per position, stacked."""
+    """Reference: one dropout_mask draw per mask window per position,
+    stacked; the word, class and label windows side by side as 'e'."""
     rows = []
     for _ in range(n):
         masks = {}
         if config.dropout_embed > 0.0:
             keep = 1.0 - config.dropout_embed
-            masks["w"] = dropout_mask(model.word_input_dim, keep, rng)
+            windows = [dropout_mask(model.word_input_dim, keep, rng)]
             if model.use_classes:
-                masks["c"] = dropout_mask(model.word_input_dim, keep, rng)
-            masks["l"] = dropout_mask(model.label_input_dim, keep, rng)
+                windows.append(dropout_mask(model.word_input_dim, keep, rng))
+            windows.append(dropout_mask(model.label_input_dim, keep, rng))
+            masks["e"] = np.concatenate(windows)
         if config.dropout_hidden > 0.0:
             masks["h"] = dropout_mask(model.hidden_size, 1.0 - config.dropout_hidden, rng)
         rows.append(masks)
@@ -414,7 +418,12 @@ def test_sentence_mask_draws_keep_the_training_log(tiny_vocab, tiny_seqs, tmp_pa
         return (tmp_path / name).read_bytes(), fwd2.params
 
     log, params = run("sentence.log")
-    monkeypatch.setattr(training, "_position_masks", _per_position_masks)
+    # The epoch's masks, drawn in chunks of sentences, against one draw per
+    # mask window per position of each sentence and model in turn.
+    monkeypatch.setattr(training, "stream_position_masks",
+                        lambda models, p_embed, p_hidden, rng, chunk_bytes, lens: iter(
+                            [tuple(_per_position_masks(m, config, rng, n) for m in models)
+                             for n in lens]))
     reference_log, reference_params = run("position.log")
     assert log == reference_log
     for name, value in reference_params.items():

@@ -21,12 +21,17 @@ The host changes speed in phases that last longer than one benchmark run, so
 two separate runs cannot resolve a 10% change; interleaved calls in one
 process see the same phases. For each operation it prints the median and
 quartiles of each tree's tok/s, the ratio of the medians, and in how many
-rounds CHANGE was faster. One warm-up round comes first and is not counted.
+rounds CHANGE was faster. Next to each tree's tok/s it prints the median
+count of minor page faults (ru_minflt) of one call: paper-size speed follows
+how often a call maps fresh pages, which depends on the allocator's history
+in the process as much as on the code. One warm-up round comes first and is
+not counted.
 """
 
 import argparse
 import importlib
 import importlib.util
+import resource
 import shutil
 import statistics
 import sys
@@ -45,6 +50,15 @@ def _load_run_py():
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     return run
+
+
+def _measured(call):
+    """(call's result, its seconds, the minor page faults during it)."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    result = call()
+    seconds = time.perf_counter() - t0
+    return result, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def _import_tree(tree: Path, name: str, into: Path):
@@ -69,18 +83,17 @@ class Side:
         self.configs = {v: run._config(L, w, v) for v in ("irnn", "irnn-gru", "irnn-deep")}
 
     def train(self, variant, direction):
+        """(model, seconds, page faults) of one train_tagger call."""
         p = self.prep
-        t0 = time.perf_counter()
-        model, _ = self.L.training.train_tagger(p.train, p.dev, p.vocab, self.configs[variant],
-                                                variant, direction)
-        return model, time.perf_counter() - t0
+        (model, _), seconds, faults = _measured(lambda: self.L.training.train_tagger(
+            p.train, p.dev, p.vocab, self.configs[variant], variant, direction))
+        return model, seconds, faults
 
     def bidir(self, fwd, bwd):
+        """(seconds, page faults) of one train_bidirectional call."""
         p = self.prep
-        t0 = time.perf_counter()
-        self.L.training.train_bidirectional(fwd, bwd, p.train, p.dev, p.vocab,
-                                            self.configs["irnn-deep"])
-        return time.perf_counter() - t0
+        return _measured(lambda: self.L.training.train_bidirectional(
+            fwd, bwd, p.train, p.dev, p.vocab, self.configs["irnn-deep"]))[1:]
 
     def tag_models(self, fwd, bwd):
         """Paths of the set-up's tagging models, or of fwd and bwd saved."""
@@ -93,45 +106,53 @@ class Side:
         return paths
 
     def cli(self, *argv):
-        """Seconds of one CLI call, timed as perfbench times it."""
-        err, seconds = self.ledger.cli(self.L, list(argv))
+        """(seconds, page faults) of one CLI call, timed as perfbench times it."""
+        (err, seconds), _, faults = _measured(lambda: self.ledger.cli(self.L, list(argv)))
         if err is None:
             sys.exit(f"error: labelrnn {argv[0]} failed with the tree under {self.work.name}")
-        return seconds
+        return seconds, faults
 
 
 def _round(sides, order, eval_repeats):
     """Each operation once per side in the given order, eval eval_repeats
-    times; returns {metric: {side: tok/s}}."""
+    times; returns {metric: {side: (tok/s, page faults)}}."""
     got, deep = {}, {}
     tokens = sides[order[0]].prep.train_tokens
     for variant in ("irnn", "irnn-gru"):
-        got[f"train_tok_s.{variant}"] = {
-            s: tokens / sides[s].train(variant, "fwd")[1] for s in order}
+        got[f"train_tok_s.{variant}"] = {}
+        for s in order:
+            _, seconds, faults = sides[s].train(variant, "fwd")
+            got[f"train_tok_s.{variant}"][s] = (tokens / seconds, faults)
     for s in order:
         deep[s] = (sides[s].train("irnn-deep", "fwd"), sides[s].train("irnn-deep", "bwd"))
-    got["train_tok_s.irnn-deep"] = {s: 2 * tokens / (deep[s][0][1] + deep[s][1][1])
-                                    for s in order}
-    got["bidir_train_tok_s"] = {s: tokens / sides[s].bidir(deep[s][0][0], deep[s][1][0])
-                                for s in order}
+    got["train_tok_s.irnn-deep"] = {s: (2 * tokens / (deep[s][0][1] + deep[s][1][1]),
+                                        (deep[s][0][2] + deep[s][1][2]) / 2) for s in order}
+    got["bidir_train_tok_s"] = {}
+    for s in order:
+        seconds, faults = sides[s].bidir(deep[s][0][0], deep[s][1][0])
+        got["bidir_train_tok_s"][s] = (tokens / seconds, faults)
 
     models = {s: sides[s].tag_models(deep[s][0][0], deep[s][1][0]) for s in order}
     tag_tokens = sides[order[0]].prep.tag_tokens
     tag_file = {s: sides[s].prep.tag_file for s in order}
     greedy = {s: str(sides[s].work / "greedy.txt") for s in order}
-    got["tag_tok_s.greedy"] = {s: tag_tokens / sides[s].cli(
-        "tag", "--model", models[s][0], "--input", tag_file[s], "--output", greedy[s])
-        for s in order}
-    got["tag_tok_s.bidir"] = {s: tag_tokens / sides[s].cli(
-        "tag", "--fwd-model", models[s][0], "--bwd-model", models[s][1], "--input", tag_file[s],
-        "--output", str(sides[s].work / "bidir.txt")) for s in order}
+    got["tag_tok_s.greedy"], got["tag_tok_s.bidir"] = {}, {}
+    for s in order:
+        seconds, faults = sides[s].cli("tag", "--model", models[s][0], "--input", tag_file[s],
+                                       "--output", greedy[s])
+        got["tag_tok_s.greedy"][s] = (tag_tokens / seconds, faults)
+    for s in order:
+        seconds, faults = sides[s].cli(
+            "tag", "--fwd-model", models[s][0], "--bwd-model", models[s][1], "--input",
+            tag_file[s], "--output", str(sides[s].work / "bidir.txt"))
+        got["tag_tok_s.bidir"][s] = (tag_tokens / seconds, faults)
     evals = {s: [] for s in order}
     for _ in range(eval_repeats):
         for s in order:
-            evals[s].append(tag_tokens / sides[s].cli(
-                "eval", "--gold", tag_file[s], "--pred", greedy[s],
-                "--out", str(sides[s].work / "eval.kv")))
-    got["eval_tok_s"] = {s: statistics.median(evals[s]) for s in order}
+            seconds, faults = sides[s].cli("eval", "--gold", tag_file[s], "--pred", greedy[s],
+                                           "--out", str(sides[s].work / "eval.kv"))
+            evals[s].append((tag_tokens / seconds, faults))
+    got["eval_tok_s"] = {s: tuple(statistics.median(v) for v in zip(*evals[s])) for s in order}
     return got
 
 
@@ -173,14 +194,16 @@ def main(argv=None):
     prep = sides["parent"].prep
     print(f"{args.workload}: {args.rounds} rounds, {prep.train_tokens} training tokens per "
           f"training call, {prep.tag_tokens} tokens per CLI call")
-    print("tok/s: median [first quartile, third quartile] per tree; ratio of the medians, "
-          "change over parent; wins: rounds in which change was faster")
+    print("tok/s: median [first quartile, third quartile] per tree, then its median minor "
+          "page faults per call; ratio of the tok/s medians, change over parent; wins: rounds "
+          "in which change was faster")
     for metric in rounds[0]:
         line, medians = f"{metric:<22}", {}
         for s in SIDES:
-            lo, medians[s], hi = _quartiles([r[metric][s] for r in rounds])
-            line += f"{s} {medians[s]:.0f} [{lo:.0f}, {hi:.0f}]  "
-        wins = sum(r[metric]["change"] > r[metric]["parent"] for r in rounds)
+            lo, medians[s], hi = _quartiles([r[metric][s][0] for r in rounds])
+            faults = statistics.median(r[metric][s][1] for r in rounds)
+            line += f"{s} {medians[s]:.0f} [{lo:.0f}, {hi:.0f}] {faults:.0f} flt  "
+        wins = sum(r[metric]["change"][0] > r[metric]["parent"][0] for r in rounds)
         print(f"{line}ratio {medians['change'] / medians['parent']:.3f}  "
               f"wins {wins}/{len(rounds)}")
     return 0
