@@ -21,7 +21,7 @@ from .corpus import (
     Vocabulary,
     build_vocabulary,
     decode_labels,
-    encode,
+    encode_all,
     load_column_file,
     read_text,
     require_inputs,
@@ -57,10 +57,10 @@ def _info(msg):
     print(msg, file=sys.stderr)
 
 
-def _load_sentences(path, *readers):
+def _load_sentences(path, *readers, fields=(2, 3)):
     """load_column_file; a model or config that reads word classes needs the
     class column."""
-    sentences = load_column_file(path)
+    sentences = load_column_file(path, fields)
     try:
         require_inputs(sentences, *readers)
     except DataError as exc:
@@ -175,8 +175,8 @@ def cmd_train(args) -> int:
         if args.dev:
             inputs["dev"] = args.dev
         _write_manifest(args.out + ".manifest.json", config, inputs)
-        train_seqs = [encode(s, vocab, *readers) for s in train_sents]
-        dev_seqs = [encode(s, vocab, *readers) for s in dev_sents]
+        train_seqs = encode_all(train_sents, vocab, *readers)
+        dev_seqs = encode_all(dev_sents, vocab, *readers)
         fwd2, bwd2, log = train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config)
         save_model(fwd2, args.out + ".fwd")
         save_model(bwd2, args.out + ".bwd")
@@ -196,8 +196,8 @@ def cmd_train(args) -> int:
             inputs[name] = getattr(args, name)
     _write_manifest(args.out + ".manifest.json", config, inputs)
 
-    train_seqs = [encode(s, vocab, *readers) for s in train_sents]
-    dev_seqs = [encode(s, vocab, *readers) for s in dev_sents]
+    train_seqs = encode_all(train_sents, vocab, *readers)
+    dev_seqs = encode_all(dev_sents, vocab, *readers)
     init_w = init_l = None
     if args.word_emb:
         init_w = _load_init_table(args.word_emb, vocab.words, vocab.n_words,
@@ -221,6 +221,8 @@ def cmd_train(args) -> int:
 # -- tag -----------------------------------------------------------------------
 
 def cmd_tag(args) -> int:
+    if args.model and (args.fwd_model or args.bwd_model):
+        raise ConfigError("tag takes --model, or --fwd-model plus --bwd-model, not both")
     if args.model:
         paths = [args.model]
     elif args.fwd_model and args.bwd_model:
@@ -234,7 +236,9 @@ def cmd_tag(args) -> int:
         raise ConfigError("vocabulary hash mismatch between model and vocabulary file")
     tagger = tag_greedy_batch if len(models) == 1 else tag_bidirectional_batch
 
-    sentences = _load_sentences(args.input, *models)
+    # A label column is read but not used; words alone do when no model
+    # reads classes.
+    sentences = _load_sentences(args.input, *models, fields=(1, 2, 3))
     # The output is opened before any decoding. The whole input is decoded
     # in the decode_groups that tag_greedy_batch would form over it. The
     # encoded sentences and the output distributions of only one group are
@@ -243,7 +247,7 @@ def cmd_tag(args) -> int:
     labels = [None] * len(sentences)
     with open(args.output, "w", encoding="utf-8") as out:
         for group in decode_groups(sentences):
-            seqs = [encode(sentences[i], vocab, *models, with_labels=False) for i in group]
+            seqs = encode_all([sentences[i] for i in group], vocab, *models, with_labels=False)
             for i, decoded in zip(group, tagger(*models, seqs)):
                 labels[i] = decode_labels(decoded.labels, vocab)
         write_column_file([Sentence(words=sent.words, classes=sent.classes, labels=sent_labels)
@@ -328,7 +332,8 @@ def _tag_options(p):
     p.add_argument("--fwd-model")
     p.add_argument("--bwd-model")
     p.add_argument("--vocab", help="vocabulary file (default: <model>.vocab)")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True,
+                   help="column file: word, or word and label, or word, class and label")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_tag)
 

@@ -3,6 +3,7 @@
 The on-disk format is the classic tab-separated column file: one token per
 line with 2 fields (word, label) or 3 fields (word, class, label), blank
 lines separating sentences, "-" in the class column meaning "no class".
+Text to be tagged may also come as 1 field (word).
 """
 
 import os
@@ -114,18 +115,11 @@ class Vocabulary:
             token = token.lower()
         return self.words.get(token, self.words[UNK])
 
-    def class_id(self, token: str) -> int:
-        return self.classes.get(token, self.classes[UNK])
-
     def label_id(self, token: str) -> int:
         try:
             return self.labels[token]
         except KeyError:
             raise DataError(f"unknown gold label {token!r}") from None
-
-    def char_ids(self, word: str) -> np.ndarray:
-        unk = self.chars[UNK]
-        return np.array([self.chars.get(c, unk) for c in word], dtype=np.int64)
 
     # -- serialization -------------------------------------------------
     def serialize(self) -> str:
@@ -201,16 +195,18 @@ class Vocabulary:
 # backtracking stack with the file.
 _BLANK_LINES = re.compile(r"(?:[^\S\n]*+\n)*+")
 _SHAPE = {n: re.compile(rf"(?:(?:[^\t\n]*+(?:\t[^\t\n]*+){{{n - 1}}}|[^\S\n]*+)\n)*+")
-          for n in (2, 3)}
+          for n in (1, 2, 3)}
 # The end of a sentence's last line and the blank lines after it.
 _SENTENCE_BREAK = re.compile(r"\n(?:[^\S\n]*+\n)++")
 
 
-def load_column_file(path) -> list:
+def load_column_file(path, fields=(2, 3)) -> list:
     """Parse a tab-separated column file into Sentence records.
 
-    Every non-blank line must have the same field count (2 or 3) across the
-    whole file; violations raise ParseError with the line number.
+    Every non-blank line must have the same field count across the whole
+    file, one of fields, the counts the caller accepts among 1 (word), 2
+    (word, label) and 3 (word, class, label); violations raise ParseError
+    with the line number.
     """
     # Two more line breaks end a last line that lacks one and add a blank
     # line, so that the text ends in a sentence break.
@@ -219,20 +215,22 @@ def load_column_file(path) -> list:
     if start == len(text):
         return []
     n_fields = text.count("\t", start, text.index("\n", start)) + 1
-    shape = _SHAPE.get(n_fields)
-    bad = shape.match(text, start).end() if shape else start
+    bad = _SHAPE[n_fields].match(text, start).end() if n_fields in fields else start
     if bad < len(text):
         lineno = text.count("\n", 0, bad) + 1
         got = text.count("\t", bad, text.index("\n", bad)) + 1
-        if got not in _SHAPE:
-            raise ParseError(f"{path}:{lineno}: expected 2 or 3 fields, got {got}")
+        if got not in fields:
+            *rest, last = map(str, fields)
+            counts = f"{', '.join(rest)} or {last}" if rest else last
+            raise ParseError(f"{path}:{lineno}: expected {counts} fields, got {got}")
         raise ParseError(
             f"{path}:{lineno}: inconsistent field count {got} (file uses {n_fields})")
     sentences = []
     for chunk in _SENTENCE_BREAK.split(text[start:])[:-1]:
-        fields = chunk.replace("\n", "\t").split("\t")
-        classes = fields[1::3] if n_fields == 3 else None
-        sentences.append(Sentence(fields[::n_fields], classes, fields[n_fields - 1::n_fields]))
+        row = chunk.replace("\n", "\t").split("\t")
+        classes = row[1::3] if n_fields == 3 else None
+        labels = row[n_fields - 1::n_fields] if n_fields > 1 else None
+        sentences.append(Sentence(row[::n_fields], classes, labels))
     return sentences
 
 
@@ -330,15 +328,46 @@ def encode(sentence: Sentence, vocab: Vocabulary, *readers,
     DataError (training data must be consistent); pass with_labels=False for
     unlabeled or evaluation-only input.
     """
-    words = np.array([vocab.word_id(w) for w in sentence.words], dtype=np.int64)
-    classes = chars = labels = None
-    if sentence.classes is not None and (not readers or any(r.use_classes for r in readers)):
-        classes = np.array([vocab.class_id(c) for c in sentence.classes], dtype=np.int64)
+    return encode_all([sentence], vocab, *readers, with_labels=with_labels)[0]
+
+
+def encode_all(sentences, vocab: Vocabulary, *readers, with_labels: bool = True) -> list:
+    """encode of each sentence. Each column's tokens are looked up in one
+    pass over all the sentences, and the ids are split by sentence."""
+    word_columns = [s.words for s in sentences]
+    words = [w for column in word_columns for w in column]
+    get, unk = vocab.words.get, vocab.words[UNK]
+    ids = [get(w, unk) for w in (map(str.lower, words) if vocab.lowercase else words)]
+    word_ids = _split(np.array(ids, dtype=np.int64), word_columns)
+    classes = chars = labels = [None] * len(sentences)
+    if not readers or any(r.use_classes for r in readers):
+        get, unk = vocab.classes.get, vocab.classes[UNK]
+        columns = [s.classes for s in sentences]
+        ids = [get(c, unk) for column in columns if column is not None for c in column]
+        classes = _split(np.array(ids, dtype=np.int64), columns)
     if not readers or any(r.use_chars for r in readers):
-        chars = [vocab.char_ids(w) for w in sentence.words]
-    if with_labels and sentence.labels is not None:
-        labels = np.array([vocab.label_id(l) for l in sentence.labels], dtype=np.int64)
-    return EncodedSequence(words=words, classes=classes, chars=chars, labels=labels)
+        get, unk = vocab.chars.get, vocab.chars[UNK]
+        per_word = _split(np.array([get(c, unk) for w in words for c in w], dtype=np.int64),
+                          words)
+        chars = _split(per_word, word_columns)
+    if with_labels:
+        columns = [s.labels for s in sentences]
+        ids = [vocab.label_id(l) for column in columns if column is not None for l in column]
+        labels = _split(np.array(ids, dtype=np.int64), columns)
+    return [EncodedSequence(*fields) for fields in zip(word_ids, classes, chars, labels)]
+
+
+def _split(items, columns) -> list:
+    """items, one per token of the columns that are not None in turn, split
+    into one slice per column; None for a column that is None."""
+    out, end = [], 0
+    for column in columns:
+        if column is None:
+            out.append(None)
+        else:
+            out.append(items[end : end + len(column)])
+            end += len(column)
+    return out
 
 
 def decode_labels(label_ids, vocab: Vocabulary) -> list:

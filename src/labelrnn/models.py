@@ -47,7 +47,7 @@ from .layers import (
     relu_hidden_forward,
     window_indices,
 )
-from .mathcore import dropout_mask, relu, softmax, xavier_init
+from .mathcore import dropout_mask, softmax, xavier_init
 
 VARIANT_IRNN = "irnn"
 VARIANT_GRU = "irnn-gru"
@@ -653,25 +653,21 @@ _WINDOWS = {"w": ("words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
             "c": ("classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")}
 
 
-def _unlabeled_inputs(model, oseqs, lens, order):
+def _unlabeled_inputs(model, oseqs, order, windows):
     """The input pieces other than the label context at every position of
     oseqs, one row per position in the given order of the concatenated
     positions.
 
-    Each window is gathered from one padded concatenation of the sentences,
-    [pad] * d_w + tokens + [pad] * d_w each, in which the window of
-    concatenated position k of sentence i starts at k + 2 * d_w * i.
+    Each window is gathered from the concatenation of the sentences' tokens
+    followed by the left and the right pad; row k of windows (_group_layout's)
+    holds the places in it of the window of row k.
     """
-    p, d_w = model.params, model.d_w
-    sentence = np.repeat(np.arange(len(oseqs)), lens)
-    first = np.arange(len(sentence)) + 2 * d_w * sentence
-    windows = np.add.outer(first[order], np.arange(2 * d_w + 1))
+    p = model.params
     x = {}
     for name, _ in model.input_pieces():
         if name in _WINDOWS:
             tokens, bos, eos, table = _WINDOWS[name]
-            left, right = np.full(d_w, bos), np.full(d_w, eos)
-            padded = np.concatenate([a for s in oseqs for a in (left, getattr(s, tokens), right)])
+            padded = np.concatenate([getattr(s, tokens) for s in oseqs] + [(bos, eos)])
             x[name] = embed_concat(p[table], padded[windows])
         elif name == "ch":
             chars = [c for s in oseqs for c in s.chars]
@@ -684,16 +680,17 @@ def _decode_group(model, oseqs):
     """Greedy decode of oriented sentences, longest first, in lockstep.
 
     Positions are laid out step-major, so the rows of step t are one slice
-    and its active sentences a prefix. Returns (labels, dists) per sentence
-    in processing order.
+    and its active sentences a prefix. A step computes only what the next
+    step reads: the label-context lookup, the layers above it, the logits and
+    their argmax over the real labels. One softmax over every row gives the
+    distributions after the last step; it keeps the order within a row, so
+    the labels are its argmax unless two probabilities round to one double.
+    Returns (labels, dists) per sentence in processing order.
     """
     p = model.params
-    lens = np.array([len(s) for s in oseqs])
-    starts = np.cumsum(lens) - lens
-    order = np.argsort(np.arange(lens.sum()) - np.repeat(starts, lens), kind="stable")
-    active = (lens > np.arange(lens[0])[:, None]).sum(axis=1)
-    bounds = np.concatenate(([0], np.cumsum(active)))
-    x = _unlabeled_inputs(model, oseqs, lens, order)
+    lens = tuple(map(len, oseqs))
+    starts, order, inverse, windows, steps = _group_layout(lens, model.d_w)
+    x = _unlabeled_inputs(model, oseqs, order, windows)
 
     # Each variant: the label-free input term of the layer that sees labels
     # (biases included) and that layer's label table.
@@ -716,40 +713,88 @@ def _decode_group(model, oseqs):
         table = _label_table(model, p["F_l"])
         Fb_l, H2_l = p["Fb_l"], p["H2"][:, blocks["l"]].T
 
-    d_l = model.d_l
-    slots = np.arange(d_l) * model.n_labels
+    # history holds label ids less one, the argmax over the real labels, so
+    # that table row k * n_labels + y of label y in context slot k is at
+    # history + slots.
+    d_l, gru, deep = model.d_l, model.variant == VARIANT_GRU, model.variant == VARIANT_DEEP
+    slots = np.arange(d_l) * model.n_labels + 1
     O, b_o = p["O"].T, p["b_o"]
-    history = np.full((len(oseqs), d_l + lens[0]), LABEL_BOL_ID, dtype=np.intp)
-    dists = np.empty((bounds[-1], model.n_labels))
-    for t, a in enumerate(active):
-        rows = slice(bounds[t], bounds[t + 1])
-        pre = term[rows]
-        if table is not None:
+    history = np.full((len(oseqs), d_l + lens[0]), LABEL_BOL_ID - 1, dtype=np.intp)
+    logits = np.empty((len(inverse), model.n_labels))
+    # With one label, the reserved BOL, there is no real label to pick: every
+    # prediction is BOL, as history already holds.
+    real = logits[:, 1:] if model.n_labels > 1 else None
+    add, maximum, matmul = np.add.reduce, np.maximum, np.matmul
+    for t, (a, lo, hi) in enumerate(steps):
+        if table is None:  # a GRU over the words alone, which only reads pre
+            pre = term[lo:hi]
+        else:
             # An ablated label context is the all-BOL context of position 0.
             s = 0 if model.ablate_label_context else t
-            labels = table[history[:a, s : s + d_l] + slots].sum(axis=1)
-            if model.variant == VARIANT_DEEP:
-                labels = relu(labels + Fb_l) @ H2_l
-            pre = pre + labels
-        if model.variant == VARIANT_GRU:
+            pre = add(table.take(history[:a, s : s + d_l] + slots, axis=0), axis=1)
+            if deep:
+                pre += Fb_l
+                pre = matmul(maximum(pre, 0.0, out=pre), H2_l)
+            pre += term[lo:hi]
+        if gru:
             h[:a] = hid = gru_step(W_zr, W_h, h[:a], pre)[0]
         else:
-            hid = relu(pre)
-        y = dists[rows] = softmax(hid @ O + b_o)
-        history[:a, d_l + t] = predict_label(y)
-    in_order = np.empty_like(dists)
-    in_order[order] = dists
-    return [(history[i, d_l : d_l + n].astype(np.int64), in_order[starts[i] : starts[i] + n])
-            for i, n in enumerate(lens)]
+            hid = maximum(pre, 0.0, out=pre)
+        out = matmul(hid, O, out=logits[lo:hi])
+        out += b_o
+        if real is not None:
+            real[lo:hi].argmax(axis=1, out=history[:a, d_l + t])
+    dists = softmax(logits[inverse])
+    labels = np.add(history[:, d_l:], 1, dtype=np.int64)
+    return [(labels[i, :n], dists[starts[i] : starts[i] + n]) for i, n in enumerate(lens)]
+
+
+# At most 64 layouts are kept: a group of DECODE_GROUP paper-size sentences
+# holds about 40 KB of index arrays.
+@functools.lru_cache(maxsize=64)
+def _group_layout(lens, d_w):
+    """What _decode_group needs for sentences of the given lengths, longest
+    first, and word windows of d_w: (starts, order, inverse, windows, steps),
+    the arrays read-only.
+
+    starts holds the first row of each sentence in their concatenation.
+    order holds the concatenated position at each row of the step-major
+    layout, and inverse the row of each concatenated position. Row k of
+    windows holds the window of row k as places in the tokens' concatenation
+    followed by a left and a right pad. steps lists the count of active
+    sentences and the first and end row of each step.
+    """
+    lens = np.array(lens)
+    starts = np.cumsum(lens) - lens
+    total = int(lens.sum())
+    sentence = np.repeat(np.arange(len(lens)), lens)
+    within = np.arange(total) - starts[sentence]  # each position's place in its sentence
+    order = np.argsort(within, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(total)
+    at = within[:, None] + np.arange(-d_w, d_w + 1)
+    inside = (at >= 0) & (at < lens[sentence, None])
+    windows = np.where(inside, at + starts[sentence, None], np.where(at < 0, total, total + 1))
+    windows = windows[order]
+    active = (lens > np.arange(lens[0])[:, None]).sum(axis=1).tolist()
+    bounds = [0, *np.cumsum(active).tolist()]
+    steps = tuple(zip(active, bounds, bounds[1:]))
+    for a in (order, inverse, windows):
+        a.flags.writeable = False
+    return tuple(starts.tolist()), order, inverse, windows, steps
 
 
 def tag_greedy_batch(model: TaggerModel, seqs) -> list:
     """Greedy decode of each sequence; the label context holds the model's
     own predictions. Sentences are decoded in lockstep in the groups of
-    decode_groups. Distributions agree with a position-by-position greedy
-    pass up to rounding, which can depend on the group a sentence falls in,
-    so labels equal its labels unless two labels tie within rounding. A model
-    that reads word classes or chars needs them in every sequence."""
+    decode_groups. A step of a group looks up the label context, runs the
+    layers above it and writes the argmax of the logits over the real labels
+    into the history; one softmax over the group's logits after the last
+    step gives the distributions. Distributions agree with a
+    position-by-position greedy pass up to rounding, which can depend on the
+    group a sentence falls in, so labels equal its labels unless two labels
+    tie within rounding. A model that reads word classes or chars needs them
+    in every sequence."""
     require_inputs(seqs, model)
     outs = [None] * len(seqs)
     for group in decode_groups(seqs):

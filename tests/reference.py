@@ -3,6 +3,8 @@
 - The position-by-position tagger forward that the batched passes and the
   lockstep decoder are tested against: one one-row stack per position, with
   the GRU's hidden state carried from each position to the next.
+- The lockstep decoder with a softmax and an argmax of the distributions at
+  every step, which the logits-only step loop must equal bit for bit.
 - A plain GRU cell, forward and backpropagation through time, written with
   the formulas as first stated, one numpy expression each, so that the
   library's leaner cell can be held to its rounding bit for bit.
@@ -23,11 +25,22 @@ from collections import defaultdict
 
 import numpy as np
 
-from labelrnn.corpus import Sentence, _split_bio, read_lines
+from labelrnn.corpus import LABEL_BOL_ID, Sentence, _split_bio, read_lines
 from labelrnn.errors import ParseError, ShapeError
-from labelrnn.layers import _weight_grad, merge_rows
+from labelrnn.layers import _weight_grad, gru_step, merge_rows, relu_hidden_forward
+from labelrnn.mathcore import relu, softmax
 from labelrnn.metrics import EvalReport, _check_lengths, edit_distance
-from labelrnn.models import VARIANT_GRU, position_forward, predict_label
+from labelrnn.models import (
+    VARIANT_DEEP,
+    VARIANT_GRU,
+    VARIANT_IRNN,
+    _group_layout,
+    _label_table,
+    _split_input_layer,
+    _unlabeled_inputs,
+    position_forward,
+    predict_label,
+)
 
 
 def reference_forward(model, oseq, history=None, masks=None):
@@ -50,6 +63,65 @@ def reference_forward(model, oseq, history=None, masks=None):
         dists.append(y[0])
         caches.append(cache)
     return np.array(predicted, dtype=np.int64), np.array(dists), caches
+
+
+# -- the lockstep decoder with a softmax at every step ----------------------------
+
+def reference_decode_group(model, oseqs):
+    """Greedy decode of oriented sentences, longest first, in lockstep, each
+    step ending in the softmax of its rows and predict_label of it. Returns
+    (labels, dists) per sentence in processing order."""
+    p = model.params
+    lens = np.array([len(s) for s in oseqs])
+    starts = np.cumsum(lens) - lens
+    order = np.argsort(np.arange(lens.sum()) - np.repeat(starts, lens), kind="stable")
+    active = (lens > np.arange(lens[0])[:, None]).sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(active)))
+    x = _unlabeled_inputs(model, oseqs, order, _group_layout(tuple(lens.tolist()), model.d_w)[3])
+
+    if model.variant == VARIANT_IRNN:
+        term, table = _split_input_layer(model, x, p["H"], p["b_h"])
+    elif model.variant == VARIANT_GRU:
+        gates = [_split_input_layer(model, x, p[U], p[b])
+                 for U, b in (("U_z", "b_z"), ("U_r", "b_r"), ("U_h", "b_c"))]
+        term = np.concatenate([g[0] for g in gates], axis=1)
+        table = None if model.gru_words_only else np.concatenate([g[1] for g in gates], axis=1)
+        W_zr, W_h = np.concatenate([p["W_z"], p["W_r"]]).T, p["W_h"].T
+        h = np.zeros((len(oseqs), model.hidden_size))
+    else:
+        f = model.first_level_size
+        blocks = {n: slice(k * f, (k + 1) * f) for k, (n, _) in enumerate(model.input_pieces())}
+        term = p["b_2"] + sum(
+            relu_hidden_forward(p[f"F_{n}"], p[f"Fb_{n}"], x[n])[0] @ p["H2"][:, blocks[n]].T
+            for n in x
+        )
+        table = _label_table(model, p["F_l"])
+        Fb_l, H2_l = p["Fb_l"], p["H2"][:, blocks["l"]].T
+
+    d_l = model.d_l
+    slots = np.arange(d_l) * model.n_labels
+    O, b_o = p["O"].T, p["b_o"]
+    history = np.full((len(oseqs), d_l + lens[0]), LABEL_BOL_ID, dtype=np.intp)
+    dists = np.empty((bounds[-1], model.n_labels))
+    for t, a in enumerate(active):
+        rows = slice(bounds[t], bounds[t + 1])
+        pre = term[rows]
+        if table is not None:
+            s = 0 if model.ablate_label_context else t
+            labels = table[history[:a, s : s + d_l] + slots].sum(axis=1)
+            if model.variant == VARIANT_DEEP:
+                labels = relu(labels + Fb_l) @ H2_l
+            pre = pre + labels
+        if model.variant == VARIANT_GRU:
+            h[:a] = hid = gru_step(W_zr, W_h, h[:a], pre)[0]
+        else:
+            hid = relu(pre)
+        y = dists[rows] = softmax(hid @ O + b_o)
+        history[:a, d_l + t] = predict_label(y)
+    in_order = np.empty_like(dists)
+    in_order[order] = dists
+    return [(history[i, d_l : d_l + n].astype(np.int64), in_order[starts[i] : starts[i] + n])
+            for i, n in enumerate(lens)]
 
 
 # -- a plain GRU ---------------------------------------------------------------
@@ -224,10 +296,11 @@ def reference_evaluate(gold_seqs, pred_seqs, mode="bio-suffix"):
 
 # -- the line-by-line column-file reader -------------------------------------------
 
-def reference_load_column_file(path):
+def reference_load_column_file(path, fields=(2, 3)):
     """Sentences of a column file, read one line at a time: a line of
     whitespace only ends a sentence, any other line is split on tabs and
-    must have 2 or 3 fields, as many as the first such line."""
+    must have one of the field counts in fields, as many as the first such
+    line."""
     sentences, rows, n_fields = [], [], None
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
@@ -236,22 +309,25 @@ def reference_load_column_file(path):
                 sentences.append(_sentence_from_rows(rows))
                 rows = []
             continue
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise ParseError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
+        row = line.split("\t")
+        if len(row) not in fields:
+            counts = " or ".join(str(n) for n in fields).replace(" or ", ", ", len(fields) - 2)
+            raise ParseError(f"{path}:{lineno}: expected {counts} fields, got {len(row)}")
         if n_fields is None:
-            n_fields = len(fields)
-        elif len(fields) != n_fields:
+            n_fields = len(row)
+        elif len(row) != n_fields:
             raise ParseError(
-                f"{path}:{lineno}: inconsistent field count {len(fields)} (file uses {n_fields})"
+                f"{path}:{lineno}: inconsistent field count {len(row)} (file uses {n_fields})"
             )
-        rows.append(fields)
+        rows.append(row)
     if rows:
         sentences.append(_sentence_from_rows(rows))
     return sentences
 
 
 def _sentence_from_rows(rows):
+    if len(rows[0]) == 1:
+        return Sentence(words=[r[0] for r in rows])
     if len(rows[0]) == 2:
         return Sentence(words=[r[0] for r in rows], labels=[r[1] for r in rows])
     return Sentence(

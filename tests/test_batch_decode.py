@@ -1,5 +1,7 @@
 """The lockstep greedy decoder against the position-by-position greedy pass
-(reference.reference_forward) on the synthetic test set."""
+(reference.reference_forward) on the synthetic test set, and against the
+lockstep decoder with a softmax at every step (reference.reference_decode_group)
+bit for bit."""
 
 from dataclasses import replace
 
@@ -26,7 +28,7 @@ from labelrnn.models import (
 )
 from labelrnn.synthetic import generate_corpus
 from labelrnn.training import TrainConfig
-from reference import reference_forward
+from reference import reference_decode_group, reference_forward
 
 RTOL, ATOL = 1e-10, 1e-12  # float64: only the summation order differs
 
@@ -78,6 +80,31 @@ def _assert_matches(outs, references):
         np.testing.assert_allclose(out.dists, dists, rtol=RTOL, atol=ATOL)
 
 
+def _assert_equals_softmax_loop(model, oseqs):
+    got, want = models._decode_group(model, oseqs), reference_decode_group(model, oseqs)
+    assert len(got) == len(want) == len(oseqs)
+    for (labels, dists), (ref_labels, ref_dists) in zip(got, want):
+        assert labels.dtype == ref_labels.dtype == np.int64
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(dists, ref_dists)
+
+
+@pytest.mark.parametrize("variant,direction,config", CASES)
+def test_decode_group_equals_the_softmax_loop_bit_for_bit(task, monkeypatch, variant,
+                                                          direction, config):
+    vocab, seqs = task
+    model = _model(vocab, variant, direction, seed=28, **CONFIGS[config])
+    oriented = [orient(seq, direction) for seq in seqs]
+    for group in (1, 3, models.DECODE_GROUP):
+        monkeypatch.setattr(models, "DECODE_GROUP", group)
+        for members in models.decode_groups(oriented):
+            _assert_equals_softmax_loop(model, [oriented[i] for i in members])
+    by_length = sorted(oriented, key=len, reverse=True)
+    mixed = [by_length[0], by_length[len(by_length) // 2], by_length[-1]]
+    assert len(mixed[0]) > len(mixed[1]) > len(mixed[2])
+    _assert_equals_softmax_loop(model, mixed)
+
+
 @pytest.mark.parametrize("variant,direction,config", CASES)
 def test_batch_decoder_matches_position_reference(task, monkeypatch, variant, direction, config):
     vocab, seqs = task
@@ -97,6 +124,9 @@ def test_batch_decoder_with_a_single_label(variant):
     for direction in DIRECTIONS:
         model = _model(vocab, variant, direction, seed=22)
         _assert_matches(tag_greedy_batch(model, seqs), [_reference(model, s) for s in seqs])
+        oriented = sorted((orient(s, direction) for s in seqs), key=len, reverse=True)
+        _assert_equals_softmax_loop(model, oriented)
+        _assert_equals_softmax_loop(model, oriented[-1:])
 
 
 @pytest.mark.parametrize("variant,config", [(v, c) for v, d, c in CASES if d == "fwd"])
@@ -161,9 +191,10 @@ def test_window_gather_equals_window_indices(task, count):
     vocab, seqs = task
     model = _model(vocab, "irnn", "fwd", seed=27, use_classes=True)
     group = sorted(seqs[:count], key=len, reverse=True)
-    lens = np.array([len(s) for s in group])
-    order = np.random.default_rng(3).permutation(lens.sum())
-    x = models._unlabeled_inputs(model, group, lens, order)
+    lens = tuple(len(s) for s in group)
+    inverse, windows = models._group_layout(lens, model.d_w)[2:4]
+    order = np.random.default_rng(3).permutation(sum(lens))
+    x = models._unlabeled_inputs(model, group, order, windows[inverse][order])
     for name, field, bos, eos, table in (("w", "words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
                                          ("c", "classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")):
         idx = np.concatenate([window_indices(getattr(s, field), np.arange(len(s)), model.d_w,

@@ -405,6 +405,35 @@ def test_tag_preserves_word_and_class_columns(trained_model, corpus_dir, tmp_pat
         assert a.classes == b.classes
 
 
+def test_tag_labels_a_words_only_file_as_the_file_with_labels(trained_model, corpus_dir,
+                                                              tmp_path):
+    sentences = load_column_file(corpus_dir / "test.txt")
+    words_only = tmp_path / "words.txt"
+    words_only.write_text("".join("".join(w + "\n" for w in s.words) + "\n" for s in sentences))
+    for source, tagged in ((corpus_dir / "test.txt", tmp_path / "full.tagged"),
+                           (words_only, tmp_path / "words.tagged")):
+        assert main(["tag", "--model", str(trained_model), "--input", str(source),
+                     "--output", str(tagged)]) == 0
+    full, words = (load_column_file(tmp_path / f"{name}.tagged") for name in ("full", "words"))
+    assert [s.words for s in words] == [s.words for s in sentences]
+    assert all(s.classes is None for s in words)
+    assert [s.labels for s in words] == [s.labels for s in full]
+
+
+@pytest.mark.parametrize("pair", [["--fwd-model", "F", "--bwd-model", "B"], ["--fwd-model", "F"],
+                                  ["--bwd-model", "B"]])
+def test_tag_rejects_model_with_a_pair_flag_before_it_writes(trained_model, corpus_dir, tmp_path,
+                                                             capsys, pair):
+    output = tmp_path / "t.txt"
+    pair = [str(tmp_path / "missing" / flag) if flag in "FB" else flag for flag in pair]
+    rc = main(["tag", "--model", str(trained_model), *pair,
+               "--input", str(corpus_dir / "test.txt"), "--output", str(output)])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: tag takes --model, or --fwd-model plus --bwd-model, not both"]
+    assert not output.exists()
+
+
 def test_tag_vocab_hash_mismatch(trained_model, corpus_dir, tmp_path, capsys):
     other = tmp_path / "other"
     rc = main(["generate", "--out-dir", str(other), "--size", "10", "--seed", "99"])

@@ -11,6 +11,7 @@ from labelrnn.corpus import (
     chunk_spans,
     decode_labels,
     encode,
+    encode_all,
     load_column_file,
     write_column_file,
 )
@@ -40,6 +41,15 @@ def test_two_column_files_have_no_classes(tmp_path):
     sentences = load_column_file(path)
     assert len(sentences) == 2
     assert sentences[0].classes is None
+
+
+def test_one_column_files_have_words_only_where_accepted(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("Show\nflights\n\nbye\n")
+    assert load_column_file(path, fields=(1, 2, 3)) == [
+        Sentence(words=["Show", "flights"]), Sentence(words=["bye"])]
+    with pytest.raises(ParseError, match=r":1: expected 2 or 3 fields, got 1$"):
+        load_column_file(path)
 
 
 def test_empty_file_gives_empty_corpus(tmp_path):
@@ -93,9 +103,9 @@ def _column_texts():
         lambda t: t[0] + "\n" if t[1] else t[0].rstrip("\r\n"))
 
 
-def _load_or_message(load, path):
+def _load_or_message(load, path, fields):
     try:
-        return load(path)
+        return load(path, fields)
     except ParseError as exc:
         return str(exc)
 
@@ -106,11 +116,11 @@ def column_path(tmp_path_factory):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_column_texts())
-def test_load_column_file_agrees_with_the_line_by_line_reader(column_path, text):
+@given(_column_texts(), st.sampled_from([(2, 3), (1, 2, 3)]))
+def test_load_column_file_agrees_with_the_line_by_line_reader(column_path, text, fields):
     column_path.write_bytes(text.encode("utf-8"))
-    assert (_load_or_message(load_column_file, column_path)
-            == _load_or_message(reference_load_column_file, column_path))
+    assert (_load_or_message(load_column_file, column_path, fields)
+            == _load_or_message(reference_load_column_file, column_path, fields))
 
 
 def _sentences(n_columns):
@@ -151,6 +161,39 @@ def test_min_count_filters_rare_words():
     vocab = build_vocabulary(sents, min_count=2)
     assert "aa" in vocab.words and "bb" not in vocab.words
     assert vocab.word_id("bb") == WORD_UNK_ID
+
+
+def test_encode_all_equals_per_sentence_encode_and_the_per_token_lookups():
+    vocab = build_vocabulary([
+        Sentence(words=["Show", "Flights", "to", "BOSTON"], classes=["-", "-", "-", "city"],
+                 labels=["O", "O", "O", "toloc-B"]),
+        Sentence(words=["from", "Denver"], classes=["-", "city"], labels=["O", "fromloc-B"])])
+    sentences = [
+        Sentence(words=["SHOW", "flights", "to", "Zürich", "boston"],
+                 classes=["-", "-", "-", "airport", "city"]),
+        Sentence(words=["x"], classes=["city"]),
+        Sentence(words=["From", "denVER", ""], classes=["-", "city", "-"]),
+    ]
+    unk_class, unk_char = vocab.classes["<unk>"], vocab.chars["<unk>"]
+    for readers in ((), (TrainConfig(),), (TrainConfig(use_classes=True, use_chars=True),)):
+        encoded = encode_all(sentences, vocab, *readers, with_labels=False)
+        assert len(encoded) == len(sentences)
+        for sentence, seq in zip(sentences, encoded):
+            one = encode(sentence, vocab, *readers, with_labels=False)
+            assert seq.words.dtype == np.int64
+            assert seq.words.tolist() == one.words.tolist() == [
+                vocab.word_id(w) for w in sentence.words]
+            reads = not readers or readers[0].use_classes
+            assert (seq.classes is None) == (one.classes is None) == (not reads)
+            if reads:
+                assert seq.classes.tolist() == one.classes.tolist() == [
+                    vocab.classes.get(c, unk_class) for c in sentence.classes]
+            assert (seq.chars is None) == (one.chars is None) == (not reads)
+            if reads:
+                assert [c.tolist() for c in seq.chars] == [c.tolist() for c in one.chars] == [
+                    [vocab.chars.get(c, unk_char) for c in w] for w in sentence.words]
+            assert seq.labels is None and one.labels is None
+    assert encode_all([], vocab) == []
 
 
 def test_lowercasing_words_but_not_chars():

@@ -12,7 +12,10 @@ training.train_tagger for irnn fwd, irnn-gru fwd and irnn-deep fwd and bwd,
 then training.train_bidirectional on the irnn-deep pair, one epoch each;
 then the CLI calls on the workload's tag file: tag --model with the forward
 tagging model, tag --fwd-model/--bwd-model with the pair, and eval of the
-tag --model output against the file. The tagging models are those that
+tag --model output against the file; last, per-sentence models.tag_greedy
+calls with the forward tagging model on perfbench's latency sentences, one
+pass over them per tree, in turns, read as the pass's median and the tail
+percentile that perfbench reports. The tagging models are those that
 perfbench's set-up trains through the CLI, or, for a workload without them,
 the round's irnn-deep pair. eval runs as many times per round as in
 perfbench, the trees in turns, and a round keeps each tree's median call.
@@ -20,12 +23,12 @@ perfbench, the trees in turns, and a round keeps each tree's median call.
 The host changes speed in phases that last longer than one benchmark run, so
 two separate runs cannot resolve a 10% change; interleaved calls in one
 process see the same phases. For each operation it prints the median and
-quartiles of each tree's tok/s, the ratio of the medians, and in how many
-rounds CHANGE was faster. Next to each tree's tok/s it prints the median
-count of minor page faults (ru_minflt) of one call: paper-size speed follows
-how often a call maps fresh pages, which depends on the allocator's history
-in the process as much as on the code. One warm-up round comes first and is
-not counted.
+quartiles of each tree's tok/s (ms for the latencies), the ratio of the
+medians, and in how many rounds CHANGE was faster. Next to each tree's
+value it prints the median count of minor page faults (ru_minflt) of one
+call: paper-size speed follows how often a call maps fresh pages, which
+depends on the allocator's history in the process as much as on the code.
+One warm-up round comes first and is not counted.
 """
 
 import argparse
@@ -42,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+LATENCY = ("tag_ms.p50", "tag_ms.tail")  # lower is better; every other metric is tok/s
 
 
 def _load_run_py():
@@ -76,7 +80,8 @@ class Side:
     """One tree's package and its copy of the workload's inputs."""
 
     def __init__(self, run, L, w, seed, work):
-        self.L, self.work, self.ledger = L, work, run.Ledger()
+        self.L, self.work, self.ledger, self.tr = L, work, run.Ledger(), run.tr
+        self.latency_sents = w.latency_sents
         self.prep = run.setup(L, w, seed, self.ledger, work)
         if self.ledger.failed:
             sys.exit(f"error: perfbench's set-up failed with the tree under {work.name}")
@@ -104,6 +109,25 @@ class Side:
             self.L.models.save_model(model, path)
             self.prep.vocab.save(path + ".vocab")
         return paths
+
+    def latency(self, path):
+        """{metric: (ms, page faults per call)} of one models.tag_greedy call
+        per latency sentence with the model at path, timed as perfbench
+        times them."""
+        model = self.L.models.load_model(path)
+        vocab = self.L.corpus.Vocabulary.load(path + ".vocab")
+        seqs = [self.L.corpus.encode(s, vocab, with_labels=False)
+                for s in self.prep.latency_sents[:self.latency_sents]]
+        lat, clock = [], time.perf_counter
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seq in seqs:
+            t0 = clock()
+            self.L.models.tag_greedy(model, seq)
+            lat.append(1000.0 * (clock() - t0))
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / len(seqs)
+        p, _ = self.tr.tail_percentile(len(lat))
+        return {"tag_ms.p50": (self.tr.percentile(lat, 50.0), faults),
+                "tag_ms.tail": (self.tr.percentile(lat, p), faults)}
 
     def cli(self, *argv):
         """(seconds, page faults) of one CLI call, timed as perfbench times it."""
@@ -153,6 +177,9 @@ def _round(sides, order, eval_repeats):
                                            "--out", str(sides[s].work / "eval.kv"))
             evals[s].append((tag_tokens / seconds, faults))
     got["eval_tok_s"] = {s: tuple(statistics.median(v) for v in zip(*evals[s])) for s in order}
+    latency = {s: sides[s].latency(models[s][0]) for s in order}
+    for metric in LATENCY:
+        got[metric] = {s: latency[s][metric] for s in order}
     return got
 
 
@@ -194,16 +221,18 @@ def main(argv=None):
     prep = sides["parent"].prep
     print(f"{args.workload}: {args.rounds} rounds, {prep.train_tokens} training tokens per "
           f"training call, {prep.tag_tokens} tokens per CLI call")
-    print("tok/s: median [first quartile, third quartile] per tree, then its median minor "
-          "page faults per call; ratio of the tok/s medians, change over parent; wins: rounds "
+    print("tok/s or ms: median [first quartile, third quartile] per tree, then its median "
+          "minor page faults per call; ratio of the medians, change over parent; wins: rounds "
           "in which change was faster")
     for metric in rounds[0]:
-        line, medians = f"{metric:<22}", {}
+        line, medians, f = f"{metric:<22}", {}, ".3f" if metric in LATENCY else ".0f"
         for s in SIDES:
             lo, medians[s], hi = _quartiles([r[metric][s][0] for r in rounds])
             faults = statistics.median(r[metric][s][1] for r in rounds)
-            line += f"{s} {medians[s]:.0f} [{lo:.0f}, {hi:.0f}] {faults:.0f} flt  "
-        wins = sum(r[metric]["change"][0] > r[metric]["parent"][0] for r in rounds)
+            line += f"{s} {medians[s]:{f}} [{lo:{f}}, {hi:{f}}] {faults:.0f} flt  "
+        sign = -1 if metric in LATENCY else 1
+        wins = sum(sign * r[metric]["change"][0] > sign * r[metric]["parent"][0]
+                   for r in rounds)
         print(f"{line}ratio {medians['change'] / medians['parent']:.3f}  "
               f"wins {wins}/{len(rounds)}")
     return 0
