@@ -749,7 +749,12 @@ def _decode_group(model, oseqs):
     return [(labels[i, :n], dists[starts[i] : starts[i] + n]) for i, n in enumerate(lens)]
 
 
-# At most 64 layouts are kept: a group of DECODE_GROUP paper-size sentences
+# The cache pays when a group's lengths repeat: in one-sentence calls, whose
+# lengths span a short range, in training's dev pass after its first epoch,
+# and for the backward model of a bidirectional call, which reuses the
+# forward model's layouts. Groups of 32 from a new file rarely repeat. A
+# layout costs about 30 us for one sentence and 85 us for 32 (2-core machine,
+# timeit). At most 64 are kept: a group of DECODE_GROUP paper-size sentences
 # holds about 40 KB of index arrays.
 @functools.lru_cache(maxsize=64)
 def _group_layout(lens, d_w):
