@@ -356,13 +356,21 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subcommands' too, that reports a usage error as
+    every other error: one "error: <message>" line on stderr, exit code 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser(only=None) -> argparse.ArgumentParser:
     """The parser of every subcommand. Given only, a subcommand name, it is
     the one subcommand added, under the usage name of all of them; given
     any other string, every subcommand is added without its options. Help,
     usage and errors read as the full parser's for any argv whose first
     item that is not an option is only."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="labelrnn",
         description="sequence-labeling taggers with label-embedding feedback",
     )

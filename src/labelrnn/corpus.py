@@ -267,12 +267,15 @@ def _raise_not_utf8(path):
 
 def write_column_file(sentences, out):
     """Write sentences as a column file to out: a path, or a text file open
-    for writing, which the sentences are appended to."""
+    for writing, which the sentences are appended to. A sentence's columns
+    are those it has, in file order: words, classes, labels. Classes without
+    labels raise DataError, as two columns read as words and labels."""
     is_path = isinstance(out, (str, os.PathLike))
     with open(out, "w", encoding="utf-8") if is_path else nullcontext(out) as fh:
         for sent in sentences:
-            columns = (sent.words, sent.labels) if sent.classes is None else (
-                sent.words, sent.classes, sent.labels)
+            if sent.labels is None and sent.classes is not None:
+                raise DataError("a sentence with word classes but no labels has no column layout")
+            columns = [c for c in (sent.words, sent.classes, sent.labels) if c is not None]
             rows = "\n".join(map("\t".join, zip(*columns)))
             fh.write(rows + "\n\n" if rows else "\n")
 

@@ -824,37 +824,39 @@ def _cross_entropy(y, gold, rows):
     return float(-np.log(np.maximum(y[rows, gold], 1e-300)).sum())
 
 
-def sentence_pass(model, oseq, history, grads=None, masks=None, scale=1.0) -> float:
-    """Summed cross-entropy of one oriented sentence from one batched pass;
-    given grads, it adds scale times its gradient to them, chained through
-    time for the GRU.
+def sentence_pass(models, seq, grads=None, masks=None, history=None, scale=1.0) -> float:
+    """Summed cross-entropy of one sentence from one teacher-forced batched
+    pass of models, one tagger or a forward/backward pair: of the tagger's
+    distribution, or of the pair's combine_bidirectional, summed in the
+    first model's processing order. Given grads, one Grads per model, each
+    model's grads get scale times its gradient, whose error at the
+    pre-softmax layer is (distribution - onehot) / len(models), chained
+    through time for the GRU.
 
-    Row t of every array is position t, and the label context comes from
-    history (the gold labels under teacher forcing). masks is None or a
-    make_position_masks dict with one row per position.
+    Each model reads seq in its own processing order, row t of every array
+    being its position t. masks is None or holds each model's
+    make_position_masks dict with one row per position. history, given with
+    one model only, replaces the gold labels as its label context (in its
+    processing order), as under scheduled sampling.
     """
-    rows = np.arange(len(oseq))
-    y, cache = position_forward(model, oseq, rows, history, masks=masks)
-    loss = _cross_entropy(y, oseq.labels, rows)
+    rows, first = np.arange(len(seq)), models[0].direction
+    ys, caches = [], []
+    for model, mask in zip(models, masks or [None] * len(models)):
+        oseq = orient(seq, model.direction)
+        y, cache = position_forward(model, oseq, rows, oseq.labels if history is None else history,
+                                    masks=mask)
+        ys.append(y if model.direction == first else y[::-1])
+        caches.append(cache)
+    y = ys[0] if len(ys) == 1 else combine_bidirectional(*ys)
+    gold = seq.labels if first == DIR_FWD else seq.labels[::-1]
+    loss = _cross_entropy(y, gold, rows)
     if grads is not None:
-        delta = y * scale
-        delta[rows, oseq.labels] -= scale
-        position_backward(model, cache, delta, grads)
+        share = scale / len(models)
+        delta = y * share
+        delta[rows, gold] -= share
+        for model, cache, g in zip(models, caches, grads):
+            position_backward(model, cache, delta if model.direction == first else delta[::-1], g)
     return loss
-
-
-def sequence_grads(model, seq) -> dict:
-    """Exact dense gradient of the teacher-forced sentence loss (dropout off)
-    w.r.t. every parameter tensor, from the batched pass that training runs.
-
-    For the GRU variant the gradient is chained through the hidden state
-    across all steps; for the feed-forward variants positions are independent
-    under teacher forcing.
-    """
-    oriented = orient(seq, model.direction)
-    grads = Grads()
-    sentence_pass(model, oriented, oriented.labels, grads)
-    return grads.to_dense(model)
 
 
 # -- bidirectional combination ----------------------------------------------
@@ -870,30 +872,6 @@ def combine_bidirectional(yf: np.ndarray, yb: np.ndarray) -> np.ndarray:
     unnorm = np.sqrt(yf * yb)
     total = unnorm.sum(axis=-1, keepdims=True)
     return np.divide(unnorm, total, out=unnorm, where=total != 0.0)
-
-
-def bidirectional_pass(fwd, bwd, seq, grads_f=None, grads_b=None, masks=(None, None),
-                       scale=1.0) -> float:
-    """Summed cross-entropy of the combined (renormalized) distribution of a
-    forward and a backward model over one sentence, from one teacher-forced
-    batched pass. Its gradient at each branch's pre-softmax layer is
-    (combined - onehot)/2; given grads_f and grads_b, scale times each
-    model's gradient is added to its grads, chained through time for the GRU.
-    masks holds each model's make_position_masks dict with one row per
-    position, or None.
-    """
-    rows = np.arange(len(seq))
-    rev = orient(seq, DIR_BWD)
-    yf, cache_f = position_forward(fwd, seq, rows, seq.labels, masks=masks[0])
-    yb, cache_b = position_forward(bwd, rev, rows, rev.labels, masks=masks[1])
-    combined = combine_bidirectional(yf, yb[::-1])
-    loss = _cross_entropy(combined, seq.labels, rows)
-    if grads_f is not None:
-        delta = combined * (0.5 * scale)
-        delta[rows, seq.labels] -= 0.5 * scale
-        position_backward(fwd, cache_f, delta, grads_f)
-        position_backward(bwd, cache_b, delta[::-1], grads_b)
-    return loss
 
 
 def tag_bidirectional_batch(fwd: TaggerModel, bwd: TaggerModel, seqs) -> list:

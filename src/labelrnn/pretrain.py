@@ -7,8 +7,8 @@ embedding table is kept.
 
 It is built from the taggers' layers, its n previous tokens forming a
 label-context window. Each sequence is one batched pass (nnlm_sequence_pass,
-as models.sentence_pass), stepped by the taggers' SgdMomentum without L2, in
-the taggers' epoch loop (training.run_epochs).
+as models.sentence_pass is for taggers), stepped by the taggers' SgdMomentum
+without L2, in the taggers' epoch loop (training.run_epochs).
 """
 
 from dataclasses import dataclass

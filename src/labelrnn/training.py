@@ -4,12 +4,14 @@ fine-tuning, and a finite-difference gradient-check harness.
 
 One epoch loop (run_epochs) trains the taggers, their bidirectional
 fine-tuning and the pretraining NNLM: one update per sentence, over shuffled
-sentences. Each sentence is one batched forward/backward pass, one row per
-position (models.sentence_pass), teacher-forced, or with a label history
-built position by position under scheduled sampling (_sampled_history).
-After each epoch a tagger is scored on dev by the lockstep decoder, and
-best_entry picks the model kept. The gradient checks differentiate the loss
-that a pass returns when it is given no gradients.
+sentences. A tagger and a forward/backward pair take the same step
+(_train_sentence): one batched forward/backward pass of the sentence, one
+row per position (models.sentence_pass), teacher-forced, or for a tagger
+with a label history built position by position under scheduled sampling
+(_sampled_history). After each epoch the models are scored on dev by the
+lockstep decoder, and best_entry picks the ones kept. The gradient checks
+differentiate the loss that the same pass returns when it is given no
+gradients.
 """
 
 import copy
@@ -30,14 +32,12 @@ from .models import (
     STACKED_TABLE,
     Grads,
     VARIANT_GRU,
-    bidirectional_pass,
     build_model,
     make_position_masks,
     orient,
     position_forward,
     predict_label,
     sentence_pass,
-    sequence_grads,
     stream_position_masks,
     tag_bidirectional_batch,
     tag_greedy_batch,
@@ -388,8 +388,8 @@ def run_epochs(seqs, epochs: int, lr0: float, rng, update, draw=None):
     loss is not finite. seqs must hold at least one position.
 
     draw, if given, is called with the lengths of each epoch's sequences in
-    permutation order and returns an iterator of one tuple per sequence,
-    whose items update gets after lr; it may draw from rng as it goes."""
+    permutation order and returns an iterator of one item per sequence,
+    which update gets after lr; it may draw from rng as it goes."""
     n_positions = sum(len(s) for s in seqs)
     if not n_positions:
         raise DataError("the training sequences hold no positions")
@@ -397,7 +397,7 @@ def run_epochs(seqs, epochs: int, lr0: float, rng, update, draw=None):
         lr = lr_at(epoch, epochs, lr0)
         total = 0.0
         order = rng.permutation(len(seqs))
-        extras = itertools.repeat(()) if draw is None else draw([len(seqs[si]) for si in order])
+        extras = itertools.repeat(()) if draw is None else zip(draw([len(seqs[si]) for si in order]))
         with np.errstate(over="ignore", invalid="ignore"):
             for si, extra in zip(order, extras):
                 total += update(seqs[si], lr, *extra)
@@ -483,26 +483,22 @@ def _sampled_history(model, oseq, config, rng):
     return history, {key: np.concatenate([m[key] for m in masks]) for key in masks[0]}
 
 
-def _train_sentence(model, opt, seq, lr, config, rng, masks=None) -> float:
-    """One stochastic update from one sentence; returns the summed data loss.
+def _train_sentence(models, opts, seq, lr, masks=None, history=None) -> float:
+    """One stochastic update of models, a tagger or a forward/backward pair,
+    from one sentence; returns the summed data loss.
 
-    The whole sentence is one batched pass (models.sentence_pass), one row
-    per position, with a teacher-forced label context and a wide word
-    window. The output error is divided by the sentence length, so the step
-    applies the gradient averaged over positions, once: the GRU's gradient
-    is backpropagated through time, the gradient that gradient_check checks.
-    masks are the sentence's dropout masks, None for none; under scheduled
-    sampling they are drawn here instead, position by position.
+    The whole sentence is one batched pass (models.sentence_pass), with a
+    teacher-forced label context unless history is given. The output error
+    is divided by the sentence length, so each optimizer in opts applies its
+    model's gradient averaged over positions, once: for the GRU the gradient
+    backpropagated through time, the gradient that the gradient checks
+    check. masks holds each model's dropout masks, None for none.
     """
-    oseq = orient(seq, model.direction)
-    n = len(oseq)
-    history = oseq.labels
-    if config.predicted_label_prob > 0.0:
-        history, masks = _sampled_history(model, oseq, config, rng)
-    grads = Grads()
-    total = sentence_pass(model, oseq, history, grads, masks=masks, scale=1.0 / n)
-    opt.step(grads, lr)
-    return total
+    grads = [Grads() for _ in models]
+    loss = sentence_pass(models, seq, grads, masks, history, 1.0 / len(seq))
+    for opt, g in zip(opts, grads):
+        opt.step(g, lr)
+    return loss
 
 
 def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
@@ -525,12 +521,19 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
     opt = SgdMomentum(model, config.momentum, config.lambda_l2,
                       l2_include_all=config.l2_include_all,
                       max_grad_norm=config.max_grad_norm)
-    # Scheduled sampling draws each position's masks between its samples.
-    draw = None if config.predicted_label_prob > 0.0 else _mask_stream((model,), config, rng)
-    epochs = run_epochs(train_seqs, config.epochs_fwd_bwd, config.lr0, rng,
-                        lambda seq, lr, masks=None: _train_sentence(model, opt, seq, lr, config,
-                                                                    rng, masks), draw)
-    (best,), log = _select_on_dev(epochs, config.epochs_fwd_bwd - 1, (model,),
+    models, opts = (model,), (opt,)
+    if config.predicted_label_prob > 0.0:
+        # Scheduled sampling draws each position's masks between its samples.
+        def update(seq, lr):
+            history, masks = _sampled_history(model, orient(seq, model.direction), config, rng)
+            return _train_sentence(models, opts, seq, lr, (masks,), history)
+
+        draw = None
+    else:
+        update = functools.partial(_train_sentence, models, opts)
+        draw = _mask_stream(models, config, rng)
+    epochs = run_epochs(train_seqs, config.epochs_fwd_bwd, config.lr0, rng, update, draw)
+    (best,), log = _select_on_dev(epochs, config.epochs_fwd_bwd - 1, models,
                                   lambda: tag_greedy_batch(model, dev_seqs), dev_seqs, vocab,
                                   config)
     return best, log
@@ -555,25 +558,16 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     if rng is None:
         rng = new_rng(config.seed)
     given = (fwd, bwd)
-    fwd, bwd = copy.deepcopy(fwd), copy.deepcopy(bwd)
-    opt_f, opt_b = (SgdMomentum(m, config.momentum, config.lambda_l2_bidir,
-                                l2_include_all=config.l2_include_all,
-                                max_grad_norm=config.max_grad_norm,
-                                freeze_embeddings=config.freeze_embeddings_bidir)
-                    for m in (fwd, bwd))
-
-    def update(seq, lr, masks_f, masks_b):
-        n = len(seq)
-        gf, gb = Grads(), Grads()
-        loss = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=(masks_f, masks_b), scale=1.0 / n)
-        opt_f.step(gf, lr)
-        opt_b.step(gb, lr)
-        return loss
-
-    epochs = run_epochs(train_seqs, config.epochs_bidir, config.lr0, rng, update,
-                        _mask_stream((fwd, bwd), config, rng))
+    pair = tuple(map(copy.deepcopy, given))
+    opts = tuple(SgdMomentum(m, config.momentum, config.lambda_l2_bidir,
+                             l2_include_all=config.l2_include_all,
+                             max_grad_norm=config.max_grad_norm,
+                             freeze_embeddings=config.freeze_embeddings_bidir) for m in pair)
+    epochs = run_epochs(train_seqs, config.epochs_bidir, config.lr0, rng,
+                        functools.partial(_train_sentence, pair, opts),
+                        _mask_stream(pair, config, rng))
     best, log = _select_on_dev(itertools.chain([(-1, 0.0, 0.0)], epochs), config.epochs_bidir - 1,
-                               (fwd, bwd), lambda: tag_bidirectional_batch(fwd, bwd, dev_seqs),
+                               pair, lambda: tag_bidirectional_batch(*pair, dev_seqs),
                                dev_seqs, vocab, config, untouched=given)
     return best[0], best[1], log
 
@@ -605,6 +599,21 @@ def _finite_difference_report(params, analytic, loss, epsilon, rng, samples_per_
     return report
 
 
+def _gradient_check(models, prefixes, seq, epsilon, rng, samples_per_tensor):
+    """_finite_difference_report of sentence_pass(models, seq) against the
+    gradient that the same pass gives; each model's keys are its tensor
+    names after its prefix."""
+    grads = tuple(Grads() for _ in models)
+    sentence_pass(models, seq, grads)
+    params, analytic = {}, {}
+    for prefix, model, g in zip(prefixes, models, grads):
+        dense = g.to_dense(model)
+        for name, w in model.params.items():
+            params[prefix + name], analytic[prefix + name] = w, dense[name]
+    return _finite_difference_report(params, analytic, lambda: sentence_pass(models, seq), epsilon,
+                                     new_rng(0) if rng is None else rng, samples_per_tensor)
+
+
 def gradient_check(model, seq, epsilon: float = 1e-5, rng=None,
                    samples_per_tensor: int = 50) -> dict:
     """Max relative error of analytic vs central-difference gradients.
@@ -612,13 +621,7 @@ def gradient_check(model, seq, epsilon: float = 1e-5, rng=None,
     Checks the exact gradient of the teacher-forced total sequence loss
     (dropout off, no L2), sampling coordinates per parameter tensor.
     """
-    if rng is None:
-        rng = new_rng(0)
-    oseq = orient(seq, model.direction)
-    analytic = sequence_grads(model, seq)
-    return _finite_difference_report(model.params, analytic,
-                                     lambda: sentence_pass(model, oseq, oseq.labels),
-                                     epsilon, rng, samples_per_tensor)
+    return _gradient_check((model,), ("",), seq, epsilon, rng, samples_per_tensor)
 
 
 def bidirectional_gradient_check(fwd, bwd, seq, epsilon: float = 1e-5, rng=None,
@@ -627,15 +630,4 @@ def bidirectional_gradient_check(fwd, bwd, seq, epsilon: float = 1e-5, rng=None,
     cross-entropy of the combined distribution, whose gradient is the one
     bidirectional fine-tuning applies. Report keys are "fwd.<name>" and
     "bwd.<name>"."""
-    if rng is None:
-        rng = new_rng(0)
-    grads_f, grads_b = Grads(), Grads()
-    bidirectional_pass(fwd, bwd, seq, grads_f, grads_b)
-    params, analytic = {}, {}
-    for prefix, model, grads in (("fwd", fwd, grads_f), ("bwd", bwd, grads_b)):
-        dense = grads.to_dense(model)
-        for name, w in model.params.items():
-            params[f"{prefix}.{name}"] = w
-            analytic[f"{prefix}.{name}"] = dense[name]
-    return _finite_difference_report(params, analytic, lambda: bidirectional_pass(fwd, bwd, seq),
-                                     epsilon, rng, samples_per_tensor)
+    return _gradient_check((fwd, bwd), ("fwd.", "bwd."), seq, epsilon, rng, samples_per_tensor)

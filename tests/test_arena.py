@@ -167,11 +167,11 @@ def test_gradient_check_writes_through_the_views(small_model_factory, tiny_seqs,
     moved = {"arena": 0, "table": 0}
     real_pass = training.sentence_pass
 
-    def sentence_pass(m, *args, **kwargs):
-        if m is model and kwargs.get("grads") is None and len(args) == 2:
-            moved["arena"] += not np.array_equal(m.store.arena, before[0])
-            moved["table"] += not np.array_equal(m.store.table, before[1])
-        return real_pass(m, *args, **kwargs)
+    def sentence_pass(models, seq, grads=None, **kwargs):
+        if models[0] is model and grads is None:
+            moved["arena"] += not np.array_equal(model.store.arena, before[0])
+            moved["table"] += not np.array_equal(model.store.table, before[1])
+        return real_pass(models, seq, grads, **kwargs)
 
     monkeypatch.setattr(training, "sentence_pass", sentence_pass)
     report = gradient_check(model, tiny_seqs[0], samples_per_tensor=3)

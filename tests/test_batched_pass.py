@@ -17,7 +17,6 @@ from labelrnn.models import (
     VARIANT_GRU,
     VARIANTS,
     Grads,
-    bidirectional_pass,
     combine_bidirectional,
     make_position_masks,
     orient,
@@ -79,11 +78,11 @@ def test_sentence_pass_matches_position_reference(small_model_factory, tiny_seqs
         for history in (oseq.labels, (oseq.labels * 3 + 1) % model.n_labels):
             ref_loss, reference = _reference_sentence(model, oseq, history, masks, recurrent)
             # the reference's loss is against the gold labels whatever the history
-            grads = Grads()
-            loss = sentence_pass(model, oseq, history, grads, masks=masks)
+            grads, pass_masks = Grads(), None if masks is None else (masks,)
+            loss = sentence_pass((model,), seq, (grads,), pass_masks, history)
             assert abs(loss - ref_loss) <= RTOL * abs(ref_loss) + ATOL
             # the loss-only call, which the gradient check differentiates
-            assert sentence_pass(model, oseq, history, masks=masks) == loss
+            assert sentence_pass((model,), seq, masks=pass_masks, history=history) == loss
             dense = grads.to_dense(model)
             _assert_same(dense, reference)
             if recurrent:  # the pass is not the one-step truncation of the chain
@@ -95,8 +94,8 @@ def test_sentence_pass_scale_is_the_sentence_average(small_model_factory, tiny_s
     model = small_model_factory("irnn-deep", seed=12)
     oseq = tiny_seqs[0]
     full, scaled = Grads(), Grads()
-    sentence_pass(model, oseq, oseq.labels, full)
-    sentence_pass(model, oseq, oseq.labels, scaled, scale=1.0 / len(oseq))
+    sentence_pass((model,), oseq, (full,))
+    sentence_pass((model,), oseq, (scaled,), scale=1.0 / len(oseq))
     full_dense, scaled_dense = full.to_dense(model), scaled.to_dense(model)
     for name in full_dense:
         np.testing.assert_allclose(scaled_dense[name], full_dense[name] / len(oseq),
@@ -127,9 +126,9 @@ def test_bidirectional_pass_matches_position_reference(small_model_factory, tiny
         _reference_backward(bwd, cb, deltas_f[::-1], ref_b, chain=True)
 
         gf, gb = Grads(), Grads()
-        got = bidirectional_pass(fwd, bwd, seq, gf, gb, masks=masks)
+        got = sentence_pass((fwd, bwd), seq, (gf, gb), masks=masks)
         assert abs(got - loss) <= RTOL * abs(loss) + ATOL
-        assert bidirectional_pass(fwd, bwd, seq, masks=masks) == got
+        assert sentence_pass((fwd, bwd), seq, masks=masks) == got
         _assert_same(gf.to_dense(fwd), ref_f.to_dense(fwd))
         _assert_same(gb.to_dense(bwd), ref_b.to_dense(bwd))
 
@@ -305,12 +304,11 @@ def test_training_passes_multiply_out_no_weight_gradient(small_model_factory, ti
     other = small_model_factory(variant, "bwd" if direction == "fwd" else "fwd", seed=18,
                                 use_classes=True, use_chars=True)
     seq = tiny_seqs[0]
-    oseq = orient(seq, direction)
     grads = Grads()
-    sentence_pass(model, oseq, oseq.labels, grads, masks=_masks(model, len(oseq), seed=0))
+    sentence_pass((model,), seq, (grads,), masks=(_masks(model, len(seq), seed=0),))
     fwd, bwd = (model, other) if direction == "fwd" else (other, model)
     grads_f, grads_b = Grads(), Grads()
-    bidirectional_pass(fwd, bwd, seq, grads_f, grads_b)
+    sentence_pass((fwd, bwd), seq, (grads_f, grads_b))
     for g in (grads, grads_f, grads_b):
         assert g.dense and all(value.ndim == 1 for value in g.dense.values())
         assert set(g.factors) == set(model.weight_matrix_names())

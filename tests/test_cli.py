@@ -698,10 +698,15 @@ def _exit_and_output(run, argv, capsys):
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
 def test_main_parses_as_the_full_parser(argv, capsys):
     """main builds the options of the chosen subcommand only; help, usage
-    and every argparse error read byte for byte as the full parser's."""
+    and every argparse error read byte for byte as the full parser's. Help
+    exits 0; an error prints one error: line to stderr and exits 1."""
     got = _exit_and_output(main, argv, capsys)
     assert got == _exit_and_output(build_parser().parse_args, argv, capsys)
-    assert got[0] in (0, 2) and got[1] + got[2]
+    assert got[0] in (0, 1) and got[1] + got[2]
+    if "--help" not in argv:
+        code, out, err = got
+        assert code == 1 and not out and err.startswith("error: ") and err.count("\n") == 1, got
+        assert err.endswith("\n")
     if argv == ["--help"]:
         for cmd in ("generate", "pretrain", "train", "tag", "eval"):
             assert cmd in got[1]

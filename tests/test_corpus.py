@@ -84,6 +84,19 @@ def test_write_then_load_round_trip(tmp_path):
     assert load_column_file(path) == sentences
 
 
+def test_words_only_files_round_trip(tmp_path):
+    sentences = [Sentence(words=["Show", "flights"]), Sentence(words=["bye"])]
+    path = tmp_path / "rt.txt"
+    write_column_file(sentences, path)
+    assert path.read_text() == "Show\nflights\n\nbye\n\n"
+    assert load_column_file(path, (1, 2, 3)) == sentences
+
+
+def test_classes_without_labels_are_not_written(tmp_path):
+    with pytest.raises(DataError, match="classes but no labels"):
+        write_column_file([Sentence(words=["a"], classes=["city"])], tmp_path / "c.txt")
+
+
 # Field characters, whitespace that str.strip removes but that breaks no line,
 # and the line breaks that reading translates.
 FIELD_CHARS = ["a", "\u00e9", "-", " ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"]
@@ -135,6 +148,8 @@ def _sentences(n_columns):
 
     def sentence(rows):
         columns = [list(col) for col in zip(*rows)]
+        if n_columns == 1:
+            return Sentence(words=columns[0])
         if n_columns == 2:
             return Sentence(words=columns[0], labels=columns[1])
         return Sentence(words=columns[0], classes=columns[1], labels=columns[2])
@@ -143,10 +158,10 @@ def _sentences(n_columns):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(_sentences))
+@given(st.sampled_from([1, 2, 3]).flatmap(_sentences))
 def test_write_then_load_round_trips_any_fields(column_path, sentences):
     write_column_file(sentences, column_path)
-    assert load_column_file(column_path) == sentences
+    assert load_column_file(column_path, (1, 2, 3)) == sentences
 
 
 # -- vocabulary -----------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from labelrnn.mathcore import new_rng
-from labelrnn.models import VARIANTS, Grads, orient, sentence_pass
+from labelrnn.models import VARIANTS, Grads, sentence_pass
 from labelrnn.pretrain import build_nnlm, nnlm_sequence_pass
 from labelrnn.training import SgdMomentum
 
@@ -55,9 +55,8 @@ def test_step_bytes_reads_a_sentence_gradient(monkeypatch, small_model_factory, 
                                               variant):
     run = _load_run_py(monkeypatch)
     model = small_model_factory(variant, use_classes=True, use_chars=True)
-    oseq = orient(tiny_seqs[0], model.direction)
     grads = Grads()
-    sentence_pass(model, oseq, oseq.labels, grads)
+    sentence_pass((model,), tiny_seqs[0], (grads,))
     got = run._step_bytes((SgdMomentum(model, 0.5, 0.0), grads))
     assert isinstance(got, int) and got > 0
 

@@ -16,9 +16,7 @@ from labelrnn.models import (
     Grads,
     combine_bidirectional,
     make_position_masks,
-    orient,
     sentence_pass,
-    sequence_grads,
     tag_bidirectional,
     tag_greedy,
 )
@@ -28,6 +26,7 @@ from labelrnn.training import (
     TrainConfig,
     TrainLogEntry,
     best_entry,
+    bidirectional_gradient_check,
     gradient_check,
     lr_at,
     train_bidirectional,
@@ -199,8 +198,7 @@ def test_frozen_embeddings_do_not_move(small_model_factory, tiny_seqs):
         model = small_model_factory(variant, use_classes=True, use_chars=True)
         before = copy.deepcopy(model.params)
         grads = Grads()
-        oseq = orient(tiny_seqs[1], model.direction)
-        sentence_pass(model, oseq, oseq.labels, grads)
+        sentence_pass((model,), tiny_seqs[1], (grads,))
         # E_w, E_c and E_l are row ranges of the stacked table
         assert set(grads.rows) == {STACKED_TABLE, "E_ch"}
         SgdMomentum(model, momentum=0.5, lam=0.1, l2_include_all=True, max_grad_norm=1.0,
@@ -339,21 +337,42 @@ def test_scheduled_sampling_smoke(tiny_vocab, tiny_seqs):
     assert len(log) == 2
 
 
-@pytest.mark.parametrize("variant", ["irnn", "irnn-gru", "irnn-deep"])
-def test_training_step_applies_the_checked_gradient(small_model_factory, tiny_seqs, variant):
-    # Without dropout, momentum, L2 and clipping one step is w <- w - lr * g / n,
-    # g being the gradient that gradient_check verifies (through time for the GRU).
-    model = small_model_factory(variant, use_classes=True, use_chars=True, seed=4)
+@pytest.mark.parametrize("variant,directions", [
+    pytest.param(variant, directions,
+                 id=variant if directions == ("fwd",) else "-".join((variant, *directions)))
+    for directions in (("fwd",), ("bwd",), ("fwd", "bwd"))
+    for variant in ("irnn", "irnn-gru", "irnn-deep")])
+def test_training_step_applies_the_checked_gradient(small_model_factory, tiny_seqs, monkeypatch,
+                                                    variant, directions):
+    # Without dropout, momentum, L2 and clipping one step moves each model by
+    # w <- w - lr * g / n, g being the analytic gradient that gradient_check,
+    # or bidirectional_gradient_check for the pair, verifies (through time
+    # for the GRU): the gradient its pass hands back.
+    models = tuple(small_model_factory(variant, direction, use_classes=True, use_chars=True,
+                                       seed=4 + k) for k, direction in enumerate(directions))
     config = small_config(dropout_embed=0.0, dropout_hidden=0.0, momentum=0.0,
                           lambda_l2=0.0, max_grad_norm=0.0)
     seq, lr = tiny_seqs[1], 0.3
-    expected = sequence_grads(model, seq)
-    before = {name: value.copy() for name, value in model.params.items()}
-    opt = SgdMomentum(model, config.momentum, config.lambda_l2)
-    training._train_sentence(model, opt, seq, lr, config, new_rng(0))
-    for name, value in model.params.items():
-        np.testing.assert_allclose(value - before[name], -lr * expected[name] / len(seq),
-                                   rtol=1e-10, atol=1e-15, err_msg=name)
+    checked, real = [], training.sentence_pass
+
+    def recording(passed, seq, grads=None, *args, **kwargs):
+        if grads is not None:
+            checked.append(grads)
+        return real(passed, seq, grads, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "sentence_pass", recording)
+        check = gradient_check if len(models) == 1 else bidirectional_gradient_check
+        check(*models, seq, samples_per_tensor=1)
+    (grads,) = checked
+    expected = [g.to_dense(m) for g, m in zip(grads, models)]
+    before = [{name: value.copy() for name, value in m.params.items()} for m in models]
+    opts = tuple(SgdMomentum(m, config.momentum, config.lambda_l2) for m in models)
+    training._train_sentence(models, opts, seq, lr)
+    for model, start, g in zip(models, before, expected):
+        for name, value in model.params.items():
+            np.testing.assert_allclose(value - start[name], -lr * g[name] / len(seq),
+                                       rtol=1e-10, atol=1e-15, err_msg=name)
 
 
 def _per_position_masks(model, config, rng, n):
@@ -506,12 +525,12 @@ def test_bidirectional_determinism(tiny_vocab, tiny_seqs):
 
 def test_gradient_check_detects_sign_flip(small_model_factory, tiny_seqs, monkeypatch):
     model = small_model_factory("irnn", d_c=0, use_chars=False)
-    real = training.sequence_grads
+    real = training.sentence_pass
 
-    def corrupted(m, seq):
-        return {name: -g for name, g in real(m, seq).items()}
+    def corrupted(models, seq, grads=None, *args, scale=1.0, **kwargs):
+        return real(models, seq, grads, *args, scale=-scale, **kwargs)
 
-    monkeypatch.setattr(training, "sequence_grads", corrupted)
+    monkeypatch.setattr(training, "sentence_pass", corrupted)
     report = gradient_check(model, tiny_seqs[0], rng=new_rng(0), samples_per_tensor=10)
     assert max(report.values()) > 1e-1
 

@@ -13,7 +13,9 @@ any trained number.
 Everything runs on generate_corpus(40, seed=11), with one BLAS thread:
 - desk sizes (embed 24, hidden 48, 7-word window) and paper sizes (embed and
   hidden 200, 11-word window);
-- words only, and words with classes and chars;
+- words only, and words with classes and chars; at desk sizes also words
+  with classes and chars under scheduled sampling, clipping, L2 on every
+  tensor and embeddings frozen in fine-tuning;
 - irnn, irnn-gru and irnn-deep, each trained fwd and bwd for two epochs, then
   fine-tuned as a bidirectional pair for one;
 - greedy tag of the test and the train split with every fwd and bwd model,
@@ -53,6 +55,10 @@ SCALES = {
     "paper": ("embed_size=200", "hidden_size=200", "first_level_size=200", "d_w=5"),
 }
 INPUTS = {"words": (), "classes-chars": ("--use-classes", "--use-chars", "--set", "d_c=1")}
+# Input sets trained at desk sizes only.
+DESK_INPUTS = {"sampled-clipped": INPUTS["classes-chars"] + tuple(
+    arg for field in ("predicted_label_prob=0.5", "max_grad_norm=1", "l2_include_all=1",
+                      "freeze_embeddings_bidir=1") for arg in ("--set", field))}
 GRADIENT_SAMPLES = 5  # coordinates per tensor
 
 
@@ -95,7 +101,7 @@ def build(out: Path):
          "--embed-size", 24, "--hidden-size", 48, "--out", out / "nnlm.words.emb")
     for scale, fields in SCALES.items():
         sets = [arg for field in COMMON + fields for arg in ("--set", field)]
-        for inputs, flags in INPUTS.items():
+        for inputs, flags in (INPUTS | DESK_INPUTS if scale == "desk" else INPUTS).items():
             for variant in VARIANTS:
                 base = out / f"{scale}.{inputs}.{variant}"
                 common = ("--variant", variant, "--train", data["train"], "--dev", data["dev"],
