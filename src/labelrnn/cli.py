@@ -23,6 +23,7 @@ from .corpus import (
     decode_labels,
     encode_all,
     load_column_file,
+    open_output,
     read_text,
     require_inputs,
     write_column_file,
@@ -143,7 +144,7 @@ def _write_manifest(path, config: TrainConfig, inputs: dict):
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -211,7 +212,7 @@ def cmd_train(args) -> int:
     vocab.save(args.out + ".vocab")
     write_log(log, args.out + ".log")
     best = best_entry(log, config.dev_metric)
-    with open(args.out + ".summary", "w", encoding="utf-8") as fh:
+    with open_output(args.out + ".summary") as fh:
         fh.write(f"best_epoch={best.epoch}\nbest_dev_acc={best.dev_acc:.4f}\n"
                  f"best_dev_f1={best.dev_f1:.4f}\nfinal_train_loss={log[-1].train_loss:.6f}\n")
     _info(f"wrote model to {args.out} (best dev acc {best.dev_acc:.2f}%)")
@@ -245,7 +246,7 @@ def cmd_tag(args) -> int:
     # held at once; the labels of every sentence are kept and written in
     # input order after the last group.
     labels = [None] * len(sentences)
-    with open(args.output, "w", encoding="utf-8") as out:
+    with open_output(args.output) as out:
         for group in decode_groups(sentences):
             seqs = encode_all([sentences[i] for i in group], vocab, *models, with_labels=False)
             for i, decoded in zip(group, tagger(*models, seqs)):
@@ -277,7 +278,7 @@ def cmd_eval(args) -> int:
     report = evaluate([s.labels for s in gold], [s.labels for s in pred], mode=args.chunk_mode)
     print(report.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(report.to_kv())
     return 0
 

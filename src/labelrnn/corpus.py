@@ -8,8 +8,9 @@ Text to be tagged may also come as 1 field (word).
 
 import os
 import re
+import stat
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -135,7 +136,7 @@ class Vocabulary:
         return fnv1a64(self.serialize().encode("utf-8"))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             fh.write(self.serialize())
 
     @classmethod
@@ -265,13 +266,34 @@ def _raise_not_utf8(path):
     raise ParseError(f"{path}{where} not UTF-8 text") from None
 
 
+@contextmanager
+def open_output(path, binary=False):
+    """The writer of every output file: a UTF-8 text or binary file object
+    that writes path in place, from its start. Truncating on open can stall
+    for tens of milliseconds on ext4, so a regular file is cut to what was
+    written only when the block ends, normally or by an exception. Symlinks
+    are followed, hard links see the new bytes, an existing file keeps its
+    mode and a new one gets open()'s. Nothing calls fsync."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if info.st_size > end:
+                    os.ftruncate(fd, end)
+
+
 def write_column_file(sentences, out):
     """Write sentences as a column file to out: a path, or a text file open
     for writing, which the sentences are appended to. A sentence's columns
     are those it has, in file order: words, classes, labels. Classes without
     labels raise DataError, as two columns read as words and labels."""
     is_path = isinstance(out, (str, os.PathLike))
-    with open(out, "w", encoding="utf-8") if is_path else nullcontext(out) as fh:
+    with open_output(out) if is_path else nullcontext(out) as fh:
         for sent in sentences:
             if sent.labels is None and sent.classes is not None:
                 raise DataError("a sentence with word classes but no labels has no column layout")

@@ -26,4 +26,4 @@ class ModelIOError(LabelRnnError):
 
 
 class TrainingDivergedError(LabelRnnError):
-    """An epoch's training loss is not finite."""
+    """An epoch's training loss, or a dev distribution after it, is not finite."""

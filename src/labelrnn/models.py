@@ -28,6 +28,7 @@ from .corpus import (
     WORD_BOS_ID,
     WORD_EOS_ID,
     EncodedSequence,
+    open_output,
     require_inputs,
 )
 from .errors import ConfigError, ModelIOError, ShapeError
@@ -922,8 +923,8 @@ def save_model(model: TaggerModel, path):
         out += struct.pack(f"<H{len(encoded)}sI{len(shape)}I", len(encoded), encoded, len(shape), *shape)
     for name in names:
         out += np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    with open_output(path, binary=True) as fh:
+        fh.write(out)
 
 
 def load_model(path) -> TaggerModel:

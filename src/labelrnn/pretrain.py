@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_lines
+from .corpus import open_output, read_lines
 from .errors import ConfigError, ParseError
 from .layers import (embed_concat, embed_concat_backward, label_context_indices, output_backward,
                      output_forward, relu_hidden_backward, relu_hidden_forward)
@@ -163,7 +163,7 @@ def load_external_embeddings(path, token_to_id: dict, table: np.ndarray) -> int:
 
 
 def save_embeddings(table: np.ndarray, id_to_token: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for idx in range(table.shape[0]):
             values = " ".join(repr(float(v)) for v in table[idx])
             fh.write(f"{id_to_token[idx]} {values}\n")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import CHUNK_MODES, DEFAULT_CHUNK_MODE, decode_labels, require_inputs
+from .corpus import CHUNK_MODES, DEFAULT_CHUNK_MODE, decode_labels, open_output, require_inputs
 from .errors import ConfigError, DataError, ShapeError, TrainingDivergedError
 from .layers import _weight_grad, merge_rows
 from .mathcore import new_rng
@@ -180,7 +180,7 @@ class TrainLogEntry:
 
 
 def write_log(entries, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write("epoch\tlr\ttrain_loss\tdev_acc\tdev_f1\n")
         for entry in entries:
             fh.write(entry.line() + "\n")
@@ -430,11 +430,19 @@ def _select_on_dev(epochs, last, models, decode_dev, dev_seqs, vocab, config, un
     numbered -1 stands for the models before training, kept as untouched,
     and stays out of the log. After epoch last the models are kept as they
     are, as nothing trains them further; after any other, copied into
-    buffers made at most once per call. Returns (kept models, log)."""
+    buffers made at most once per call. Returns (kept models, log). Dev is
+    decoded with run_epochs's numpy warnings off; after a trained epoch, a
+    dev distribution that is not finite raises TrainingDivergedError naming
+    the epoch."""
     golds = [decode_labels(seq.labels, vocab) for seq in dev_seqs]
     candidates, kept, buffers = [], None, None
     for epoch, lr, loss in epochs:
-        preds = [decode_labels(out.labels, vocab) for out in decode_dev()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outs = decode_dev()
+        if epoch >= 0 and not all(np.isfinite(out.dists).all() for out in outs):
+            raise TrainingDivergedError(
+                f"a dev distribution is not finite after epoch {epoch}; training diverged")
+        preds = [decode_labels(out.labels, vocab) for out in outs]
         report = evaluate(golds, preds, config.chunk_mode)
         candidates.append(TrainLogEntry(epoch, lr, loss, report.token_accuracy, report.f1))
         if best_entry(candidates, config.dev_metric) is not candidates[-1]:

@@ -92,7 +92,7 @@ def test_dev_selection_copies_into_buffers_made_once(small_model_factory, tiny_v
 
     def decode():  # a sentence decoded wrong is all O
         return [mock.Mock(labels=seq.labels if i < schedule[epoch[0]]
-                          else np.full_like(seq.labels, outside))
+                          else np.full_like(seq.labels, outside), dists=np.zeros((len(seq), 1)))
                 for i, seq in enumerate(tiny_seqs)]
 
     (kept,), log = training._select_on_dev(epochs(), len(schedule) - 1, (model,), decode,

@@ -307,6 +307,20 @@ def test_train_non_finite_loss_fails_cleanly(corpus_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_whose_dev_distributions_diverge_fails_cleanly(tmp_path, capsys, epochs):
+    train_file = tmp_path / "t.txt"
+    train_file.write_text("a\tX-B\nb\tO\nc\tX-B\n\n")
+    out = tmp_path / "m.bin"
+    rc = _main_without_warnings(["train", "--variant", "irnn", "--direction", "fwd",
+                                 "--train", str(train_file), "--out", str(out),
+                                 "--set", "lr0=1e300", "--set", f"epochs_fwd_bwd={epochs}"])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: a dev distribution is not finite after epoch 0; training diverged"]
+    assert not out.exists()
+
+
 def _error_lines(err):
     assert "Traceback" not in err
     return [line for line in err.splitlines() if line.startswith("error:")]
@@ -644,6 +658,29 @@ def test_eval_gold_as_prediction(corpus_dir, tmp_path, capsys):
     kv = dict(line.split("=") for line in out.read_text().strip().splitlines())
     assert float(kv["f1"]) == 100.0
     assert float(kv["cer"]) == 0.0
+
+
+def _over_a_longer_file(path):
+    """path, holding more bytes than any output written over it here."""
+    path.write_text("a longer file than the output\tO\n" * 2000)
+    return path
+
+
+def test_eval_out_over_a_longer_file_writes_the_report_alone(corpus_dir, tmp_path):
+    gold = corpus_dir / "test.txt"
+    args = ["eval", "--gold", str(gold), "--pred", str(gold), "--out"]
+    assert main(args + [str(tmp_path / "fresh.kv")]) == 0
+    assert main(args + [str(_over_a_longer_file(tmp_path / "old.kv"))]) == 0
+    assert (tmp_path / "old.kv").read_bytes() == (tmp_path / "fresh.kv").read_bytes()
+
+
+def test_tag_output_over_a_longer_file_writes_the_labels_alone(trained_model, corpus_dir,
+                                                               tmp_path):
+    args = ["tag", "--model", str(trained_model), "--input", str(corpus_dir / "test.txt"),
+            "--output"]
+    assert main(args + [str(tmp_path / "fresh.txt")]) == 0
+    assert main(args + [str(_over_a_longer_file(tmp_path / "old.txt"))]) == 0
+    assert (tmp_path / "old.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
 
 
 def test_eval_unequal_sentence_counts(corpus_dir, tmp_path, capsys):

@@ -1,7 +1,13 @@
+import ast
+import os
+import stat
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import labelrnn
 from labelrnn.corpus import (
     BOL,
     Sentence,
@@ -13,6 +19,7 @@ from labelrnn.corpus import (
     encode,
     encode_all,
     load_column_file,
+    open_output,
     write_column_file,
 )
 from labelrnn.errors import DataError, ParseError
@@ -131,6 +138,7 @@ def column_path(tmp_path_factory):
 @settings(max_examples=500, deadline=None)
 @given(_column_texts(), st.sampled_from([(2, 3), (1, 2, 3)]))
 def test_load_column_file_agrees_with_the_line_by_line_reader(column_path, text, fields):
+    column_path.unlink(missing_ok=True)  # a new file: truncating one can stall on ext4
     column_path.write_bytes(text.encode("utf-8"))
     assert (_load_or_message(load_column_file, column_path, fields)
             == _load_or_message(reference_load_column_file, column_path, fields))
@@ -162,6 +170,126 @@ def _sentences(n_columns):
 def test_write_then_load_round_trips_any_fields(column_path, sentences):
     write_column_file(sentences, column_path)
     assert load_column_file(column_path, (1, 2, 3)) == sentences
+
+
+# -- output files ---------------------------------------------------------
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_open_output_leaves_exactly_the_new_bytes(tmp_path, binary):
+    path = tmp_path / "out"
+    path.write_text("a much longer old file\n" * 10)
+    with open_output(path, binary=binary) as fh:
+        fh.write(b"new\n" if binary else "n\u00e9w\n")
+    assert path.read_bytes() == (b"new\n" if binary else "n\u00e9w\n".encode("utf-8"))
+
+
+def test_open_output_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old contents\n")
+    link.symlink_to(target)
+    with open_output(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == "new\n"
+
+
+def test_open_output_is_seen_through_a_hard_link(tmp_path):
+    path, other = tmp_path / "out", tmp_path / "other"
+    path.write_text("old contents\n")
+    os.link(path, other)
+    with open_output(path) as fh:
+        fh.write("new\n")
+    assert other.read_text() == "new\n"
+    assert path.stat().st_ino == other.stat().st_ino
+
+
+def test_open_output_keeps_a_mode_and_gives_a_new_file_open_s_mode(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("old contents\n")
+    path.chmod(0o640)
+    with open_output(path) as fh:
+        fh.write("new\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    with open(tmp_path / "by-open", "w"):
+        pass
+    with open_output(tmp_path / "new") as fh:
+        fh.write("new\n")
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "by-open").stat().st_mode
+
+
+def test_open_output_writes_a_device_without_a_cut():
+    with open_output(os.devnull) as fh:
+        fh.write("discarded\n")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_open_output_keeps_what_was_written_before_an_exception(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("a much longer old file\n")
+    with pytest.raises(DataError):
+        with open_output(path) as fh:
+            fh.write("partial\n")
+            raise DataError("stop")
+    assert path.read_text() == "partial\n"
+
+
+def _writes_outside_open_output(source):
+    """(line, call) of each call in source that opens a file for writing,
+    appending or creating, or calls write_text or write_bytes, outside the
+    function open_output. A mode or flags that are not literal count as
+    writing."""
+    found = []
+
+    def visit(node, inside):
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name == "open_output"
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("write_text", "write_bytes"):
+                found.append((node.lineno, name))
+            elif name == "open" and ast.unparse(func) == "os.open":
+                if {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"} & {
+                        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}:
+                    found.append((node.lineno, ast.unparse(node)))
+            elif name in ("open", "fdopen"):
+                # open(file, mode), io.open and os.fdopen alike; Path.open(mode).
+                at = 1 if ast.unparse(func) in ("open", "io.open", "os.fdopen") else 0
+                mode = node.args[at] if len(node.args) > at else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    found.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "open(p, 'w')", "open(p, mode='a')", "open(p, 'xb')", "open(p, 'r+')", "open(p, m)",
+    "io.open(p, 'wb')", "os.fdopen(fd, 'w')", "Path(p).open('w')", "p.write_text('x')",
+    "p.write_bytes(b'x')", "os.open(p, os.O_WRONLY | os.O_CREAT)",
+    "def f():\n    with open(p, 'w'): pass",
+])
+def test_the_writer_scan_finds_each_kind_of_writer(source):
+    assert len(_writes_outside_open_output(source)) == 1
+
+
+def test_the_writer_scan_passes_readers_and_open_output():
+    assert _writes_outside_open_output(
+        "open(p)\nopen(p, 'rb')\nopen(p, encoding='utf-8')\nos.open(p, os.O_RDONLY)\n"
+        "Path(p).open()\nPath(p).open('rb')\n"
+        "def open_output(p):\n    fd = os.open(p, os.O_WRONLY)\n    open(fd, 'w')\n") == []
+
+
+def test_every_output_file_is_written_by_open_output():
+    """A writer that truncates on open brings back the stall open_output
+    avoids; every module of the package writes through open_output."""
+    sources = sorted(Path(labelrnn.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: _writes_outside_open_output(path.read_text(encoding="utf-8"))
+             for path in sources}
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 # -- vocabulary -----------------------------------------------------------
