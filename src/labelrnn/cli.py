@@ -43,7 +43,8 @@ from .models import (
 )
 from .pretrain import load_external_embeddings, save_embeddings, train_nnlm
 from .synthetic import Grammar, generate_corpus_files
-from .training import TrainConfig, best_entry, train_bidirectional, train_tagger, write_log
+from .training import (TrainConfig, best_entry, require_training_data, train_bidirectional,
+                       train_tagger, write_log)
 
 
 def _sha256(path) -> str:
@@ -156,28 +157,52 @@ def _load_init_table(path, token_to_id, rows, cols, seed):
     return table
 
 
+def _load_pair(args):
+    """The models of --fwd-model and --bwd-model, each checked to run in the
+    direction its flag names."""
+    pair = []
+    for flag, path, direction in (("--fwd-model", args.fwd_model, DIR_FWD),
+                                  ("--bwd-model", args.bwd_model, DIR_BWD)):
+        model = load_model(path)
+        if model.direction != direction:
+            raise ConfigError(
+                f"{flag} {path} holds a {model.direction} model, not a {direction} one")
+        pair.append(model)
+    return pair
+
+
 def cmd_train(args) -> int:
-    config = _resolve_config(args)
     bidir = args.direction == "bidir"
+    # Fine-tuning reads a trained pair; fwd and bwd training read pretrained tables.
+    ignored = ({"--word-emb": args.word_emb, "--label-emb": args.label_emb} if bidir
+               else {"--fwd-model": args.fwd_model, "--bwd-model": args.bwd_model})
+    unread = [flag for flag, path in ignored.items() if path]
+    if unread:
+        raise ConfigError(f"--direction {args.direction} does not read {' or '.join(unread)}")
+    config = _resolve_config(args)
     if bidir:
         if not args.fwd_model or not args.bwd_model:
             raise ConfigError("--direction bidir requires --fwd-model and --bwd-model")
-        fwd = load_model(args.fwd_model)
-        bwd = load_model(args.bwd_model)
+        fwd, bwd = _load_pair(args)
     readers = (fwd, bwd) if bidir else (config,)
     train_sents = _load_sentences(args.train, *readers)
     dev_sents = _load_sentences(args.dev, *readers) if args.dev else train_sents
-
+    require_training_data(train_sents, dev_sents)
     if bidir:
         vocab = Vocabulary.load(args.fwd_model + ".vocab")
         if fwd.vocab_hash != vocab.hash() or bwd.vocab_hash != vocab.hash():
             raise ConfigError("component models disagree with the stored vocabulary")
-        inputs = {"train": args.train, "fwd_model": args.fwd_model, "bwd_model": args.bwd_model}
-        if args.dev:
-            inputs["dev"] = args.dev
-        _write_manifest(args.out + ".manifest.json", config, inputs)
-        train_seqs = encode_all(train_sents, vocab, *readers)
-        dev_seqs = encode_all(dev_sents, vocab, *readers)
+    else:
+        vocab = build_vocabulary(train_sents, min_count=config.min_count,
+                                 lowercase=config.lowercase)
+    inputs = {name: getattr(args, name) for name in
+              ("train", "fwd_model", "bwd_model", "dev", "word_emb", "label_emb")
+              if getattr(args, name)}
+    _write_manifest(args.out + ".manifest.json", config, inputs)
+    train_seqs = encode_all(train_sents, vocab, *readers)
+    dev_seqs = encode_all(dev_sents, vocab, *readers)
+
+    if bidir:
         fwd2, bwd2, log = train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config)
         save_model(fwd2, args.out + ".fwd")
         save_model(bwd2, args.out + ".bwd")
@@ -187,18 +212,6 @@ def cmd_train(args) -> int:
         return 0
 
     direction = DIR_FWD if args.direction == "fwd" else DIR_BWD
-    vocab = build_vocabulary(train_sents, min_count=config.min_count,
-                             lowercase=config.lowercase)
-    inputs = {"train": args.train}
-    if args.dev:
-        inputs["dev"] = args.dev
-    for name in ("word_emb", "label_emb"):
-        if getattr(args, name):
-            inputs[name] = getattr(args, name)
-    _write_manifest(args.out + ".manifest.json", config, inputs)
-
-    train_seqs = encode_all(train_sents, vocab, *readers)
-    dev_seqs = encode_all(dev_sents, vocab, *readers)
     init_w = init_l = None
     if args.word_emb:
         init_w = _load_init_table(args.word_emb, vocab.words, vocab.n_words,
@@ -225,13 +238,12 @@ def cmd_tag(args) -> int:
     if args.model and (args.fwd_model or args.bwd_model):
         raise ConfigError("tag takes --model, or --fwd-model plus --bwd-model, not both")
     if args.model:
-        paths = [args.model]
+        models = [load_model(args.model)]
     elif args.fwd_model and args.bwd_model:
-        paths = [args.fwd_model, args.bwd_model]
+        models = _load_pair(args)
     else:
         raise ConfigError("tag requires --model, or --fwd-model plus --bwd-model")
-    models = [load_model(path) for path in paths]
-    vocab = Vocabulary.load(args.vocab or paths[0] + ".vocab")
+    vocab = Vocabulary.load(args.vocab or (args.model or args.fwd_model) + ".vocab")
     vocab_hash = vocab.hash()
     if any(m.vocab_hash != vocab_hash for m in models):
         raise ConfigError("vocabulary hash mismatch between model and vocabulary file")

@@ -41,12 +41,12 @@ from .layers import (
     gru_backward,
     gru_forward,
     gru_step,
+    label_context_indices,
     merge_rows,
     output_backward,
     output_forward,
     relu_hidden_backward,
     relu_hidden_forward,
-    window_indices,
 )
 from .mathcore import dropout_mask, softmax, xavier_init
 
@@ -349,45 +349,21 @@ class Grads:
 
 # -- forward/backward over a stack of positions -------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _window_plan(d_w, d_l, use_classes, class_row, label_row, n):
-    """What _table_windows needs for one model shape and sentence length n:
-    the pads of each segment of the padded id array, shifted to rows of the
-    stacked table, and the offset in that array of each gathered column at
-    position 0."""
-    pads = [np.full(d_w, WORD_BOS_ID), np.full(d_w, WORD_EOS_ID)]
-    if use_classes:
-        pads += [np.full(d_w, class_row + CLASS_BOS_ID), np.full(d_w, class_row + CLASS_EOS_ID)]
-    pads.append(np.full(d_l, label_row + LABEL_BOL_ID))
-    windows = [2 * d_w + 1] * (2 if use_classes else 1) + [d_l]
-    offsets = np.concatenate([np.arange(k) + s * (n + 2 * d_w) for s, k in enumerate(windows)])
-    for a in (*pads, offsets):
-        a.flags.writeable = False
-    return pads, offsets
+def _window_rows(model, oseqs, windows) -> dict:
+    """The word windows and, when the model reads classes, the class
+    windows of the oriented sentences oseqs as rows of the stacked table:
+    "w" and "c" each hold one row of ids per row of windows.
 
-
-def _table_windows(model, seq, t, history):
-    """Rows of the stacked table at the positions in the index array t: the
-    word window, the class window and the label context side by side, the
-    ids window_indices and label_context_indices give, each shifted to its
-    table's rows.
-
-    One padded array holds a segment per window type, n + 2 * d_w ids each
-    for words and classes and then the label context's BOLs and history, so
-    slot k of a window at position t reads its segment at t + k.
+    windows is _group_layout's over oseqs: each row holds a window as places
+    in the sentences' concatenated tokens followed by a left and a right pad.
     """
-    rows = model.store.table_rows
-    pads, offsets = _window_plan(model.d_w, model.d_l, model.use_classes, rows.get("E_c", 0),
-                                 rows["E_l"], len(seq))
-    parts = [pads[0], seq.words, pads[1]]
+    words = np.concatenate([s.words for s in oseqs] + [(WORD_BOS_ID, WORD_EOS_ID)])
+    rows = {"w": words[windows]}  # E_w comes first, so a word id is its row
     if model.use_classes:
-        parts += [pads[2], seq.classes + rows["E_c"], pads[3]]
-    if model.ablate_label_context:  # every context is the first position's, all BOL
-        labels = np.full(len(history), rows["E_l"] + LABEL_BOL_ID)
-    else:
-        labels = np.asarray(history, dtype=np.intp) + rows["E_l"]
-    padded = np.concatenate(parts + [pads[-1], labels])
-    return padded[np.add.outer(t, offsets)]
+        classes = np.concatenate([s.classes for s in oseqs] + [(CLASS_BOS_ID, CLASS_EOS_ID)])
+        classes += model.store.table_rows["E_c"]
+        rows["c"] = classes[windows]
+    return rows
 
 
 def position_forward(model, seq, t, history, masks=None, h_prev=None):
@@ -403,7 +379,13 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     """
     p = model.params
     masks = masks or {}
-    idx = _table_windows(model, seq, t, history)
+    if model.ablate_label_context:  # every context is the first position's, all BOL
+        context = np.full((len(t), model.d_l), LABEL_BOL_ID)
+    else:
+        context = label_context_indices(history, t, model.d_l, LABEL_BOL_ID)
+    context += model.store.table_rows["E_l"]
+    windows = _group_layout((len(seq),), model.d_w)[3][t]
+    idx = np.concatenate((*_window_rows(model, (seq,), windows).values(), context), axis=1)
     x_e = embed_concat(model.store.table, idx)
     if "e" in masks:
         x_e *= masks["e"]
@@ -649,27 +631,18 @@ def _split_input_layer(model, x, W, b):
     return term, table
 
 
-# Word and class windows: (sequence field, left pad, right pad, table).
-_WINDOWS = {"w": ("words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
-            "c": ("classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")}
-
-
 def _unlabeled_inputs(model, oseqs, order, windows):
     """The input pieces other than the label context at every position of
     oseqs, one row per position in the given order of the concatenated
-    positions.
-
-    Each window is gathered from the concatenation of the sentences' tokens
-    followed by the left and the right pad; row k of windows (_group_layout's)
-    holds the places in it of the window of row k.
+    positions; row k of windows (_group_layout's) is the window of row k.
+    Each window is gathered from the stacked table on its own.
     """
     p = model.params
+    ids = _window_rows(model, oseqs, windows)
     x = {}
     for name, _ in model.input_pieces():
-        if name in _WINDOWS:
-            tokens, bos, eos, table = _WINDOWS[name]
-            padded = np.concatenate([getattr(s, tokens) for s in oseqs] + [(bos, eos)])
-            x[name] = embed_concat(p[table], padded[windows])
+        if name in ids:
+            x[name] = embed_concat(model.store.table, ids[name])
         elif name == "ch":
             chars = [c for s in oseqs for c in s.chars]
             x[name], _ = char_conv_forward([chars[i] for i in order], p["E_ch"], p["W_conv"],
@@ -751,17 +724,18 @@ def _decode_group(model, oseqs):
 
 
 # The cache pays when a group's lengths repeat: in one-sentence calls, whose
-# lengths span a short range, in training's dev pass after its first epoch,
-# and for the backward model of a bidirectional call, which reuses the
-# forward model's layouts. Groups of 32 from a new file rarely repeat. A
-# layout costs about 30 us for one sentence and 85 us for 32 (2-core machine,
-# timeit). At most 64 are kept: a group of DECODE_GROUP paper-size sentences
-# holds about 40 KB of index arrays.
+# lengths span a short range (position_forward's training passes among
+# them), in training's dev pass after its first epoch, and for the backward
+# model of a bidirectional call, which reuses the forward model's layouts.
+# Groups of 32 from a new file rarely repeat. A layout costs about 30 us for
+# one sentence and 85 us for 32 (2-core machine, timeit). At most 64 are
+# kept: a group of DECODE_GROUP paper-size sentences holds about 40 KB of
+# index arrays.
 @functools.lru_cache(maxsize=64)
 def _group_layout(lens, d_w):
     """What _decode_group needs for sentences of the given lengths, longest
     first, and word windows of d_w: (starts, order, inverse, windows, steps),
-    the arrays read-only.
+    the arrays read-only. position_forward reads the windows of one sentence.
 
     starts holds the first row of each sentence in their concatenation.
     order holds the concatenated position at each row of the step-major

@@ -413,11 +413,15 @@ def best_entry(entries, metric: str) -> TrainLogEntry:
     return max(entries, key=lambda e: e.dev_acc if metric == "accuracy" else e.dev_f1)
 
 
-def _require_training_set(train_seqs):
+def require_training_data(train_seqs, dev_seqs):
     """A tagger trains on at least one sequence, and on no empty one (its
-    gradient is averaged over its positions)."""
+    gradient is averaged over its positions), and is selected on at least
+    one dev sequence: over none every epoch would score 0, and the first
+    candidate would be kept."""
     if not train_seqs:
         raise ConfigError("training set is empty")
+    if not dev_seqs:
+        raise DataError("dev set is empty")
     for i, seq in enumerate(train_seqs):
         if not len(seq):
             raise DataError(f"training sequence {i} is empty")
@@ -513,7 +517,7 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
                  direction: str, init_word_emb=None, init_label_emb=None, rng=None):
     """Full training of one directional tagger; returns (dev-best model, log)."""
     config.validate()
-    _require_training_set(train_seqs)
+    require_training_data(train_seqs, dev_seqs)
     require_inputs([*train_seqs, *dev_seqs], config)
     if rng is None:
         rng = new_rng(config.seed)
@@ -561,7 +565,7 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     config.validate()
     if fwd.direction != DIR_FWD:
         raise ConfigError("first model must be the forward one")
-    _require_training_set(train_seqs)
+    require_training_data(train_seqs, dev_seqs)
     require_inputs([*train_seqs, *dev_seqs], fwd, bwd)
     if rng is None:
         rng = new_rng(config.seed)

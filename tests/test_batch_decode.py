@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from labelrnn import models
-from labelrnn.corpus import (CLASS_BOS_ID, CLASS_EOS_ID, WORD_BOS_ID, WORD_EOS_ID, Sentence,
-                             build_vocabulary, encode)
+from labelrnn.corpus import (CLASS_BOS_ID, CLASS_EOS_ID, LABEL_BOL_ID, WORD_BOS_ID, WORD_EOS_ID,
+                             Sentence, build_vocabulary, encode)
 from labelrnn.errors import DataError
-from labelrnn.layers import embed_concat, window_indices
+from labelrnn.layers import embed_concat, label_context_indices, window_indices
 from labelrnn.mathcore import new_rng
 from labelrnn.models import (
     DIRECTIONS,
@@ -51,8 +51,9 @@ def task():
 
 def _model(vocab, variant, direction, seed, **kwargs):
     rng = new_rng(seed)
-    config = TrainConfig(d_w=2, d_l=3, embed_size=6, hidden_size=10, hidden_size_all_inputs=10,
-                         first_level_size=7, char_embed_size=4, conv_size=5, **kwargs)
+    config = TrainConfig(**{**dict(d_w=2, d_l=3, embed_size=6, hidden_size=10,
+                                   hidden_size_all_inputs=10, first_level_size=7,
+                                   char_embed_size=4, conv_size=5), **kwargs})
     model = build_model(variant, direction, vocab, rng, config)
     for value in model.params.values():  # biases start at zero; make them count
         if not value.any():
@@ -186,17 +187,50 @@ def test_a_chars_model_rejects_sentences_encoded_without_chars(small_model_facto
                                 seqs)
 
 
+_WINDOW_FIELDS = {"w": ("words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
+                  "c": ("classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")}
+
+
+def _window_ids(model, seq, t):
+    """(table, window_indices of seq at the positions t) of the word window
+    and, with classes, of the class window, by input piece."""
+    pieces = "wc" if model.use_classes else "w"
+    return {name: (table, window_indices(getattr(seq, field), t, model.d_w, bos, eos))
+            for name, (field, bos, eos, table) in _WINDOW_FIELDS.items() if name in pieces}
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_window_gather_equals_window_indices(task, count):
     vocab, seqs = task
-    model = _model(vocab, "irnn", "fwd", seed=27, use_classes=True)
     group = sorted(seqs[:count], key=len, reverse=True)
     lens = tuple(len(s) for s in group)
-    inverse, windows = models._group_layout(lens, model.d_w)[2:4]
     order = np.random.default_rng(3).permutation(sum(lens))
-    x = models._unlabeled_inputs(model, group, order, windows[inverse][order])
-    for name, field, bos, eos, table in (("w", "words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),
-                                         ("c", "classes", CLASS_BOS_ID, CLASS_EOS_ID, "E_c")):
-        idx = np.concatenate([window_indices(getattr(s, field), np.arange(len(s)), model.d_w,
-                                             bos, eos) for s in group])
-        assert np.array_equal(x[name], embed_concat(model.params[table], idx[order]))
+    last = group[-1]
+    one_token = replace(last, words=last.words[:1], classes=last.classes[:1],
+                        chars=last.chars[:1], labels=last.labels[:1])
+    for config in ({}, dict(use_classes=True), dict(use_classes=True, ablate_label_context=True),
+                   dict(d_w=0)):
+        model = _model(vocab, "irnn", "fwd", seed=27, **config)
+        rows = model.store.table_rows
+        # Decoding gathers each window on its own, in the given row order.
+        inverse, windows = models._group_layout(lens, model.d_w)[2:4]
+        x = models._unlabeled_inputs(model, group, order, windows[inverse][order])
+        ids = [_window_ids(model, s, np.arange(len(s))) for s in group]
+        assert x.keys() == ids[0].keys()
+        for name, (table, _) in ids[0].items():
+            idx = np.concatenate([sentence[name][1] for sentence in ids])
+            assert np.array_equal(x[name], embed_concat(model.params[table], idx[order]))
+        # Training gathers the windows and then the label context in one, as
+        # rows of the stacked table; one row of t is how scheduled sampling
+        # calls it, with the labels before it.
+        for seq in (*group, one_token):
+            for t in (np.arange(len(seq)), np.array([len(seq) // 2])):
+                history = list(seq.labels[: t[-1]])
+                if model.ablate_label_context:
+                    context = np.full((len(t), model.d_l), LABEL_BOL_ID)
+                else:
+                    context = label_context_indices(history, t, model.d_l, LABEL_BOL_ID)
+                stacked = [idx + rows[table] for table, idx in _window_ids(model, seq, t).values()]
+                expected = np.concatenate([*stacked, context + rows["E_l"]], axis=1)
+                _, cache = models.position_forward(model, seq, t, history)
+                assert np.array_equal(cache["idx"], expected)

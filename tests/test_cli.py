@@ -292,6 +292,46 @@ def test_train_rejects_a_bad_setting_before_it_writes(corpus_dir, tmp_path, caps
     assert list(tmp_path.iterdir()) == []  # no manifest, model or log
 
 
+@pytest.mark.parametrize("flags,problem", [
+    (["--direction", "bidir", "--fwd-model", "F", "--bwd-model", "B", "--word-emb", "E"],
+     "--direction bidir does not read --word-emb"),
+    (["--direction", "bidir", "--fwd-model", "F", "--bwd-model", "B", "--label-emb", "E"],
+     "--direction bidir does not read --label-emb"),
+    (["--direction", "fwd", "--fwd-model", "F", "--bwd-model", "B"],
+     "--direction fwd does not read --fwd-model or --bwd-model"),
+    (["--direction", "bwd", "--bwd-model", "B"], "--direction bwd does not read --bwd-model"),
+    (["--direction", "bidir", "--fwd-model", "B", "--bwd-model", "F"],
+     "--fwd-model {B} holds a bwd model, not a fwd one"),
+])
+def test_train_rejects_an_input_file_it_cannot_use_before_it_writes(
+        trained_model, trained_bwd_model, corpus_dir, tmp_path, capsys, flags, problem):
+    # A real pair, so that only the flags named can fail; the embeddings are missing.
+    paths = {"F": trained_model, "B": trained_bwd_model, "E": corpus_dir / "missing.emb"}
+    rc = main(["train", "--train", str(corpus_dir / "train.txt"),
+               "--dev", str(corpus_dir / "dev.txt"), "--out", str(tmp_path / "m.bin"),
+               *(str(paths.get(flag, flag)) for flag in flags)] + SMALL_TRAIN_OVERRIDES)
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [f"error: {problem.format(**paths)}"]
+    assert list(tmp_path.iterdir()) == []  # no manifest, model or log
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bidir"])
+def test_train_rejects_an_empty_dev_set_before_it_writes(trained_model, trained_bwd_model,
+                                                         corpus_dir, tmp_path, capsys, direction):
+    dev = tmp_path / "in" / "empty.txt"
+    dev.parent.mkdir()
+    dev.write_text("")
+    out = tmp_path / "out"
+    out.mkdir()
+    pair = (["--fwd-model", str(trained_model), "--bwd-model", str(trained_bwd_model)]
+            if direction == "bidir" else [])
+    rc = main(["train", "--direction", direction, "--train", str(corpus_dir / "train.txt"),
+               "--dev", str(dev), "--out", str(out / "m.bin"), *pair] + SMALL_TRAIN_OVERRIDES)
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == ["error: dev set is empty"]
+    assert list(out.iterdir()) == []  # no manifest, model or log
+
+
 def test_train_non_finite_loss_fails_cleanly(corpus_dir, tmp_path, capsys):
     train_file = corpus_dir / "train.txt"
     word = load_column_file(train_file)[0].words[0].lower()
@@ -446,6 +486,19 @@ def test_tag_rejects_model_with_a_pair_flag_before_it_writes(trained_model, corp
     assert _error_lines(capsys.readouterr().err) == [
         "error: tag takes --model, or --fwd-model plus --bwd-model, not both"]
     assert not output.exists()
+
+
+def test_tag_with_a_swapped_pair_keeps_the_existing_output(trained_model, trained_bwd_model,
+                                                           corpus_dir, tmp_path, capsys):
+    output = tmp_path / "t.txt"
+    output.write_bytes(b"earlier output\n")
+    rc = main(["tag", "--fwd-model", str(trained_bwd_model), "--bwd-model", str(trained_model),
+               "--vocab", str(trained_model) + ".vocab",
+               "--input", str(corpus_dir / "test.txt"), "--output", str(output)])
+    assert rc == 1
+    assert output.read_bytes() == b"earlier output\n"
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: --fwd-model {trained_bwd_model} holds a bwd model, not a fwd one"]
 
 
 def test_tag_vocab_hash_mismatch(trained_model, corpus_dir, tmp_path, capsys):

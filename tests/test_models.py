@@ -146,24 +146,25 @@ def test_label_context_is_live(small_model_factory, tiny_seqs):
 
 def test_deep_structural_equivalence(tiny_vocab, tiny_seqs):
     f = 5
+    # Every tensor is written into its view: decoding gathers the windows
+    # from the stacked table that E_w and E_l are row ranges of.
     deep = build_model("irnn-deep", "fwd", tiny_vocab, new_rng(5),
                        TrainConfig(d_w=1, d_l=2, embed_size=4, hidden_size=2 * f,
                                    first_level_size=f))
-    deep.params["H2"] = np.eye(2 * f)
-    deep.params["b_2"][:] = 0.0
+    deep.params["H2"][...] = np.eye(2 * f)
+    deep.params["b_2"][...] = 0.0
 
     flat = build_model("irnn", "fwd", tiny_vocab, new_rng(6),
                        TrainConfig(d_w=1, d_l=2, embed_size=4, hidden_size=2 * f))
     word_dim = flat.word_input_dim
-    flat.params["E_w"] = deep.params["E_w"].copy()
-    flat.params["E_l"] = deep.params["E_l"].copy()
-    H = np.zeros((2 * f, flat.input_dim))
-    H[:f, :word_dim] = deep.params["F_w"]
-    H[f:, word_dim:] = deep.params["F_l"]
-    flat.params["H"] = H
-    flat.params["b_h"] = np.concatenate([deep.params["Fb_w"], deep.params["Fb_l"]])
-    flat.params["O"] = deep.params["O"].copy()
-    flat.params["b_o"] = deep.params["b_o"].copy()
+    flat.params["E_w"][...] = deep.params["E_w"]
+    flat.params["E_l"][...] = deep.params["E_l"]
+    flat.params["H"][...] = 0.0
+    flat.params["H"][:f, :word_dim] = deep.params["F_w"]
+    flat.params["H"][f:, word_dim:] = deep.params["F_l"]
+    flat.params["b_h"][...] = np.concatenate([deep.params["Fb_w"], deep.params["Fb_l"]])
+    flat.params["O"][...] = deep.params["O"]
+    flat.params["b_o"][...] = deep.params["b_o"]
 
     for seq in tiny_seqs:
         a = tag_greedy(deep, seq)

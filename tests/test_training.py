@@ -283,6 +283,14 @@ def test_train_bidirectional_rejects_an_empty_training_sequence(tiny_vocab, tiny
         train_bidirectional(fwd, bwd, seqs, tiny_seqs, tiny_vocab, small_config())
 
 
+def test_training_rejects_an_empty_dev_set(tiny_vocab, tiny_seqs, small_model_factory):
+    with pytest.raises(DataError, match="dev set is empty"):
+        train_tagger(tiny_seqs, [], tiny_vocab, small_config(), "irnn", "fwd")
+    fwd, bwd = small_model_factory("irnn", "fwd"), small_model_factory("irnn", "bwd")
+    with pytest.raises(DataError, match="dev set is empty"):
+        train_bidirectional(fwd, bwd, tiny_seqs, [], tiny_vocab, small_config())
+
+
 def test_run_epochs_rejects_sequences_without_positions():
     with pytest.raises(LabelRnnError, match="no positions"):
         next(training.run_epochs([[], []], 1, 0.1, new_rng(0), lambda seq, lr: 0.0))
