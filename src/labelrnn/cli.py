@@ -10,6 +10,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .corpus import (
@@ -32,14 +33,16 @@ from .errors import ConfigError, DataError, LabelRnnError
 from .mathcore import new_rng, xavier_init
 from .metrics import evaluate
 from .models import (
+    CONFIG_FIELDS,
     DIR_BWD,
     DIR_FWD,
+    VARIANT_IRNN,
     VARIANTS,
     decode_groups,
     load_model,
+    require_pair,
     save_model,
-    tag_bidirectional_batch,
-    tag_greedy_batch,
+    tag_batch,
 )
 from .pretrain import load_external_embeddings, save_embeddings, train_nnlm
 from .synthetic import Grammar, generate_corpus_files
@@ -114,22 +117,41 @@ def cmd_pretrain(args) -> int:
 
 # -- train --------------------------------------------------------------------
 
-def _resolve_config(args) -> TrainConfig:
-    config = TrainConfig.media_like() if args.preset == "media-like" else TrainConfig()
-    if args.config:
-        config = TrainConfig.from_kv(read_text(args.config), base=config)
+def _resolve_config(args):
+    """(config, named): the preset under --config, each --set, --use-classes,
+    --use-chars and --seed in turn; and the values named in all but --seed."""
+    named = TrainConfig.parse_kv(read_text(args.config)) if args.config else {}
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        config = TrainConfig.from_kv(item, base=config, source=f"--set {item}")
+        named.update(TrainConfig.parse_kv(item, source=f"--set {item}"))
+    named.update((name, True) for name in ("use_classes", "use_chars") if getattr(args, name))
+    preset = TrainConfig.media_like() if args.preset == "media-like" else TrainConfig()
+    config = replace(preset, **named)
     if args.seed is not None:
         config.seed = args.seed
-    if args.use_classes:
-        config.use_classes = True
-    if args.use_chars:
-        config.use_chars = True
     config.validate()
-    return config
+    return config, named
+
+
+def _pair_structure(args, named, pair) -> dict:
+    """The pair's structural config values, "<fwd>/<bwd>" where its models
+    differ; ConfigError if --variant or a named value disagrees with either."""
+    structures = []
+    for model in pair:
+        if args.variant not in (None, model.variant):
+            raise ConfigError(f"--variant {args.variant} disagrees with the {model.direction} "
+                              f"model of the pair, which is {model.variant}")
+        all_inputs = model.use_classes and model.use_chars
+        structure = {name: getattr(model, name) for name in CONFIG_FIELDS}
+        structure["hidden_size_all_inputs" if all_inputs else "hidden_size"] = model.hidden_size
+        for key, value in structure.items():
+            if named.get(key, value) != value:
+                raise ConfigError(f"{key}={named[key]} disagrees with the {model.direction} "
+                                  f"model of the pair, which has {key}={value}")
+        structures.append(structure)
+    return {key: "/".join(dict.fromkeys(str(s[key]) for s in structures if key in s))
+            for key in {key for structure in structures for key in structure}}
 
 
 def _write_manifest(path, config: TrainConfig, inputs: dict):
@@ -158,16 +180,10 @@ def _load_init_table(path, token_to_id, rows, cols, seed):
 
 
 def _load_pair(args):
-    """The models of --fwd-model and --bwd-model, each checked to run in the
-    direction its flag names."""
-    pair = []
-    for flag, path, direction in (("--fwd-model", args.fwd_model, DIR_FWD),
-                                  ("--bwd-model", args.bwd_model, DIR_BWD)):
-        model = load_model(path)
-        if model.direction != direction:
-            raise ConfigError(
-                f"{flag} {path} holds a {model.direction} model, not a {direction} one")
-        pair.append(model)
+    """The models of --fwd-model and --bwd-model, checked to be a forward and
+    a backward model over one vocabulary (models.require_pair)."""
+    pair = load_model(args.fwd_model), load_model(args.bwd_model)
+    require_pair(*pair, names=(f"--fwd-model {args.fwd_model}", f"--bwd-model {args.bwd_model}"))
     return pair
 
 
@@ -179,18 +195,20 @@ def cmd_train(args) -> int:
     unread = [flag for flag, path in ignored.items() if path]
     if unread:
         raise ConfigError(f"--direction {args.direction} does not read {' or '.join(unread)}")
-    config = _resolve_config(args)
+    config, named = _resolve_config(args)
+    recorded = config  # the manifest's config
     if bidir:
         if not args.fwd_model or not args.bwd_model:
             raise ConfigError("--direction bidir requires --fwd-model and --bwd-model")
         fwd, bwd = _load_pair(args)
+        recorded = replace(config, **_pair_structure(args, named, (fwd, bwd)))
     readers = (fwd, bwd) if bidir else (config,)
     train_sents = _load_sentences(args.train, *readers)
     dev_sents = _load_sentences(args.dev, *readers) if args.dev else train_sents
     require_training_data(train_sents, dev_sents)
     if bidir:
         vocab = Vocabulary.load(args.fwd_model + ".vocab")
-        if fwd.vocab_hash != vocab.hash() or bwd.vocab_hash != vocab.hash():
+        if fwd.vocab_hash != vocab.hash():  # bwd's is fwd's (models.require_pair)
             raise ConfigError("component models disagree with the stored vocabulary")
     else:
         vocab = build_vocabulary(train_sents, min_count=config.min_count,
@@ -198,7 +216,7 @@ def cmd_train(args) -> int:
     inputs = {name: getattr(args, name) for name in
               ("train", "fwd_model", "bwd_model", "dev", "word_emb", "label_emb")
               if getattr(args, name)}
-    _write_manifest(args.out + ".manifest.json", config, inputs)
+    _write_manifest(args.out + ".manifest.json", recorded, inputs)
     train_seqs = encode_all(train_sents, vocab, *readers)
     dev_seqs = encode_all(dev_sents, vocab, *readers)
 
@@ -219,7 +237,7 @@ def cmd_train(args) -> int:
     if args.label_emb:
         init_l = _load_init_table(args.label_emb, vocab.labels, vocab.n_labels,
                                   config.embed_size, config.seed + 2)
-    model, log = train_tagger(train_seqs, dev_seqs, vocab, config, args.variant,
+    model, log = train_tagger(train_seqs, dev_seqs, vocab, config, args.variant or VARIANT_IRNN,
                               direction, init_word_emb=init_w, init_label_emb=init_l)
     save_model(model, args.out)
     vocab.save(args.out + ".vocab")
@@ -247,13 +265,12 @@ def cmd_tag(args) -> int:
     vocab_hash = vocab.hash()
     if any(m.vocab_hash != vocab_hash for m in models):
         raise ConfigError("vocabulary hash mismatch between model and vocabulary file")
-    tagger = tag_greedy_batch if len(models) == 1 else tag_bidirectional_batch
 
     # A label column is read but not used; words alone do when no model
     # reads classes.
     sentences = _load_sentences(args.input, *models, fields=(1, 2, 3))
     # The output is opened before any decoding. The whole input is decoded
-    # in the decode_groups that tag_greedy_batch would form over it. The
+    # in the decode_groups that tag_batch's greedy decoder forms over it. The
     # encoded sentences and the output distributions of only one group are
     # held at once; the labels of every sentence are kept and written in
     # input order after the last group.
@@ -261,7 +278,7 @@ def cmd_tag(args) -> int:
     with open_output(args.output) as out:
         for group in decode_groups(sentences):
             seqs = encode_all([sentences[i] for i in group], vocab, *models, with_labels=False)
-            for i, decoded in zip(group, tagger(*models, seqs)):
+            for i, decoded in zip(group, tag_batch(models, seqs)):
                 labels[i] = decode_labels(decoded.labels, vocab)
         write_column_file([Sentence(words=sent.words, classes=sent.classes, labels=sent_labels)
                            for sent, sent_labels in zip(sentences, labels)], out)
@@ -322,7 +339,7 @@ def _pretrain_options(p):
 
 
 def _train_options(p):
-    p.add_argument("--variant", choices=VARIANTS, default="irnn")
+    p.add_argument("--variant", choices=VARIANTS, help=f"default {VARIANT_IRNN}; bidir: the pair's")
     p.add_argument("--direction", choices=("fwd", "bwd", "bidir"), default="fwd")
     p.add_argument("--train", required=True)
     p.add_argument("--dev")

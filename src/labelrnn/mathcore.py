@@ -82,10 +82,10 @@ def dropout_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: entries are 0 or 1/keep_prob, so the masked
     activation keeps its expectation and inference needs no rescaling.
 
-    keep_prob is one probability, or one per column (the last axis), so
-    masks of different rates can come from one draw."""
+    keep_prob is one probability, or one per column (the last axis, which
+    may be empty), so masks of different rates can come from one draw."""
     keep = np.asarray(keep_prob, dtype=np.float64)
-    lo, hi = keep.min(), keep.max()
+    lo, hi = keep.min(initial=1.0), keep.max(initial=1.0)
     if not 0.0 < lo <= hi <= 1.0:  # false for NaN too
         raise ConfigError(f"dropout keep probability must be in (0, 1], got {keep_prob}")
     if lo == 1.0:

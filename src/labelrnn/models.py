@@ -207,41 +207,31 @@ class TaggerModel:
     def input_dim(self):
         return sum(dim for _, dim in self.input_pieces())
 
-    def weight_matrix_names(self):
-        """Parameters subject to L2: weight matrices, not biases/embeddings."""
-        return [
-            name
-            for name in self.params
-            if not name.startswith("E_") and not _is_bias(name)
-        ]
-
     def gru_params(self):
         keys = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_c")
         return {k: self.params[k] for k in keys}
 
 
-def _is_bias(name: str) -> bool:
-    return name.startswith("b_") or name.startswith("Fb_")
+# The training.TrainConfig fields that a model holds as they are; its hidden
+# size is config.resolved_hidden_size().
+CONFIG_FIELDS = ("d_w", "d_l", "d_c", "embed_size", "first_level_size", "char_embed_size",
+                 "conv_size", "use_classes", "use_chars", "ablate_label_context",
+                 "gru_words_only")
 
 
 def build_model(variant, direction, vocab, rng, config) -> TaggerModel:
     """Create a model with Xavier-initialized parameters in a fixed order.
-    Its sizes and input flags come from config, a training.TrainConfig, and
-    its hidden size from config.resolved_hidden_size()."""
+    Its sizes and input flags come from config, a training.TrainConfig:
+    CONFIG_FIELDS and config.resolved_hidden_size()."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
     model = TaggerModel(
-        variant=variant, direction=direction, d_w=config.d_w, d_l=config.d_l, d_c=config.d_c,
-        embed_size=config.embed_size, hidden_size=config.resolved_hidden_size(),
-        first_level_size=config.first_level_size, char_embed_size=config.char_embed_size,
-        conv_size=config.conv_size, use_classes=config.use_classes, use_chars=config.use_chars,
-        ablate_label_context=config.ablate_label_context,
-        gru_words_only=config.gru_words_only,
+        variant=variant, direction=direction, hidden_size=config.resolved_hidden_size(),
         n_words=vocab.n_words, n_labels=vocab.n_labels,
         n_classes=vocab.n_classes, n_chars=vocab.n_chars,
-        vocab_hash=vocab.hash(),
+        vocab_hash=vocab.hash(), **{name: getattr(config, name) for name in CONFIG_FIELDS},
     )
     shapes = _param_shapes(model)
     model.store = ParamStore(shapes)
@@ -429,9 +419,7 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     mask_h = masks.get("h")
     h_drop = h if mask_h is None else h * mask_h
     cache["h_drop"] = h_drop
-    y = output_forward(p["O"], p["b_o"], h_drop)
-    cache["y"] = y
-    return y, cache
+    return output_forward(p["O"], p["b_o"], h_drop), cache
 
 
 def _scatter_input_grad(model, cache, dx_e, dx_ch, grads):
@@ -475,10 +463,10 @@ def position_backward(model, cache, delta, grads, dh_next=None):
             dh[-1] += dh_next
         ggrads, dx, dh_prev = gru_backward(model.gru_params(), cache["gcache"], dh)
         for name, g in ggrads.items():
-            if _is_bias(name):
-                grads.add(name, g)
-            else:
+            if isinstance(g, tuple):  # a weight's factor pair
                 grads.add_factors(name, *g)
+            else:
+                grads.add(name, g)
     if model.variant != VARIANT_DEEP:
         end = dx.shape[1] - model.conv_size if ch else dx.shape[1]
         _scatter_input_grad(model, cache, dx[:, :end], dx[:, end:] if ch else None, grads)
@@ -527,56 +515,48 @@ def predict_label(y: np.ndarray) -> np.ndarray:
 def make_position_masks(model, p_embed, p_hidden, rng, n):
     """Fresh inverted-dropout masks (training mode) for n positions, row t
     for position t: 'e' over the word, class and label windows side by
-    side, then 'h' over the hidden activation, all from one draw.
+    side, then 'h' over the hidden activation, all from one draw; the one
+    model, one sentence case of stream_position_masks.
 
     PCG64 hands out consecutive doubles, so this is the stream of one draw
     per mask window per position. A mask whose keep probability rounds to 1
     is left out, as multiplying by it would change nothing.
     """
-    return draw_position_masks((model,), p_embed, p_hidden, rng, [n])[0][0]
-
-
-def draw_position_masks(models, p_embed, p_hidden, rng, lens) -> list:
-    """For each sentence length n in lens, in turn, the tuple of each
-    model's make_position_masks dict for n positions, drawn model after
-    model: the stream of one draw per sentence and model in that order.
-    Models of one mask layout share one dropout_mask call for all of lens;
-    otherwise each sentence and model draws on its own."""
-    layouts = [_mask_layout(m.window_dim, m.hidden_size, p_embed, p_hidden) for m in models]
-    if any(layout is not layouts[0] for layout in layouts):
-        return [tuple(draw_position_masks((m,), p_embed, p_hidden, rng, [n])[0][0] for m in models)
-                for n in lens]
-    spans, keeps = layouts[0]
-    if not spans:
-        return [({},) * len(models)] * len(lens)
-    drawn = dropout_mask((len(models) * sum(lens), len(keeps)), keeps, rng)
-    out, start = [], 0
-    for n in lens:
-        sentence = []
-        for _ in models:
-            rows = drawn[start : start + n]
-            sentence.append({key: rows[:, lo:hi] for key, lo, hi in spans})
-            start += n
-        out.append(tuple(sentence))
-    return out
+    return next(stream_position_masks((model,), p_embed, p_hidden, rng, 0, [n]))[0]
 
 
 def stream_position_masks(models, p_embed, p_hidden, rng, chunk_bytes, lens):
-    """draw_position_masks for lens, yielded sentence by sentence and drawn
-    a chunk of consecutive sentences at a time: as many as keep the chunk's
-    masks within chunk_bytes, at least one. A chunk is drawn when its first
-    sentence's masks are asked for, so draws by the caller in between come
-    after the masks of the sentences it has been given."""
-    row_bytes = 8 * sum(len(_mask_layout(m.window_dim, m.hidden_size, p_embed, p_hidden)[1])
-                        for m in models)
-    start = size = 0
-    for end, n in enumerate(lens):
-        if end > start and size + n * row_bytes > chunk_bytes:
-            yield from draw_position_masks(models, p_embed, p_hidden, rng, lens[start:end])
-            start, size = end, 0
+    """For each sentence length n in lens, in turn, the tuple of each
+    model's make_position_masks dict for n positions: the stream of one
+    draw per sentence and model in that order.
+
+    The masks are drawn a chunk of consecutive sentences at a time: as many
+    as keep the chunk's masks within chunk_bytes, at least one. A chunk is
+    drawn when its first sentence's masks are asked for, so draws by the
+    caller in between come after the masks of the sentences it has been
+    given. Models of one mask layout share one dropout_mask call per chunk;
+    otherwise each sentence and model of the chunk draws on its own."""
+    layouts = [_mask_layout(m.window_dim, m.hidden_size, p_embed, p_hidden) for m in models]
+    row_bytes = 8 * sum(len(keeps) for _, keeps in layouts)
+    chunks, size = [], 0
+    for n in lens:
+        if not chunks or size + n * row_bytes > chunk_bytes:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(n)
         size += n * row_bytes
-    if start < len(lens):
-        yield from draw_position_masks(models, p_embed, p_hidden, rng, lens[start:])
+    shared = all(layout is layouts[0] for layout in layouts)
+    for chunk in chunks:
+        if shared:
+            keeps = layouts[0][1]
+            drawn = dropout_mask((len(models) * sum(chunk), len(keeps)), keeps, rng)
+            blocks = np.split(drawn, np.cumsum([n for n in chunk for _ in models])[:-1])
+        else:
+            blocks = [dropout_mask((n, len(keeps)), keeps, rng)
+                      for n in chunk for _, keeps in layouts]
+        for k in range(0, len(blocks), len(models)):
+            yield tuple({key: rows[:, lo:hi] for key, lo, hi in spans}
+                        for (spans, _), rows in zip(layouts, blocks[k : k + len(models)]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -849,18 +829,29 @@ def combine_bidirectional(yf: np.ndarray, yb: np.ndarray) -> np.ndarray:
     return np.divide(unnorm, total, out=unnorm, where=total != 0.0)
 
 
-def tag_bidirectional_batch(fwd: TaggerModel, bwd: TaggerModel, seqs) -> list:
-    """Bidirectional decode of each sequence: the greedy outputs of both
-    models combined per position, then the argmax of the combination. Both
-    act on each row alone, so they run once over the rows of all sequences."""
-    if fwd.direction != DIR_FWD or bwd.direction != DIR_BWD:
-        raise ConfigError("tag_bidirectional requires a forward and a backward model")
+def require_pair(fwd, bwd, names=("the pair's first place", "the pair's second place")):
+    """ConfigError unless fwd and bwd are a forward and a backward model, in
+    that order, over one vocabulary; names name their places in the error."""
+    for name, model, direction in zip(names, (fwd, bwd), DIRECTIONS):
+        if model.direction != direction:
+            raise ConfigError(f"{name} holds a {model.direction} model, not a {direction} one")
     if fwd.vocab_hash != bwd.vocab_hash:
         raise ConfigError("forward and backward models use different vocabularies")
+
+
+def tag_batch(models, seqs) -> list:
+    """Decode of each sequence by models, one tagger or a forward/backward
+    pair: the tagger's greedy outputs (tag_greedy_batch), or both models'
+    greedy distributions combined per position and the argmax of the
+    combination. Both act on each row alone, so for a pair they run once
+    over the rows of all sequences."""
+    if len(models) == 1:
+        return tag_greedy_batch(models[0], seqs)
+    require_pair(*models)
     if not seqs:
         return []
     fwd_dists, bwd_dists = (np.concatenate([out.dists for out in tag_greedy_batch(m, seqs)])
-                            for m in (fwd, bwd))
+                            for m in models)
     dists = combine_bidirectional(fwd_dists, bwd_dists)
     cuts = np.cumsum([len(seq) for seq in seqs[:-1]])
     return [TaggerOutput(labels=labels, dists=rows) for labels, rows
@@ -868,8 +859,8 @@ def tag_bidirectional_batch(fwd: TaggerModel, bwd: TaggerModel, seqs) -> list:
 
 
 def tag_bidirectional(fwd: TaggerModel, bwd: TaggerModel, seq) -> TaggerOutput:
-    """Bidirectional decode of one sequence: tag_bidirectional_batch of one."""
-    return tag_bidirectional_batch(fwd, bwd, [seq])[0]
+    """Bidirectional decode of one sequence: tag_batch of the pair and one."""
+    return tag_batch((fwd, bwd), [seq])[0]
 
 
 # -- model file format --------------------------------------------------------

@@ -38,9 +38,6 @@ class NnlmParams:
     def params(self) -> dict:
         return self.store.params
 
-    def weight_matrix_names(self):
-        return ["H", "O"]
-
 
 def build_nnlm(vocab_size: int, pad_id: int, context: int = TrainConfig.nnlm_context,
                embed_size: int = TrainConfig.embed_size,

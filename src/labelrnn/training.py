@@ -4,14 +4,14 @@ fine-tuning, and a finite-difference gradient-check harness.
 
 One epoch loop (run_epochs) trains the taggers, their bidirectional
 fine-tuning and the pretraining NNLM: one update per sentence, over shuffled
-sentences. A tagger and a forward/backward pair take the same step
-(_train_sentence): one batched forward/backward pass of the sentence, one
-row per position (models.sentence_pass), teacher-forced, or for a tagger
-with a label history built position by position under scheduled sampling
-(_sampled_history). After each epoch the models are scored on dev by the
-lockstep decoder, and best_entry picks the ones kept. The gradient checks
-differentiate the loss that the same pass returns when it is given no
-gradients.
+sentences. A tagger and a forward/backward pair have one trainer (_train)
+and take the same step (_train_sentence): one batched forward/backward pass
+of the sentence, one row per position (models.sentence_pass),
+teacher-forced, or for a tagger with a label history built position by
+position under scheduled sampling (_sampled_history). After each epoch the
+models are scored on dev by the lockstep decoder (models.tag_batch), and
+best_entry picks the ones kept. The gradient checks differentiate the loss
+that the same pass returns when it is given no gradients.
 """
 
 import copy
@@ -28,7 +28,6 @@ from .layers import _weight_grad, merge_rows
 from .mathcore import new_rng
 from .metrics import evaluate
 from .models import (
-    DIR_FWD,
     STACKED_TABLE,
     Grads,
     VARIANT_GRU,
@@ -37,10 +36,10 @@ from .models import (
     orient,
     position_forward,
     predict_label,
+    require_pair,
     sentence_pass,
     stream_position_masks,
-    tag_bidirectional_batch,
-    tag_greedy_batch,
+    tag_batch,
 )
 
 
@@ -137,6 +136,11 @@ class TrainConfig:
         """Parse key=value lines; keys they do not set keep base's values, or
         the defaults without a base. An error names source, or the line of
         the config text without one."""
+        return replace(base or cls(), **cls.parse_kv(text, source))
+
+    @classmethod
+    def parse_kv(cls, text: str, source=None) -> dict:
+        """The values of the fields that from_kv's key=value lines set."""
         known = {f.name: f.type for f in fields(cls)}
         values = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -164,7 +168,7 @@ class TrainConfig:
                     values[key] = raw
             except (KeyError, ValueError):
                 raise ConfigError(f"{where}: bad value for {key}: {raw!r}") from None
-        return cls(**values) if base is None else replace(base, **values)
+        return values
 
 
 @dataclass
@@ -253,9 +257,6 @@ class SgdMomentum:
         self.l2_include_all = l2_include_all
         self.max_grad_norm = max_grad_norm
         self.freeze_embeddings = freeze_embeddings
-        self.l2_names = set(model.weight_matrix_names())
-        if l2_include_all:
-            self.l2_names = set(store.slots)
         self._l2_end = store.arena.size if l2_include_all else store.n_weights
         self._velocity = np.zeros_like(store.arena)
         self.velocity = {name: self._velocity[o : o + math.prod(shape)].reshape(shape)
@@ -427,22 +428,22 @@ def require_training_data(train_seqs, dev_seqs):
             raise DataError(f"training sequence {i} is empty")
 
 
-def _select_on_dev(epochs, last, models, decode_dev, dev_seqs, vocab, config, untouched=None):
-    """Scores decode_dev() on dev_seqs after each of the epochs, run_epochs's
-    (epoch, lr, loss) triples, and keeps the models, a tuple of the models
-    being trained, whenever the epoch is the best_entry so far. An epoch
-    numbered -1 stands for the models before training, kept as untouched,
-    and stays out of the log. After epoch last the models are kept as they
-    are, as nothing trains them further; after any other, copied into
-    buffers made at most once per call. Returns (kept models, log). Dev is
-    decoded with run_epochs's numpy warnings off; after a trained epoch, a
-    dev distribution that is not finite raises TrainingDivergedError naming
-    the epoch."""
+def _select_on_dev(epochs, last, models, dev_seqs, vocab, config, untouched=None):
+    """Scores the models, a tuple of the models being trained, decoded by
+    tag_batch on dev_seqs after each of the epochs, run_epochs's (epoch, lr,
+    loss) triples, and keeps them whenever the epoch is the best_entry so
+    far. An epoch numbered -1 stands for the models before training, kept as
+    untouched, and stays out of the log. After epoch last the models are
+    kept as they are, as nothing trains them further; after any other,
+    copied into buffers made at most once per call. Returns (kept models,
+    log). Dev is decoded with run_epochs's numpy warnings off; after a
+    trained epoch, a dev distribution that is not finite raises
+    TrainingDivergedError naming the epoch."""
     golds = [decode_labels(seq.labels, vocab) for seq in dev_seqs]
     candidates, kept, buffers = [], None, None
     for epoch, lr, loss in epochs:
         with np.errstate(over="ignore", invalid="ignore"):
-            outs = decode_dev()
+            outs = tag_batch(models, dev_seqs)
         if epoch >= 0 and not all(np.isfinite(out.dists).all() for out in outs):
             raise TrainingDivergedError(
                 f"a dev distribution is not finite after epoch {epoch}; training diverged")
@@ -464,18 +465,6 @@ def _select_on_dev(epochs, last, models, decode_dev, dev_seqs, vocab, config, un
     return kept, [entry for entry in candidates if entry.epoch >= 0]
 
 
-def _position_masks(model, config, rng, n):
-    """make_position_masks for the config's dropout; empty when it is off."""
-    return make_position_masks(model, config.dropout_embed, config.dropout_hidden, rng, n)
-
-
-def _mask_stream(models, config, rng):
-    """run_epochs's draw of the dropout masks of models trained together:
-    models.stream_position_masks in chunks of _MASK_CHUNK_BYTES."""
-    return functools.partial(stream_position_masks, models, config.dropout_embed,
-                             config.dropout_hidden, rng, _MASK_CHUNK_BYTES)
-
-
 def _sampled_history(model, oseq, config, rng):
     """Scheduled sampling: the position-by-position forward, one one-row
     stack per position, where each position's label enters the history as
@@ -485,7 +474,8 @@ def _sampled_history(model, oseq, config, rng):
     row per position."""
     history, masks, h_prev = [], [], None
     for t in range(len(oseq)):
-        masks.append(_position_masks(model, config, rng, 1))
+        masks.append(make_position_masks(model, config.dropout_embed, config.dropout_hidden,
+                                         rng, 1))
         y, cache = position_forward(model, oseq, np.array([t]), history, masks=masks[-1],
                                     h_prev=h_prev)
         if model.variant == VARIANT_GRU:
@@ -513,6 +503,33 @@ def _train_sentence(models, opts, seq, lr, masks=None, history=None) -> float:
     return loss
 
 
+def _train(models, train_seqs, dev_seqs, vocab, config, rng, epochs, lam, untouched=None,
+           freeze_embeddings=False, sampling=False):
+    """Trains models, one tagger or a forward/backward pair, with L2 weight
+    lam, and returns _select_on_dev's (dev-best models, log). The masks come
+    from one stream (models.stream_position_masks), or with sampling, for a
+    tagger, position by position under scheduled sampling. untouched, the
+    models before training, are the first candidate, as epoch -1."""
+    opts = tuple(SgdMomentum(m, config.momentum, lam, l2_include_all=config.l2_include_all,
+                             max_grad_norm=config.max_grad_norm,
+                             freeze_embeddings=freeze_embeddings) for m in models)
+    if sampling:
+        def update(seq, lr):
+            oseq = orient(seq, models[0].direction)
+            history, masks = _sampled_history(models[0], oseq, config, rng)
+            return _train_sentence(models, opts, seq, lr, (masks,), history)
+
+        draw = None
+    else:
+        update = functools.partial(_train_sentence, models, opts)
+        draw = functools.partial(stream_position_masks, models, config.dropout_embed,
+                                 config.dropout_hidden, rng, _MASK_CHUNK_BYTES)
+    trained = run_epochs(train_seqs, epochs, config.lr0, rng, update, draw)
+    if untouched is not None:
+        trained = itertools.chain([(-1, 0.0, 0.0)], trained)
+    return _select_on_dev(trained, epochs - 1, models, dev_seqs, vocab, config, untouched)
+
+
 def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
                  direction: str, init_word_emb=None, init_label_emb=None, rng=None):
     """Full training of one directional tagger; returns (dev-best model, log)."""
@@ -523,31 +540,14 @@ def train_tagger(train_seqs, dev_seqs, vocab, config: TrainConfig, variant: str,
         rng = new_rng(config.seed)
     model = build_model(variant, direction, vocab, rng, config)
     for table, init in (("E_w", init_word_emb), ("E_l", init_label_emb)):
+        if init is not None and init.shape != model.params[table].shape:
+            raise ShapeError(f"pretrained {table} has shape {init.shape}, "
+                             f"model expects {model.params[table].shape}")
         if init is not None:
-            if init.shape != model.params[table].shape:
-                raise ShapeError(
-                    f"pretrained {table} has shape {init.shape}, model expects {model.params[table].shape}"
-                )
             model.params[table][...] = init
-
-    opt = SgdMomentum(model, config.momentum, config.lambda_l2,
-                      l2_include_all=config.l2_include_all,
-                      max_grad_norm=config.max_grad_norm)
-    models, opts = (model,), (opt,)
-    if config.predicted_label_prob > 0.0:
-        # Scheduled sampling draws each position's masks between its samples.
-        def update(seq, lr):
-            history, masks = _sampled_history(model, orient(seq, model.direction), config, rng)
-            return _train_sentence(models, opts, seq, lr, (masks,), history)
-
-        draw = None
-    else:
-        update = functools.partial(_train_sentence, models, opts)
-        draw = _mask_stream(models, config, rng)
-    epochs = run_epochs(train_seqs, config.epochs_fwd_bwd, config.lr0, rng, update, draw)
-    (best,), log = _select_on_dev(epochs, config.epochs_fwd_bwd - 1, models,
-                                  lambda: tag_greedy_batch(model, dev_seqs), dev_seqs, vocab,
-                                  config)
+    (best,), log = _train((model,), train_seqs, dev_seqs, vocab, config, rng,
+                          config.epochs_fwd_bwd, config.lambda_l2,
+                          sampling=config.predicted_label_prob > 0.0)
     return best, log
 
 
@@ -560,28 +560,19 @@ def train_bidirectional(fwd, bwd, train_seqs, dev_seqs, vocab, config: TrainConf
     once per sentence, after both directional passes, on copies of the
     models. The given pair, untouched, is the first candidate of dev
     selection (as epoch -1), so fine-tuning can only improve the dev score;
-    when it stays the best, it is what is returned.
+    when it stays the best, it is what is returned. Scheduled sampling
+    (predicted_label_prob) applies to tagger training only.
     """
     config.validate()
-    if fwd.direction != DIR_FWD:
-        raise ConfigError("first model must be the forward one")
+    require_pair(fwd, bwd)
     require_training_data(train_seqs, dev_seqs)
     require_inputs([*train_seqs, *dev_seqs], fwd, bwd)
     if rng is None:
         rng = new_rng(config.seed)
-    given = (fwd, bwd)
-    pair = tuple(map(copy.deepcopy, given))
-    opts = tuple(SgdMomentum(m, config.momentum, config.lambda_l2_bidir,
-                             l2_include_all=config.l2_include_all,
-                             max_grad_norm=config.max_grad_norm,
-                             freeze_embeddings=config.freeze_embeddings_bidir) for m in pair)
-    epochs = run_epochs(train_seqs, config.epochs_bidir, config.lr0, rng,
-                        functools.partial(_train_sentence, pair, opts),
-                        _mask_stream(pair, config, rng))
-    best, log = _select_on_dev(itertools.chain([(-1, 0.0, 0.0)], epochs), config.epochs_bidir - 1,
-                               pair, lambda: tag_bidirectional_batch(*pair, dev_seqs),
-                               dev_seqs, vocab, config, untouched=given)
-    return best[0], best[1], log
+    pair, log = _train((copy.deepcopy(fwd), copy.deepcopy(bwd)), train_seqs, dev_seqs, vocab,
+                       config, rng, config.epochs_bidir, config.lambda_l2_bidir,
+                       untouched=(fwd, bwd), freeze_embeddings=config.freeze_embeddings_bidir)
+    return (*pair, log)
 
 
 def _finite_difference_report(params, analytic, loss, epsilon, rng, samples_per_tensor):

@@ -348,6 +348,13 @@ def _reference_update(w, v, g, mu, rate, decay):
     w += v
 
 
+def l2_names(store, l2_include_all=False) -> set:
+    """The tensors that L2 decays: those in the arena's L2 segment, its first
+    store.n_weights elements, or with l2_include_all every arena tensor."""
+    return {name for name, (offset, _) in store.slots.items()
+            if l2_include_all or offset < store.n_weights}
+
+
 class ReferenceSgdMomentum:
     """SgdMomentum.step one tensor at a time. params maps every name to its
     array and tables every Grads.rows key to its table; velocity holds one

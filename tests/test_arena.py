@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from labelrnn import training
 from labelrnn.errors import ConfigError
-from labelrnn.mathcore import new_rng
-from labelrnn.models import (STACKED, STACKED_TABLE, Grads, ParamStore, draw_position_masks,
-                             load_model, make_position_masks, save_model,
-                             stream_position_masks)
+from labelrnn.mathcore import dropout_mask, new_rng
+from labelrnn.models import (STACKED, STACKED_TABLE, Grads, ParamStore, load_model,
+                             make_position_masks, save_model, stream_position_masks)
 from labelrnn.pretrain import build_nnlm
 from labelrnn.training import (SgdMomentum, TrainConfig, gradient_check, train_bidirectional,
                                train_tagger)
-from reference import ReferenceSgdMomentum
+from reference import ReferenceSgdMomentum, l2_names
 
 
 def _assert_views(model):
@@ -90,13 +89,14 @@ def test_dev_selection_copies_into_buffers_made_once(small_model_factory, tiny_v
 
     outside = tiny_vocab.label_id("O")
 
-    def decode():  # a sentence decoded wrong is all O
+    def decode(models, seqs):  # a sentence decoded wrong is all O
         return [mock.Mock(labels=seq.labels if i < schedule[epoch[0]]
                           else np.full_like(seq.labels, outside), dists=np.zeros((len(seq), 1)))
-                for i, seq in enumerate(tiny_seqs)]
+                for i, seq in enumerate(seqs)]
 
-    (kept,), log = training._select_on_dev(epochs(), len(schedule) - 1, (model,), decode,
-                                           tiny_seqs, tiny_vocab, TrainConfig())
+    monkeypatch.setattr(training, "tag_batch", decode)
+    (kept,), log = training._select_on_dev(epochs(), len(schedule) - 1, (model,), tiny_seqs,
+                                           tiny_vocab, TrainConfig())
     assert [e.epoch for e in log] == list(range(len(schedule)))
     assert len(made) == 1
     assert (kept is model) == (best == len(schedule) - 1)
@@ -197,9 +197,6 @@ class _Holder:
     def params(self):
         return self.store.params
 
-    def weight_matrix_names(self):
-        return [n for n, v in self.params.items() if v.ndim == 2 and not n.startswith("E_")]
-
 
 # 64-element blocks: a weight of one row, of one block and of several blocks
 _BLOCK = 8 * 64
@@ -228,7 +225,8 @@ def test_arena_step_equals_the_per_tensor_step(weights, biases, n, lam, l2_inclu
     kwargs = dict(l2_include_all=l2_include_all, max_grad_norm=max_grad_norm,
                   freeze_embeddings=freeze)
     opt = SgdMomentum(model, 0.7, lam, **kwargs)
-    ref = ReferenceSgdMomentum(ref_store.params, tables, 0.7, lam, opt.l2_names,
+    ref = ReferenceSgdMomentum(ref_store.params, tables, 0.7, lam,
+                               l2_names(model.store, l2_include_all),
                                block_bytes=_BLOCK, **kwargs)
     flat = [name for name, _ in shapes if not name.startswith("E_")]
     with mock.patch.object(training, "_BLOCK_BYTES", _BLOCK):
@@ -292,16 +290,17 @@ def test_chunked_masks_equal_the_per_sentence_draws(small_model_factory, chunk, 
     row_bytes = 8 * sum(m.window_dim + m.hidden_size for m in models)
     chunk_bytes = {1: 1, 3: 3 * 4 * row_bytes, "epoch": 10 ** 9}[chunk]
     rng_a, rng_b = new_rng(41), new_rng(41)
-    draws = []
-    real = draw_position_masks
+    got, starts = [], []
+    real = dropout_mask
 
-    def counting(*args):  # the stream's calls, not the per-model ones of a mixed pair
-        if len(args[0]) == len(models):
-            draws.append(len(args[-1]))
+    def counting(*args):  # a chunk's draws come before its first sentence is given
+        starts.append(len(got))
         return real(*args)
 
-    with mock.patch("labelrnn.models.draw_position_masks", counting):
-        got = list(stream_position_masks(models, 0.3, 0.4, rng_a, chunk_bytes, lens))
+    with mock.patch("labelrnn.models.dropout_mask", counting):
+        for masks in stream_position_masks(models, 0.3, 0.4, rng_a, chunk_bytes, lens):
+            got.append(masks)
+    draws = np.diff([*sorted(set(starts)), len(lens)]).tolist()
     assert draws == {1: [1] * 7, 3: [3, 3, 1], "epoch": [7]}[chunk]
     _same_masks(got, _per_sentence_draws(models, 0.3, 0.4, rng_b, lens))
     assert rng_a.random() == rng_b.random()
@@ -356,16 +355,16 @@ def test_scheduled_sampling_draws_masks_position_by_position(tiny_vocab, tiny_se
     config = TrainConfig(embed_size=6, hidden_size=10, d_w=2, d_l=3, epochs_fwd_bwd=2,
                          dropout_embed=0.3, dropout_hidden=0.4, predicted_label_prob=0.5, seed=9)
     calls = []
-    real = training._position_masks
+    real = training.make_position_masks
 
-    def per_position(model, config, rng, n):
+    def per_position(model, p_embed, p_hidden, rng, n):
         calls.append(n)
-        return real(model, config, rng, n)
+        return real(model, p_embed, p_hidden, rng, n)
 
     def no_chunks(*args):
         raise AssertionError("scheduled sampling drew masks in chunks")
 
-    monkeypatch.setattr(training, "_position_masks", per_position)
+    monkeypatch.setattr(training, "make_position_masks", per_position)
     monkeypatch.setattr(training, "stream_position_masks", no_chunks)
     train_tagger(tiny_seqs, tiny_seqs, tiny_vocab, config, "irnn", "fwd")
     assert calls and set(calls) == {1}

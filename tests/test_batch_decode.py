@@ -22,7 +22,7 @@ from labelrnn.models import (
     combine_bidirectional,
     orient,
     predict_label,
-    tag_bidirectional_batch,
+    tag_batch,
     tag_greedy,
     tag_greedy_batch,
 )
@@ -141,7 +141,7 @@ def test_bidirectional_batch_matches_position_reference(task, monkeypatch, varia
         references.append((predict_label(dists), dists))
     for group in (1, 2, len(seqs)):
         monkeypatch.setattr(models, "DECODE_GROUP", group)
-        _assert_matches(tag_bidirectional_batch(fwd, bwd, seqs), references)
+        _assert_matches(tag_batch((fwd, bwd), seqs), references)
 
 
 def test_batch_decoder_is_deterministic(task):
@@ -170,8 +170,7 @@ def test_a_classes_model_rejects_sentences_without_the_class_column(small_model_
     with pytest.raises(DataError, match="reads word classes, but a sentence has no class"):
         tag_greedy_batch(model, seqs)
     with pytest.raises(DataError, match="reads word classes, but a sentence has no class"):
-        tag_bidirectional_batch(model, small_model_factory("irnn", "bwd", use_classes=True),
-                                seqs)
+        tag_batch((model, small_model_factory("irnn", "bwd", use_classes=True)), seqs)
 
 
 def test_a_chars_model_rejects_sentences_encoded_without_chars(small_model_factory,
@@ -183,8 +182,7 @@ def test_a_chars_model_rejects_sentences_encoded_without_chars(small_model_facto
     with pytest.raises(DataError, match="reads characters, but a sentence was encoded without"):
         tag_greedy_batch(model, seqs)
     with pytest.raises(DataError, match="reads characters, but a sentence was encoded without"):
-        tag_bidirectional_batch(model, small_model_factory("irnn-gru", "bwd", use_chars=True),
-                                seqs)
+        tag_batch((model, small_model_factory("irnn-gru", "bwd", use_chars=True)), seqs)
 
 
 _WINDOW_FIELDS = {"w": ("words", WORD_BOS_ID, WORD_EOS_ID, "E_w"),

@@ -24,7 +24,7 @@ from labelrnn.models import (
     sentence_pass,
 )
 from labelrnn.training import SgdMomentum
-from reference import reference_forward
+from reference import l2_names, reference_forward
 
 RTOL, ATOL = 1e-10, 1e-12  # float64: only the summation order differs
 
@@ -172,7 +172,7 @@ def _step_factors_whole_and_textbook(model, n, lam, l2_include_all, max_grad_nor
                       for m in (model, whole))
     params = {name: value.copy() for name, value in model.params.items()}
     velocity = {name: np.zeros_like(value) for name, value in params.items()}
-    l2_names = set(opt.l2_names)
+    decayed = l2_names(model.store, l2_include_all)
     rng = new_rng(16)
     dim = model.embed_size
     for step in range(3):
@@ -213,7 +213,7 @@ def _step_factors_whole_and_textbook(model, n, lam, l2_include_all, max_grad_nor
             assert np.array_equal(block, given[table][1]), table
         full = {**dense, **{name: _weight_grad(d, x) for name, (d, x) in factors.items()}}
         _textbook_step(params, velocity, {"dense": full, "rows": rows}, lr,
-                       0.7, lam, l2_names, l2_include_all, max_grad_norm, freeze)
+                       0.7, lam, decayed, l2_include_all, max_grad_norm, freeze)
         for name, value in params.items():
             np.testing.assert_allclose(model.params[name], value, rtol=1e-12, atol=1e-14,
                                        err_msg=name)
@@ -311,4 +311,4 @@ def test_training_passes_multiply_out_no_weight_gradient(small_model_factory, ti
     sentence_pass((fwd, bwd), seq, (grads_f, grads_b))
     for g in (grads, grads_f, grads_b):
         assert g.dense and all(value.ndim == 1 for value in g.dense.values())
-        assert set(g.factors) == set(model.weight_matrix_names())
+        assert set(g.factors) == l2_names(model.store)

@@ -8,8 +8,8 @@ from labelrnn.cli import _resolve_config, build_parser, main
 from labelrnn.corpus import (Sentence, Vocabulary, decode_labels, encode, load_column_file,
                              write_column_file)
 from labelrnn.pretrain import load_external_embeddings
-from labelrnn.models import (DECODE_GROUP, decode_groups, load_model, save_model,
-                             tag_bidirectional, tag_greedy, tag_greedy_batch)
+from labelrnn.models import (DECODE_GROUP, decode_groups, load_model, save_model, tag_batch,
+                             tag_bidirectional, tag_greedy)
 from labelrnn.training import TrainConfig
 import numpy as np
 
@@ -386,7 +386,7 @@ def test_config_file_layers_over_the_preset(tmp_path):
     args = build_parser().parse_args(["train", "--train", "t", "--out", "o",
                                       "--preset", "media-like", "--config", str(config_path),
                                       "--set", "hidden_size=9", "--seed", "4"])
-    config = _resolve_config(args)
+    config, _ = _resolve_config(args)
     assert (config.d_w, config.conv_size, config.dropout_embed) == (3, 80, 0.15)
     assert (config.embed_size, config.hidden_size, config.seed) == (8, 9, 4)
 
@@ -442,6 +442,62 @@ def test_bidir_pipeline(corpus_dir, tmp_path):
                "--vocab", str(tmp_path / "bi.vocab"),
                "--input", str(corpus_dir / "test.txt"), "--output", str(tagged)])
     assert rc == 0
+
+
+def _pair_flags(fwd, bwd):
+    return ["--direction", "bidir", "--fwd-model", str(fwd), "--bwd-model", str(bwd)]
+
+
+@pytest.mark.parametrize("flags,problem", [
+    (["--variant", "irnn-gru"], "--variant irnn-gru disagrees with the fwd model of the pair, "
+                                "which is irnn"),
+    (["--variant", "irnn"], "--variant irnn disagrees with the bwd model of the pair, "
+                            "which is irnn-gru"),
+    (["--use-classes"], "use_classes=True disagrees with the fwd model of the pair, "
+                        "which has use_classes=False"),
+    (["--use-chars"], "use_chars=True disagrees with the fwd model of the pair, "
+                      "which has use_chars=False"),
+    (["--set", "d_w=2"], "d_w=2 disagrees with the fwd model of the pair, which has d_w=1"),
+    (["--set", "hidden_size=13"], "hidden_size=13 disagrees with the fwd model of the pair, "
+                                  "which has hidden_size=12"),
+    (["--config", "{cfg}"], "d_c=2 disagrees with the fwd model of the pair, which has d_c=0"),
+])
+def test_bidir_rejects_a_structure_the_pair_does_not_have_before_it_writes(
+        trained_model, trained_bwd_model, corpus_dir, tmp_path, capsys, flags, problem):
+    cfg = tmp_path / "in" / "structure.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text("d_c=2\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--train", str(corpus_dir / "train.txt"), "--out", str(out / "bi"),
+               *_pair_flags(trained_model, trained_bwd_model)] + SMALL_TRAIN_OVERRIDES
+              + [flag.format(cfg=cfg) for flag in flags])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [f"error: {problem}"]
+    assert list(out.iterdir()) == []  # no manifest, model or log
+
+
+def test_bidir_manifest_records_the_pair_structure(trained_model, trained_bwd_model,
+                                                   corpus_dir, tmp_path):
+    """The media-like preset and the defaults hold other sizes than the pair;
+    the manifest records the pair's."""
+    rc = main(["train", "--train", str(corpus_dir / "train.txt"), "--out", str(tmp_path / "bi"),
+               "--preset", "media-like", "--set", "epochs_bidir=1", "--set", "use_chars=0",
+               *_pair_flags(trained_model, trained_bwd_model)])
+    assert rc == 0
+    config = json.loads((tmp_path / "bi.manifest.json").read_text())["config"]
+    assert {key: config[key] for key in ("embed_size", "hidden_size", "first_level_size", "d_w",
+                                         "d_l", "conv_size", "use_chars", "epochs_bidir")} == {
+        "embed_size": "8", "hidden_size": "12", "first_level_size": "8", "d_w": "1", "d_l": "2",
+        "conv_size": "50", "use_chars": "False", "epochs_bidir": "1"}
+
+
+def test_pair_structure_names_both_values_where_the_models_differ(small_model_factory):
+    args = build_parser().parse_args(["train", "--train", "t", "--out", "o"])
+    pair = (small_model_factory("irnn", use_classes=True, d_w=1),
+            small_model_factory("irnn-gru", "bwd", d_w=1))
+    structure = cli._pair_structure(args, {"d_w": 1}, pair)
+    assert (structure["use_classes"], structure["d_w"]) == ("True/False", "1")
 
 
 # -- tag / eval -------------------------------------------------------------------
@@ -569,11 +625,11 @@ def test_tag_decodes_in_the_groups_of_decode_groups(trained_model, corpus_dir, t
     monkeypatch.setattr(models, "DECODE_GROUP", 4)
     calls = []
 
-    def recording(model, seqs):
+    def recording(models, seqs):
         calls.append([len(seq) for seq in seqs])
-        return tag_greedy_batch(model, seqs)
+        return tag_batch(models, seqs)
 
-    monkeypatch.setattr(cli, "tag_greedy_batch", recording)
+    monkeypatch.setattr(cli, "tag_batch", recording)
     rc = main(["tag", "--model", str(trained_model), "--input", str(corpus_dir / "train.txt"),
                "--output", str(tmp_path / "tagged.txt")])
     assert rc == 0
@@ -679,7 +735,7 @@ def test_tag_output_in_a_missing_directory_fails_before_decoding(trained_model, 
     def decoder(*args):
         raise AssertionError("decoded before the output was opened")
 
-    monkeypatch.setattr("labelrnn.cli.tag_greedy_batch", decoder)
+    monkeypatch.setattr("labelrnn.cli.tag_batch", decoder)
     output = tmp_path / "missing" / "t.txt"
     rc = main(["tag", "--model", str(trained_model), "--input", str(corpus_dir / "test.txt"),
                "--output", str(output)])

