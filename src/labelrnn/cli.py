@@ -10,7 +10,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .corpus import (
@@ -154,11 +154,16 @@ def _pair_structure(args, named, pair) -> dict:
             for key in {key for structure in structures for key in structure}}
 
 
-def _write_manifest(path, config: TrainConfig, inputs: dict):
+# Fine-tuning accepts these but never reads them: it loads the pair's
+# vocabulary and does not sample labels. Its manifest leaves them out.
+BIDIR_UNREAD = ("min_count", "lowercase", "predicted_label_prob")
+
+
+def _write_manifest(path, config: TrainConfig, inputs: dict, unread):
     digests = {name: _sha256(p) for name, p in inputs.items()}
     payload = {
-        "config": {line.split("=", 1)[0]: line.split("=", 1)[1]
-                   for line in config.to_kv().strip().splitlines()},
+        "config": {f.name: str(getattr(config, f.name)) for f in fields(config)
+                   if f.name not in unread},
         "seed": config.seed,
         "inputs": digests,
         "version": __version__,
@@ -216,7 +221,8 @@ def cmd_train(args) -> int:
     inputs = {name: getattr(args, name) for name in
               ("train", "fwd_model", "bwd_model", "dev", "word_emb", "label_emb")
               if getattr(args, name)}
-    _write_manifest(args.out + ".manifest.json", recorded, inputs)
+    _write_manifest(args.out + ".manifest.json", recorded, inputs,
+                    BIDIR_UNREAD if bidir else ())
     train_seqs = encode_all(train_sents, vocab, *readers)
     dev_seqs = encode_all(dev_sents, vocab, *readers)
 

@@ -28,22 +28,16 @@ from .mathcore import (
 
 # -- embedding windows --------------------------------------------------
 
-def window_indices(tokens: np.ndarray, t: np.ndarray, half: int, pad_left: int, pad_right: int):
-    """Token indices for the symmetric window t-half..t+half, padded at edges;
-    one row of indices per position in the array t."""
-    padded = np.concatenate(([pad_left] * half, tokens, [pad_right] * half)).astype(np.intp)
-    return padded[np.add.outer(t, np.arange(2 * half + 1))]
-
-
-def label_context_indices(history, t: np.ndarray, d_l: int, bol: int):
-    """Indices of the d_l previous labels, one row per position in the array
-    t; slots before the sentence hold BOL.
-
-    history[k] is the label at position k < t in processing order. The
-    rightmost slot holds the most recent label y_{t-1}.
-    """
-    padded = np.concatenate(([bol] * d_l, history)).astype(np.intp)
-    return padded[np.add.outer(t, np.arange(d_l))]
+def window_places(lens, lo: int, hi: int) -> np.ndarray:
+    """The windows at offsets lo..hi-1 around every position of sequences of
+    the given lengths, one row per position in the order of their
+    concatenated tokens, as places in that concatenation; total and
+    total + 1 stand for the pads before and after a sequence."""
+    lens = np.asarray(lens)
+    ends = np.cumsum(lens)
+    at = np.arange(ends[-1])[:, None] + np.arange(lo, hi)
+    first, end = np.repeat(ends - lens, lens)[:, None], np.repeat(ends, lens)[:, None]
+    return np.where(at < first, ends[-1], np.where(at < end, at, ends[-1] + 1))
 
 
 def embed_concat(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -208,23 +202,21 @@ def char_conv_forward(words, E_ch: np.ndarray, W: np.ndarray,
     """Sliding linear map over character embeddings, then element-wise max.
 
     words is a list of words, each an array of character ids. The windows of
-    all words go through one GEMM, then each word takes its own max. Output
-    is one row of size W.shape[0] per word regardless of word length. The
-    cache records per-word, per-output argmax columns (first maximum wins on
-    ties) for routing the gradient back.
+    all words (window_places, the words as the sequences) go through one
+    GEMM, then each word takes its own max. Output is one row of size
+    W.shape[0] per word regardless of word length. The cache records
+    per-word, per-output argmax rows for routing the gradient back: the
+    first row of the word that equals its maximum or is NaN, as np.argmax's.
     """
-    if min(len(word) for word in words) < 1:
+    lens = [len(word) for word in words]
+    if min(lens) < 1:
         raise DataError("char convolution requires a non-empty word")
-    idx = np.concatenate([
-        window_indices(word, np.arange(len(word)), d_c, pad_id, pad_id) for word in words
-    ])
+    idx = np.concatenate([*words, (pad_id, pad_id)])[window_places(lens, -d_c, d_c + 1)]
     x = embed_concat(E_ch, idx)
     cols = matmul(x, W.T) + b
-    best, start = [], 0
-    for word in words:  # argmax: the first maximum wins on ties
-        best.append(start + np.argmax(cols[start : start + len(word)], axis=0))
-        start += len(word)
-    best = np.array(best)
+    starts = np.cumsum(lens) - lens
+    hit = (cols == np.repeat(np.maximum.reduceat(cols, starts), lens, axis=0)) | np.isnan(cols)
+    best = np.minimum.reduceat(np.where(hit, np.arange(len(cols))[:, None], len(cols)), starts)
     out = cols[best, np.arange(W.shape[0])]
     cache = {"idx": idx, "x": x, "best": best, "dim": E_ch.shape[1]}
     return out, cache

@@ -41,12 +41,12 @@ from .layers import (
     gru_backward,
     gru_forward,
     gru_step,
-    label_context_indices,
     merge_rows,
     output_backward,
     output_forward,
     relu_hidden_backward,
     relu_hidden_forward,
+    window_places,
 )
 from .mathcore import dropout_mask, softmax, xavier_init
 
@@ -356,6 +356,14 @@ def _window_rows(model, oseqs, windows) -> dict:
     return rows
 
 
+def _context_ids(history, n, width, pad, t):
+    """The ids of the width tokens before each position in the index array t
+    of a sequence of n, history[k] the one at k; a slot before it holds pad."""
+    padded = np.full(n + 2, pad, dtype=np.intp)
+    padded[: len(history)] = history
+    return padded[_group_layout((n,), -width, 0)[3][t]]
+
+
 def position_forward(model, seq, t, history, masks=None, h_prev=None):
     """Forward at the positions in the index array t; history holds previous
     label ids.
@@ -370,11 +378,10 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     p = model.params
     masks = masks or {}
     if model.ablate_label_context:  # every context is the first position's, all BOL
-        context = np.full((len(t), model.d_l), LABEL_BOL_ID)
-    else:
-        context = label_context_indices(history, t, model.d_l, LABEL_BOL_ID)
+        history = ()
+    context = _context_ids(history, len(seq), model.d_l, LABEL_BOL_ID, t)
     context += model.store.table_rows["E_l"]
-    windows = _group_layout((len(seq),), model.d_w)[3][t]
+    windows = _group_layout((len(seq),), -model.d_w, model.d_w + 1)[3][t]
     idx = np.concatenate((*_window_rows(model, (seq,), windows).values(), context), axis=1)
     x_e = embed_concat(model.store.table, idx)
     if "e" in masks:
@@ -643,7 +650,7 @@ def _decode_group(model, oseqs):
     """
     p = model.params
     lens = tuple(map(len, oseqs))
-    starts, order, inverse, windows, steps = _group_layout(lens, model.d_w)
+    starts, order, inverse, windows, steps = _group_layout(lens, -model.d_w, model.d_w + 1)
     x = _unlabeled_inputs(model, oseqs, order, windows)
 
     # Each variant: the label-free input term of the layer that sees labels
@@ -703,39 +710,31 @@ def _decode_group(model, oseqs):
     return [(labels[i, :n], dists[starts[i] : starts[i] + n]) for i, n in enumerate(lens)]
 
 
-# The cache pays when a group's lengths repeat: in one-sentence calls, whose
-# lengths span a short range (position_forward's training passes among
-# them), in training's dev pass after its first epoch, and for the backward
-# model of a bidirectional call, which reuses the forward model's layouts.
-# Groups of 32 from a new file rarely repeat. A layout costs about 30 us for
-# one sentence and 85 us for 32 (2-core machine, timeit). At most 64 are
-# kept: a group of DECODE_GROUP paper-size sentences holds about 40 KB of
-# index arrays.
+# The cache pays when a layout's lengths and offsets repeat: in one-sentence
+# calls, whose lengths span a short range (training's word windows and label
+# contexts and the NNLM's contexts), in training's dev pass after its first
+# epoch, and for the backward model of a bidirectional call, which reuses the
+# forward model's layouts. Groups of 32 from a new file rarely repeat. A layout
+# costs about 30 us for one sentence and 85 us for 32 (2-core machine,
+# timeit). At most 64 are kept: a group of DECODE_GROUP paper-size sentences
+# holds about 40 KB of index arrays.
 @functools.lru_cache(maxsize=64)
-def _group_layout(lens, d_w):
+def _group_layout(lens, lo, hi):
     """What _decode_group needs for sentences of the given lengths, longest
-    first, and word windows of d_w: (starts, order, inverse, windows, steps),
-    the arrays read-only. position_forward reads the windows of one sentence.
+    first, and windows at offsets lo..hi-1: (starts, order, inverse, windows,
+    steps), the arrays read-only. _context_ids reads the windows of one.
 
     starts holds the first row of each sentence in their concatenation.
     order holds the concatenated position at each row of the step-major
     layout, and inverse the row of each concatenated position. Row k of
-    windows holds the window of row k as places in the tokens' concatenation
-    followed by a left and a right pad. steps lists the count of active
-    sentences and the first and end row of each step.
+    windows holds the window of row k (layers.window_places). steps lists
+    the count of active sentences and the first and end row of each step.
     """
     lens = np.array(lens)
     starts = np.cumsum(lens) - lens
-    total = int(lens.sum())
-    sentence = np.repeat(np.arange(len(lens)), lens)
-    within = np.arange(total) - starts[sentence]  # each position's place in its sentence
-    order = np.argsort(within, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(total)
-    at = within[:, None] + np.arange(-d_w, d_w + 1)
-    inside = (at >= 0) & (at < lens[sentence, None])
-    windows = np.where(inside, at + starts[sentence, None], np.where(at < 0, total, total + 1))
-    windows = windows[order]
+    order = np.argsort(np.arange(lens.sum()) - np.repeat(starts, lens), kind="stable")
+    inverse = np.argsort(order)
+    windows = window_places(lens, lo, hi)[order]
     active = (lens > np.arange(lens[0])[:, None]).sum(axis=1).tolist()
     bounds = [0, *np.cumsum(active).tolist()]
     steps = tuple(zip(active, bounds, bounds[1:]))

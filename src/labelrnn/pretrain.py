@@ -17,10 +17,10 @@ import numpy as np
 
 from .corpus import open_output, read_lines
 from .errors import ConfigError, ParseError
-from .layers import (embed_concat, embed_concat_backward, label_context_indices, output_backward,
-                     output_forward, relu_hidden_backward, relu_hidden_forward)
+from .layers import (embed_concat, embed_concat_backward, output_backward, output_forward,
+                     relu_hidden_backward, relu_hidden_forward)
 from .mathcore import new_rng, xavier_init
-from .models import Grads, ParamStore, _cross_entropy
+from .models import Grads, ParamStore, _context_ids, _cross_entropy
 from .training import SgdMomentum, TrainConfig, run_epochs
 
 
@@ -60,7 +60,7 @@ def nnlm_forward(p: NnlmParams, tokens, t: np.ndarray):
     the previous p.context tokens; row k of y and of every cached array
     belongs to position t[k]."""
     w = p.params
-    idxs = label_context_indices(tokens, t, p.context, p.pad_id)
+    idxs = _context_ids(tokens, len(tokens), p.context, p.pad_id, t)
     x = embed_concat(w["E_tok"], idxs)
     h, pre = relu_hidden_forward(w["H"], w["b_h"], x)
     return output_forward(w["O"], w["b_o"], h), {"idxs": idxs, "x": x, "h": h, "pre": pre}

@@ -1,5 +1,8 @@
 """References that the library is tested against.
 
+- The window builders the cached layouts are tested against: the window of
+  each position from one padded copy of its sequence, a symmetric token
+  window (window_indices) or the previous labels (label_context_indices).
 - The position-by-position tagger forward that the batched passes and the
   lockstep decoder are tested against: one one-row stack per position, with
   the GRU's hidden state carried from each position to the next.
@@ -43,6 +46,26 @@ from labelrnn.models import (
 )
 
 
+# -- windows -----------------------------------------------------------------
+
+def window_indices(tokens: np.ndarray, t: np.ndarray, half: int, pad_left: int, pad_right: int):
+    """Token indices for the symmetric window t-half..t+half, padded at edges;
+    one row of indices per position in the array t."""
+    padded = np.concatenate(([pad_left] * half, tokens, [pad_right] * half)).astype(np.intp)
+    return padded[np.add.outer(t, np.arange(2 * half + 1))]
+
+
+def label_context_indices(history, t: np.ndarray, d_l: int, bol: int):
+    """Indices of the d_l previous labels, one row per position in the array
+    t; slots before the sentence hold BOL.
+
+    history[k] is the label at position k < t in processing order. The
+    rightmost slot holds the most recent label y_{t-1}.
+    """
+    padded = np.concatenate(([bol] * d_l, history)).astype(np.intp)
+    return padded[np.add.outer(t, np.arange(d_l))]
+
+
 def reference_forward(model, oseq, history=None, masks=None):
     """Forward over an oriented sequence, one position at a time.
 
@@ -77,7 +100,8 @@ def reference_decode_group(model, oseqs):
     order = np.argsort(np.arange(lens.sum()) - np.repeat(starts, lens), kind="stable")
     active = (lens > np.arange(lens[0])[:, None]).sum(axis=1)
     bounds = np.concatenate(([0], np.cumsum(active)))
-    x = _unlabeled_inputs(model, oseqs, order, _group_layout(tuple(lens.tolist()), model.d_w)[3])
+    windows = _group_layout(tuple(lens.tolist()), -model.d_w, model.d_w + 1)[3]
+    x = _unlabeled_inputs(model, oseqs, order, windows)
 
     if model.variant == VARIANT_IRNN:
         term, table = _split_input_layer(model, x, p["H"], p["b_h"])

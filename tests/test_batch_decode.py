@@ -12,7 +12,7 @@ from labelrnn import models
 from labelrnn.corpus import (CLASS_BOS_ID, CLASS_EOS_ID, LABEL_BOL_ID, WORD_BOS_ID, WORD_EOS_ID,
                              Sentence, build_vocabulary, encode)
 from labelrnn.errors import DataError
-from labelrnn.layers import embed_concat, label_context_indices, window_indices
+from labelrnn.layers import embed_concat
 from labelrnn.mathcore import new_rng
 from labelrnn.models import (
     DIRECTIONS,
@@ -26,9 +26,11 @@ from labelrnn.models import (
     tag_greedy,
     tag_greedy_batch,
 )
+from labelrnn.pretrain import build_nnlm, nnlm_forward
 from labelrnn.synthetic import generate_corpus
 from labelrnn.training import TrainConfig
-from reference import reference_decode_group, reference_forward
+from reference import (label_context_indices, reference_decode_group, reference_forward,
+                       window_indices)
 
 RTOL, ATOL = 1e-10, 1e-12  # float64: only the summation order differs
 
@@ -211,7 +213,7 @@ def test_window_gather_equals_window_indices(task, count):
         model = _model(vocab, "irnn", "fwd", seed=27, **config)
         rows = model.store.table_rows
         # Decoding gathers each window on its own, in the given row order.
-        inverse, windows = models._group_layout(lens, model.d_w)[2:4]
+        inverse, windows = models._group_layout(lens, -model.d_w, model.d_w + 1)[2:4]
         x = models._unlabeled_inputs(model, group, order, windows[inverse][order])
         ids = [_window_ids(model, s, np.arange(len(s))) for s in group]
         assert x.keys() == ids[0].keys()
@@ -220,9 +222,10 @@ def test_window_gather_equals_window_indices(task, count):
             assert np.array_equal(x[name], embed_concat(model.params[table], idx[order]))
         # Training gathers the windows and then the label context in one, as
         # rows of the stacked table; one row of t is how scheduled sampling
-        # calls it, with the labels before it.
+        # calls it, with the labels before it, a list that is empty at its
+        # first call.
         for seq in (*group, one_token):
-            for t in (np.arange(len(seq)), np.array([len(seq) // 2])):
+            for t in (np.arange(len(seq)), np.array([len(seq) // 2]), np.array([0])):
                 history = list(seq.labels[: t[-1]])
                 if model.ablate_label_context:
                     context = np.full((len(t), model.d_l), LABEL_BOL_ID)
@@ -232,3 +235,12 @@ def test_window_gather_equals_window_indices(task, count):
                 expected = np.concatenate([*stacked, context + rows["E_l"]], axis=1)
                 _, cache = models.position_forward(model, seq, t, history)
                 assert np.array_equal(cache["idx"], expected)
+    # The NNLM's context is a label context over the tokens of one sequence.
+    for context in (1, 3):
+        nnlm = build_nnlm(vocab.n_words, WORD_BOS_ID, context, embed_size=4, hidden_size=5)
+        for seq in (*group, one_token):
+            tokens = seq.words.tolist()
+            for t in (np.arange(len(seq)), np.array([len(seq) // 2])):
+                _, cache = nnlm_forward(nnlm, tokens, t)
+                expected = label_context_indices(tokens, t, context, WORD_BOS_ID)
+                assert np.array_equal(cache["idxs"], expected)

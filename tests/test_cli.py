@@ -492,6 +492,26 @@ def test_bidir_manifest_records_the_pair_structure(trained_model, trained_bwd_mo
         "conv_size": "50", "use_chars": "False", "epochs_bidir": "1"}
 
 
+def test_bidir_accepts_settings_it_never_reads_and_leaves_them_out_of_its_manifest(
+        trained_model, trained_bwd_model, corpus_dir, tmp_path):
+    """min_count and lowercase shape a vocabulary that fine-tuning loads
+    instead, and predicted_label_prob applies to tagger training only: one
+    --set list can serve fwd, bwd and bidir alike."""
+    unread = ["--set", "min_count=5", "--set", "lowercase=0",
+              "--set", "predicted_label_prob=0.5"]
+    for name, extra in (("plain", []), ("unread", unread)):
+        rc = main(["train", "--train", str(corpus_dir / "train.txt"),
+                   "--out", str(tmp_path / name), "--seed", "4",
+                   *_pair_flags(trained_model, trained_bwd_model)] + SMALL_TRAIN_OVERRIDES + extra)
+        assert rc == 0
+    config = json.loads((tmp_path / "unread.manifest.json").read_text())["config"]
+    assert not {"min_count", "lowercase", "predicted_label_prob"} & config.keys()
+    assert "epochs_bidir" in config
+    for suffix in (".fwd", ".bwd", ".log"):
+        assert ((tmp_path / f"unread{suffix}").read_bytes()
+                == (tmp_path / f"plain{suffix}").read_bytes()), suffix
+
+
 def test_pair_structure_names_both_values_where_the_models_differ(small_model_factory):
     args = build_parser().parse_args(["train", "--train", "t", "--out", "o"])
     pair = (small_model_factory("irnn", use_classes=True, d_w=1),

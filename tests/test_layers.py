@@ -13,19 +13,19 @@ from labelrnn.layers import (
     gru_backward,
     gru_forward,
     gru_step,
-    label_context_indices,
     merge_rows,
     output_backward,
     output_forward,
     relu_hidden_backward,
     relu_hidden_forward,
-    window_indices,
 )
 from labelrnn.mathcore import new_rng
 from reference import (
+    label_context_indices,
     reference_gru_backward,
     reference_gru_forward,
     reference_gru_step,
+    window_indices,
 )
 
 BOS, EOS, BOL, CPAD = 90, 91, 92, 0
@@ -332,6 +332,52 @@ def test_char_conv_tie_breaks_to_first_column():
     # two identical characters give identical columns: leftmost must win
     _, cache = char_conv_forward([np.array([2, 2])], E, W, b, d_c=0, pad_id=CPAD)
     assert np.all(cache["best"] == 0)
+
+
+def _per_word_char_conv(words, E, W, b, d_c):
+    """char_conv_forward's (out, cache), each word's windows from
+    window_indices and its argmax from np.argmax, one word at a time."""
+    idx = np.concatenate([window_indices(w, np.arange(len(w)), d_c, CPAD, CPAD) for w in words])
+    x = embed_concat(E, idx)
+    cols = x @ W.T + b
+    starts = np.cumsum([len(w) for w in words]) - [len(w) for w in words]
+    best = np.array([start + np.argmax(cols[start : start + len(w)], axis=0)
+                     for start, w in zip(starts, words)])
+    return cols[best, np.arange(W.shape[0])], {"idx": idx, "x": x, "best": best,
+                                              "dim": E.shape[1]}
+
+
+@pytest.mark.parametrize("d_c", [0, 1, 2])
+def test_char_conv_equals_the_per_word_reference_bit_for_bit(d_c):
+    """Words of lengths 1-9 in one call. Chars 2 and 3 embed alike and W's
+    first row is zero, so windows tie; b's last entry is NaN, a NaN column in
+    every word, and char 5 embeds as NaN, so the windows that hold it, in the
+    middle of one word and at the end of another, are NaN rows. np.argmax
+    takes the first NaN as the maximum."""
+    rng = new_rng(11 + d_c)
+    E = rng.normal(size=(6, 3))
+    E[3] = E[2]
+    E[5] = np.nan
+    W = rng.normal(size=(5, 3 * (2 * d_c + 1)))
+    W[0] = 0.0
+    b = rng.normal(size=5)
+    b[-1] = np.nan
+    lengths = [1, 9, 3, 1, 5, 2, 8, 4, 7, 6, 2, 1]
+    words = [rng.integers(1, 5, size=n) for n in lengths]
+    words[1][4] = words[6][7] = 5
+    words.append(np.array([2, 3, 2, 3, 3]))
+    out, cache = char_conv_forward(words, E, W, b, d_c=d_c, pad_id=CPAD)
+    want_out, want = _per_word_char_conv(words, E, W, b, d_c)
+    assert np.isnan(want_out[:, -1]).all() and not np.isnan(want_out[:, :-1]).all()
+    assert np.array_equal(out, want_out, equal_nan=True)
+    for key in ("idx", "best"):
+        assert cache[key].dtype == want[key].dtype
+        assert np.array_equal(cache[key], want[key]), key
+    dout = rng.normal(size=out.shape)
+    got_back, want_back = char_conv_backward(cache, W, dout), char_conv_backward(want, W, dout)
+    for got, expected in zip(
+            (*got_back[0], got_back[1], *got_back[2]), (*want_back[0], want_back[1], *want_back[2])):
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 def test_char_conv_gradient_finite_differences():

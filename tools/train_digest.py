@@ -27,7 +27,8 @@ Everything runs on generate_corpus(40, seed=11), with one BLAS thread:
   change in how tag groups sentences shows;
 - the gradient-check reports of every fine-tuned pair, on the first test
   sentence;
-- a word NNLM pretrained for two epochs at desk sizes.
+- a word NNLM and a label NNLM, each pretrained for two epochs at desk
+  sizes.
 Run manifests hold a timestamp, so they are left out.
 """
 
@@ -103,8 +104,9 @@ def _write_gradient_checks(pair, seq, path):
 def build(out: Path):
     data = generate_corpus_files(out / "corpus", CORPUS_SIZE, CORPUS_SEED)
     test_sentence = load_column_file(data["test"])[0]
-    _run("pretrain", "--train", data["train"], "--target", "words", "--epochs", 2,
-         "--embed-size", 24, "--hidden-size", 48, "--out", out / "nnlm.words.emb")
+    for target in ("words", "labels"):
+        _run("pretrain", "--train", data["train"], "--target", target, "--epochs", 2,
+             "--embed-size", 24, "--hidden-size", 48, "--out", out / f"nnlm.{target}.emb")
     for scale, fields in SCALES.items():
         sets = [arg for field in COMMON + fields for arg in ("--set", field)]
         for inputs, flags in (INPUTS | DESK_INPUTS if scale == "desk" else INPUTS).items():
