@@ -222,7 +222,9 @@ CONFIG_FIELDS = ("d_w", "d_l", "d_c", "embed_size", "first_level_size", "char_em
 def build_model(variant, direction, vocab, rng, config) -> TaggerModel:
     """Create a model with Xavier-initialized parameters in a fixed order.
     Its sizes and input flags come from config, a training.TrainConfig:
-    CONFIG_FIELDS and config.resolved_hidden_size()."""
+    CONFIG_FIELDS and config.resolved_hidden_size(); ConfigError unless
+    config.validate() passes."""
+    config.validate()
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     if direction not in DIRECTIONS:
@@ -339,21 +341,40 @@ class Grads:
 
 # -- forward/backward over a stack of positions -------------------------------
 
-def _window_rows(model, oseqs, windows) -> dict:
-    """The word windows and, when the model reads classes, the class
-    windows of the oriented sentences oseqs as rows of the stacked table:
-    "w" and "c" each hold one row of ids per row of windows.
+def _inputs(model, oseqs, rows, windows, context=None, mask=None):
+    """The model's input pieces at rows, an index array into the concatenated
+    positions of the oriented sentences oseqs: (x, x_e, idx, ch_cache).
 
-    windows is _group_layout's over oseqs: each row holds a window as places
-    in the sentences' concatenated tokens followed by a left and a right pad.
+    x maps each piece to one row per row of rows. The word and class windows
+    and, given context (label ids, one row per row of rows), the label window
+    are column ranges of x_e, one gather of the stacked table at idx times
+    mask when one is given; row k of windows (_group_layout's) is the window
+    of row k. The char feature "ch" is char_conv_forward's over the words at
+    rows, and ch_cache its cache (None without chars).
     """
+    p, pieces = model.params, dict(model.input_pieces())
     words = np.concatenate([s.words for s in oseqs] + [(WORD_BOS_ID, WORD_EOS_ID)])
-    rows = {"w": words[windows]}  # E_w comes first, so a word id is its row
-    if model.use_classes:
+    ids = [words[windows]]  # E_w comes first, so a word id is its row
+    if "c" in pieces:
         classes = np.concatenate([s.classes for s in oseqs] + [(CLASS_BOS_ID, CLASS_EOS_ID)])
         classes += model.store.table_rows["E_c"]
-        rows["c"] = classes[windows]
-    return rows
+        ids.append(classes[windows])
+    if "l" in pieces and context is not None:
+        ids.append(context + model.store.table_rows["E_l"])
+    idx = ids[0] if len(ids) == 1 else np.concatenate(ids, axis=1)
+    x_e = embed_concat(model.store.table, idx)
+    if mask is not None:
+        x_e *= mask[:, : x_e.shape[1]]
+    x, start, ch_cache = {}, 0, None
+    for name, dim in pieces.items():
+        if name == "ch":
+            chars = [c for s in oseqs for c in s.chars]
+            x["ch"], ch_cache = char_conv_forward([chars[i] for i in rows], p["E_ch"], p["W_conv"],
+                                                  p["b_conv"], model.d_c, CHAR_PAD_ID)
+        elif name != "l" or context is not None:
+            x[name] = x_e[:, start : start + dim]
+            start += dim
+    return x, x_e, idx, ch_cache
 
 
 def _context_ids(history, n, width, pad, t):
@@ -380,28 +401,11 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     if model.ablate_label_context:  # every context is the first position's, all BOL
         history = ()
     context = _context_ids(history, len(seq), model.d_l, LABEL_BOL_ID, t)
-    context += model.store.table_rows["E_l"]
     windows = _group_layout((len(seq),), -model.d_w, model.d_w + 1)[3][t]
-    idx = np.concatenate((*_window_rows(model, (seq,), windows).values(), context), axis=1)
-    x_e = embed_concat(model.store.table, idx)
-    if "e" in masks:
-        x_e *= masks["e"]
-    cache = {"masks": masks, "idx": idx}
-    x = {}  # each input piece, the windows as column ranges of x_e
-    start = 0
-    for name, dim in model.input_pieces():
-        if name == "ch":
-            x["ch"], cache["ch_cache"] = char_conv_forward(
-                [seq.chars[i] for i in t], p["E_ch"], p["W_conv"], p["b_conv"], model.d_c,
-                CHAR_PAD_ID)
-        else:
-            x[name] = x_e[:, start : start + dim]
-            start += dim
-    cache["x_pieces"] = x
-
+    x, x_e, idx, ch_cache = _inputs(model, (seq,), t, windows, context, masks.get("e"))
+    cache = {"masks": masks, "idx": idx, "ch_cache": ch_cache, "x_pieces": x}
     if model.variant != VARIANT_DEEP:  # the deep layers read each piece apart
-        used = x_e if start == x_e.shape[1] else x_e[:, :start]
-        cache["x"] = np.concatenate((used, x["ch"]), axis=1) if "ch" in x else used
+        cache["x"] = np.concatenate((x_e, x["ch"]), axis=1) if "ch" in x else x_e
 
     if model.variant == VARIANT_IRNN:
         h, pre = relu_hidden_forward(p["H"], p["b_h"], cache["x"])
@@ -429,20 +433,21 @@ def position_forward(model, seq, t, history, masks=None, h_prev=None):
     return output_forward(p["O"], p["b_o"], h_drop), cache
 
 
-def _scatter_input_grad(model, cache, dx_e, dx_ch, grads):
-    """Route the gradient on the input back: dx_e, on the leading columns of
-    the stacked gather that the input uses, to the stacked table in one
-    add_rows, and dx_ch, None without chars, through the char convolution."""
-    if dx_ch is not None:
+def _scatter_input_grad(model, cache, dx, grads):
+    """Route dx, the gradient on the whole input with the pieces side by side,
+    back: its char columns, the last conv_size, through the char convolution,
+    and the rest, on the gathered windows, to the stacked table in one
+    add_rows."""
+    if cache["ch_cache"] is not None:
+        dx, dx_ch = dx[:, : -model.conv_size], dx[:, -model.conv_size :]
         dW, db, slots = char_conv_backward(cache["ch_cache"], model.params["W_conv"], dx_ch)
         grads.add_factors("W_conv", *dW)
         grads.add("b_conv", db)
         grads.add_rows("E_ch", *slots)
     mask = cache["masks"].get("e")
     if mask is not None:
-        dx_e = dx_e * mask[:, : dx_e.shape[1]]
-    idx = cache["idx"][:, : dx_e.shape[1] // model.embed_size]
-    grads.add_rows(STACKED_TABLE, *embed_concat_backward(dx_e, idx, model.embed_size))
+        dx = dx * mask[:, : dx.shape[1]]
+    grads.add_rows(STACKED_TABLE, *embed_concat_backward(dx, cache["idx"], model.embed_size))
 
 
 def position_backward(model, cache, delta, grads, dh_next=None):
@@ -459,7 +464,7 @@ def position_backward(model, cache, delta, grads, dh_next=None):
     mask_h = cache["masks"].get("h")
     if mask_h is not None:
         dh = dh * mask_h
-    ch = "ch" in cache["x_pieces"]
+    dh_prev = None
 
     if model.variant == VARIANT_IRNN:
         dH, db_h, dx = relu_hidden_backward(p["H"], cache["x"], cache["pre"], dh)
@@ -474,26 +479,22 @@ def position_backward(model, cache, delta, grads, dh_next=None):
                 grads.add_factors(name, *g)
             else:
                 grads.add(name, g)
-    if model.variant != VARIANT_DEEP:
-        end = dx.shape[1] - model.conv_size if ch else dx.shape[1]
-        _scatter_input_grad(model, cache, dx[:, :end], dx[:, end:] if ch else None, grads)
-        return dh_prev if model.variant == VARIANT_GRU else None
-
-    dH2, db_2, dhcat = relu_hidden_backward(p["H2"], cache["hcat"], cache["pre2"], dh)
-    grads.add_factors("H2", *dH2)
-    grads.add("b_2", db_2)
-    dx_pieces = []
-    for k, (name, _) in enumerate(model.input_pieces()):
-        df = dhcat[:, k * model.first_level_size : (k + 1) * model.first_level_size]
-        dF, dFb, dxp = relu_hidden_backward(
-            p[f"F_{name}"], cache["x_pieces"][name], cache[f"fpre_{name}"], df
-        )
-        grads.add_factors(f"F_{name}", *dF)
-        grads.add(f"Fb_{name}", dFb)
-        dx_pieces.append(dxp)
-    dx_ch = dx_pieces.pop() if ch else None
-    _scatter_input_grad(model, cache, np.concatenate(dx_pieces, axis=1), dx_ch, grads)
-    return None
+    else:
+        dH2, db_2, dhcat = relu_hidden_backward(p["H2"], cache["hcat"], cache["pre2"], dh)
+        grads.add_factors("H2", *dH2)
+        grads.add("b_2", db_2)
+        dx = []
+        for k, (name, _) in enumerate(model.input_pieces()):
+            df = dhcat[:, k * model.first_level_size : (k + 1) * model.first_level_size]
+            dF, dFb, dxp = relu_hidden_backward(
+                p[f"F_{name}"], cache["x_pieces"][name], cache[f"fpre_{name}"], df
+            )
+            grads.add_factors(f"F_{name}", *dF)
+            grads.add(f"Fb_{name}", dFb)
+            dx.append(dxp)
+        dx = np.concatenate(dx, axis=1)
+    _scatter_input_grad(model, cache, dx, grads)
+    return dh_prev
 
 
 # -- sequence-level passes -----------------------------------------------
@@ -618,25 +619,6 @@ def _split_input_layer(model, x, W, b):
     return term, table
 
 
-def _unlabeled_inputs(model, oseqs, order, windows):
-    """The input pieces other than the label context at every position of
-    oseqs, one row per position in the given order of the concatenated
-    positions; row k of windows (_group_layout's) is the window of row k.
-    Each window is gathered from the stacked table on its own.
-    """
-    p = model.params
-    ids = _window_rows(model, oseqs, windows)
-    x = {}
-    for name, _ in model.input_pieces():
-        if name in ids:
-            x[name] = embed_concat(model.store.table, ids[name])
-        elif name == "ch":
-            chars = [c for s in oseqs for c in s.chars]
-            x[name], _ = char_conv_forward([chars[i] for i in order], p["E_ch"], p["W_conv"],
-                                           p["b_conv"], model.d_c, CHAR_PAD_ID)
-    return x
-
-
 def _decode_group(model, oseqs):
     """Greedy decode of oriented sentences, longest first, in lockstep.
 
@@ -651,7 +633,7 @@ def _decode_group(model, oseqs):
     p = model.params
     lens = tuple(map(len, oseqs))
     starts, order, inverse, windows, steps = _group_layout(lens, -model.d_w, model.d_w + 1)
-    x = _unlabeled_inputs(model, oseqs, order, windows)
+    x = _inputs(model, oseqs, order, windows)[0]
 
     # Each variant: the label-free input term of the layer that sees labels
     # (biases included) and that layer's label table.
@@ -924,6 +906,13 @@ def _read_model(fh, size) -> TaggerModel:
         variant=VARIANTS[variant_b], direction=DIRECTIONS[direction_b],
         vocab_hash=vocab_hash, **kwargs,
     )
+    from .training import TrainConfig  # which imports this module
+
+    hidden = dict.fromkeys(("hidden_size", "hidden_size_all_inputs"), model.hidden_size)
+    try:
+        TrainConfig(**hidden, **{name: kwargs[name] for name in CONFIG_FIELDS}).validate()
+    except ConfigError as exc:
+        raise ModelIOError(f"a structure that training never writes: {exc}") from None
     (n_tensors,) = _unpack(fh, "<I", size)
     shapes = []
     for _ in range(n_tensors):

@@ -38,9 +38,9 @@ from labelrnn.models import (
     VARIANT_GRU,
     VARIANT_IRNN,
     _group_layout,
+    _inputs,
     _label_table,
     _split_input_layer,
-    _unlabeled_inputs,
     position_forward,
     predict_label,
 )
@@ -101,7 +101,7 @@ def reference_decode_group(model, oseqs):
     active = (lens > np.arange(lens[0])[:, None]).sum(axis=1)
     bounds = np.concatenate(([0], np.cumsum(active)))
     windows = _group_layout(tuple(lens.tolist()), -model.d_w, model.d_w + 1)[3]
-    x = _unlabeled_inputs(model, oseqs, order, windows)
+    x = _inputs(model, oseqs, order, windows)[0]
 
     if model.variant == VARIANT_IRNN:
         term, table = _split_input_layer(model, x, p["H"], p["b_h"])

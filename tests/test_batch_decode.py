@@ -212,9 +212,10 @@ def test_window_gather_equals_window_indices(task, count):
                    dict(d_w=0)):
         model = _model(vocab, "irnn", "fwd", seed=27, **config)
         rows = model.store.table_rows
-        # Decoding gathers each window on its own, in the given row order.
+        # Decoding gathers the word and class windows in one, in the given
+        # row order.
         inverse, windows = models._group_layout(lens, -model.d_w, model.d_w + 1)[2:4]
-        x = models._unlabeled_inputs(model, group, order, windows[inverse][order])
+        x = models._inputs(model, group, order, windows[inverse][order])[0]
         ids = [_window_ids(model, s, np.arange(len(s))) for s in group]
         assert x.keys() == ids[0].keys()
         for name, (table, _) in ids[0].items():
@@ -244,3 +245,45 @@ def test_window_gather_equals_window_indices(task, count):
                 _, cache = nnlm_forward(nnlm, tokens, t)
                 expected = label_context_indices(tokens, t, context, WORD_BOS_ID)
                 assert np.array_equal(cache["idxs"], expected)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decoder_inputs_equal_the_teacher_forced_pieces(task, variant):
+    """One builder makes the inputs of both passes: the pieces the decoder
+    reads for a group are the teacher-forced pass's pieces of each sentence,
+    row for row through order, bit for bit, the label piece aside; and the
+    gradient on the whole input goes back by one route."""
+    vocab, seqs = task
+    group = sorted(seqs[:3], key=len, reverse=True)
+    lens = tuple(len(s) for s in group)
+    for config in ({}, dict(use_classes=True, use_chars=True, d_c=1),
+                   dict(use_classes=True, use_chars=True, gru_words_only=True), dict(d_w=0)):
+        model = _model(vocab, variant, "fwd", seed=29, **config)
+        rows = model.store.table_rows
+        order, _, windows = models._group_layout(lens, -model.d_w, model.d_w + 1)[1:4]
+        x = models._inputs(model, group, order, windows)[0]
+        caches = [models.position_forward(model, s, np.arange(len(s)), s.labels)[1]
+                  for s in group]
+        assert x.keys() == {name for name, _ in model.input_pieces()} - {"l"}
+        for name in x:
+            trained = np.concatenate([cache["x_pieces"][name] for cache in caches])
+            assert np.array_equal(x[name], trained[order]), name
+        for name, (table, idx) in _window_ids(model, group[0], np.arange(lens[0])).items():
+            if name in x:
+                assert np.array_equal(caches[0]["x_pieces"][name],
+                                      embed_concat(model.params[table], idx)), name
+        # The last conv_size columns, with chars, go through the char
+        # convolution, and the rest to the stacked table rows they came from.
+        cache = caches[0]
+        dx = np.random.default_rng(5).normal(size=(lens[0], model.input_dim))
+        width = cache["idx"].shape[1] * model.embed_size
+        assert dx.shape[1] - width == (model.conv_size if "ch" in x else 0)
+        grads = models.Grads()
+        models._scatter_input_grad(model, cache, dx, grads)
+        dense = grads.to_dense(model)
+        expected = np.zeros_like(model.store.table)
+        np.add.at(expected, cache["idx"].ravel(), dx[:, :width].reshape(-1, model.embed_size))
+        assert np.allclose(np.concatenate([dense[name] for name in rows]), expected,
+                           rtol=RTOL, atol=ATOL)
+        if "ch" in x:
+            assert np.allclose(dense["b_conv"], dx[:, width:].sum(axis=0), rtol=RTOL, atol=ATOL)

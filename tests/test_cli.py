@@ -696,6 +696,29 @@ def test_tag_rejects_model_with_wrong_tensors(trained_model, corpus_dir, tmp_pat
     assert _error_lines(capsys.readouterr().err) == [f"error: {bad}: {problem}"]
 
 
+class _Unchecked(TrainConfig):
+    """A config that build_model takes as it is, as it did before it validated."""
+
+    def validate(self):
+        pass
+
+
+@pytest.mark.parametrize("variant", ["irnn", "irnn-gru"])
+def test_tag_rejects_a_model_that_training_never_writes(trained_model, corpus_dir, tmp_path,
+                                                        capsys, variant):
+    vocab = Vocabulary.load(str(trained_model) + ".vocab")
+    config = _Unchecked(d_l=0, embed_size=4, hidden_size=5)
+    bad, output = tmp_path / "no-context.bin", tmp_path / "t.txt"
+    save_model(models.build_model(variant, "fwd", vocab, np.random.default_rng(0), config), bad)
+    rc = main(["tag", "--model", str(bad), "--vocab", str(trained_model) + ".vocab",
+               "--input", str(corpus_dir / "test.txt"), "--output", str(output)])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {bad}: a structure that training never writes: window sizes must satisfy "
+        "d_w >= 0, d_c >= 0, d_l >= 1"]
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("command", ["tag", "bidir"])
 def test_model_with_a_non_finite_weight_rejected(trained_model, corpus_dir, tmp_path, capsys,
                                                  command):

@@ -28,6 +28,12 @@ def test_unknown_variant_and_direction(tiny_vocab):
         build_model("irnn", "sideways", tiny_vocab, new_rng(0), TrainConfig())
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_build_model_rejects_a_config_that_training_rejects(tiny_vocab, variant):
+    with pytest.raises(ConfigError, match="d_l >= 1"):
+        build_model(variant, "fwd", tiny_vocab, new_rng(0), TrainConfig(d_l=0))
+
+
 def test_default_config_builds_the_published_structure(tiny_vocab):
     model = build_model("irnn", "fwd", tiny_vocab, new_rng(0), TrainConfig())
     assert (model.d_w, model.d_l, model.d_c) == (5, 5, 0)

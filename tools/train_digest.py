@@ -16,8 +16,9 @@ Everything runs on generate_corpus(40, seed=11), with one BLAS thread:
 - words only, and words with classes and chars; at desk sizes also words
   with classes and chars under scheduled sampling, clipping, L2 on every
   tensor and embeddings frozen in fine-tuning, words with classes and an
-  ablated (all-BOL) label context, and words alone under gru_words_only,
-  which the irnn and irnn-deep variants ignore;
+  ablated (all-BOL) label context, and words alone and words with classes
+  and chars under gru_words_only, which the irnn and irnn-deep variants
+  ignore;
 - irnn, irnn-gru and irnn-deep, each trained fwd and bwd for two epochs, then
   fine-tuned as a bidirectional pair for one;
 - greedy tag of the test and the train split with every fwd and bwd model,
@@ -65,6 +66,7 @@ DESK_INPUTS = {
                           "freeze_embeddings_bidir=1") for arg in ("--set", field)),
     "ablated": ("--use-classes", "--set", "ablate_label_context=1"),
     "gru-words-only": ("--set", "gru_words_only=1"),
+    "gru-words-only-cc": INPUTS["classes-chars"] + ("--set", "gru_words_only=1"),
 }
 GRADIENT_SAMPLES = 5  # coordinates per tensor
 
